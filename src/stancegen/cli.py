@@ -45,28 +45,28 @@ from .layers import (
     AttentionParams,
     EncoderParams,
     LSTMParams,
-    additive_attention,
-    conditional_encode,
-    lstm_step,
-    max_pool_encode,
-    run_lstm,
-    zero_state,
+    LSTMState,
+    additive_attention_batch,
+    conditional_encode_batch,
+    lstm_step_batch,
+    max_pool_encode_batch,
+    run_lstm_batch,
+    zero_state_batch,
 )
-from .models import ModelSpec, build_model, load_checkpoint, model_forward, model_forward_batch
+from .models import ModelSpec, build_model, load_checkpoint, model_forward_batch
 from .tensor import (
     Tape,
     Tensor,
     add,
     apply_binary,
     apply_unary,
-    dot,
     finite_difference_check,
     matmul_t,
     matvec,
+    mul,
     scale,
-    softmax,
+    softmax_rows,
     sum_all,
-    weighted_sum,
     zero_grads,
 )
 from .training import (
@@ -398,8 +398,7 @@ def cmd_predict(args) -> int:
         sentence_ids=[vocab.id_of(t) for t in sentence],
         target_ids=[vocab.id_of(t) for t in target],
     )
-    out = model_forward(model, ex)
-    probs = out.stance_probs.value
+    probs = model_forward_batch(model, [ex]).stance_probs.value[0]
     for name, p in zip(STANCES, probs):
         print(f"{name}: {float(p):.4f}")
     print(f"prediction: {STANCES[int(np.argmax(probs))]}")
@@ -425,101 +424,104 @@ def cmd_dump_attention(args) -> int:
 
 
 def _gradcheck_components():
-    """(name, callable) pairs; each callable returns a max relative error."""
+    """(name, callable) pairs; each callable returns a max relative error.
+
+    The layers are checked in their batched form, the one training runs, on
+    ragged batches of two rows wherever padding changes the computation.
+    """
     rng = np.random.default_rng(20)
 
-    def vec(n):
-        return Tensor(rng.uniform(-1.5, 1.5, n))
+    def mat(*shape):
+        return Tensor(rng.uniform(-1.5, 1.5, shape))
 
-    def mat(r, c):
-        return Tensor(rng.uniform(-1.5, 1.5, (r, c)))
-
-    coeff4 = np.array([0.7, -1.3, 0.4, 1.1])
-
-    def reduce_with(t, coeffs):
-        return dot(Tensor(np.array(coeffs[: t.value.shape[0]])), t)
+    def reduce_with(t):
+        # fixed coefficients on every call, so each f() stays deterministic
+        coeffs = np.random.default_rng(19).uniform(-1.5, 1.5, t.value.shape)
+        return sum_all(mul(t, Tensor(coeffs)))
 
     def unary_check(name, x_values):
         def run():
             x = Tensor(np.array(x_values))
-            return finite_difference_check(lambda: reduce_with(apply_unary(x, name), coeff4), [x])
+            return finite_difference_check(lambda: reduce_with(apply_unary(x, name)), [x])
 
         return run
 
     def binary_check(name):
         def run():
-            a, b = vec(4), vec(4)
-            return finite_difference_check(
-                lambda: reduce_with(apply_binary(a, b, name), coeff4), [a, b]
-            )
+            a, b = mat(4), mat(4)
+            return finite_difference_check(lambda: reduce_with(apply_binary(a, b, name)), [a, b])
 
         return run
 
     def matvec_check():
-        w, x = mat(3, 4), vec(4)
-        return finite_difference_check(lambda: reduce_with(matvec(w, x), coeff4), [w, x])
+        w, x = mat(3, 4), mat(4)
+        return finite_difference_check(lambda: reduce_with(matvec(w, x)), [w, x])
 
     def matmul_check():
         a, b = mat(2, 3), mat(4, 3)
-        return finite_difference_check(lambda: sum_all(matmul_t(a, b)), [a, b])
+        return finite_difference_check(lambda: reduce_with(matmul_t(a, b)), [a, b])
 
-    def softmax_check():
-        x = vec(4)
-        return finite_difference_check(lambda: reduce_with(softmax(x), coeff4), [x])
+    # a ragged batch of two rows, the second one position shorter: mask is
+    # (batch, positions), and mask.T the (positions, batch) form LSTMs take
+    mask = np.array([[True, True, True], [True, True, False]])
 
-    def weighted_sum_check():
-        alpha = Tensor(np.array([0.2, 0.5, 0.3]))
-        hiddens = [vec(2) for _ in range(3)]
-        return finite_difference_check(
-            lambda: reduce_with(weighted_sum(alpha, hiddens), coeff4), [alpha] + hiddens
-        )
+    def softmax_rows_check():
+        x = mat(2, 3)
+        return finite_difference_check(lambda: reduce_with(softmax_rows(x, mask)), [x])
 
     def lstm_params(input_dim, hidden):
         return LSTMParams.init(input_dim, hidden, np.random.default_rng(21), np.float64)
 
     def lstm_step_check():
         params = lstm_params(3, 2)
-        x = vec(3)
-        tensors = [x] + [t for _, t in params.named("p")]
+        x, h, c = mat(2, 3), mat(2, 2), mat(2, 2)
+        tensors = [x, h, c] + [t for _, t in params.named("p")]
         def f():
-            state = lstm_step(x, zero_state(2, np.float64), params)
-            return add(reduce_with(state.h, coeff4), reduce_with(state.c, [1.2, -0.8]))
+            state = lstm_step_batch(x, LSTMState(h, c), params)
+            return add(reduce_with(state.h), reduce_with(state.c))
         return finite_difference_check(f, tensors)
 
     def lstm_sequence_check():
         params = lstm_params(2, 2)
-        xs = [vec(2) for _ in range(3)]
-        tensors = xs + [t for _, t in params.named("p")]
+        steps = [mat(2, 2) for _ in range(3)]
+        tensors = steps + [t for _, t in params.named("p")]
         def f():
-            states = run_lstm(xs, zero_state(2, np.float64), params, reverse=True)
-            return reduce_with(states[0].h, coeff4)
+            # re-seeded, so every evaluation draws the same dropout masks; the
+            # second row's final state reaches the last position through padding
+            states = run_lstm_batch(
+                steps, mask.T, zero_state_batch(2, 2, np.float64), params,
+                recurrent_dropout=0.3, train=True, rng=np.random.default_rng(5),
+            )
+            return reduce_with(states[-1].h)
         return finite_difference_check(f, tensors)
 
     def encoder_check():
         params = EncoderParams.init(2, 2, np.random.default_rng(22), np.float64)
-        target = [vec(2) for _ in range(2)]
-        sentence = [vec(2) for _ in range(3)]
+        target = [mat(2, 2) for _ in range(2)]
+        sentence = [mat(2, 2) for _ in range(3)]
+        target_valid = np.array([[True, True], [False, True]])
         tensors = target + sentence + [t for _, t in params.named("enc")]
         def f():
-            hiddens, summary = conditional_encode(target, sentence, params)
-            return add(reduce_with(summary, coeff4), reduce_with(hiddens[1], coeff4))
+            hiddens, summary = conditional_encode_batch(target, target_valid, sentence, mask.T, params)
+            return add(reduce_with(summary), reduce_with(hiddens[1]))
         return finite_difference_check(f, tensors)
 
     def attention_check():
         params = AttentionParams.init(3, 8, np.random.default_rng(23), np.float64)
-        summary = vec(4)
-        hiddens = [vec(4) for _ in range(3)]
+        summary = mat(2, 4)
+        hiddens = [mat(2, 4) for _ in range(3)]
         tensors = [summary] + hiddens + [t for _, t in params.named("att")]
         def f():
-            out = additive_attention(summary, hiddens, params)
-            return reduce_with(out.s, coeff4)
+            return reduce_with(additive_attention_batch(summary, hiddens, params, mask).s)
         return finite_difference_check(f, tensors)
 
     def max_pool_check():
-        # spread the entries so eps perturbations cannot flip any argmax
-        hiddens = [Tensor(rng.uniform(-2.0, 2.0, 3) + sign) for sign in (-4.0, 0.0, 4.0)]
+        # distinct ranks 4 apart per coordinate, so eps perturbations cannot
+        # flip any argmax and the maxima fall on different positions
+        ranks = np.argsort(rng.random((3, 2, 3)), axis=0)
+        hiddens = [Tensor(4.0 * ranks[j] + rng.uniform(-1.0, 1.0, (2, 3))) for j in range(3)]
         return finite_difference_check(
-            lambda: reduce_with(max_pool_encode(hiddens), coeff4), hiddens
+            lambda: reduce_with(max_pool_encode_batch(hiddens, mask)), hiddens
         )
 
     def _tiny_invar_setup():
@@ -607,9 +609,8 @@ def _gradcheck_components():
         ("sub", binary_check("sub")),
         ("matvec", matvec_check),
         ("matmul_t", matmul_check),
-        ("softmax", softmax_check),
-        ("weighted_sum", weighted_sum_check),
-        ("lstm_step", lstm_step_check),
+        ("softmax_rows", softmax_rows_check),
+        ("lstm_step_batch", lstm_step_check),
         ("lstm_sequence", lstm_sequence_check),
         ("conditional_encoder", encoder_check),
         ("attention", attention_check),
@@ -622,7 +623,8 @@ def _gradcheck_components():
 def cmd_gradcheck(args) -> int:
     started = time.perf_counter()
     failures = []
-    for name, check in _gradcheck_components():
+    components = _gradcheck_components()
+    for name, check in components:
         err = check()
         status = "ok" if err < GRADCHECK_TOLERANCE else "FAIL"
         if status == "FAIL":
@@ -632,7 +634,7 @@ def cmd_gradcheck(args) -> int:
     if failures:
         print(f"gradcheck FAILED: {', '.join(failures)} ({elapsed:.1f}s)")
         return EXIT_DIAGNOSTIC
-    print(f"gradcheck passed: 18 components under {GRADCHECK_TOLERANCE:g} ({elapsed:.1f}s)")
+    print(f"gradcheck passed: {len(components)} components under {GRADCHECK_TOLERANCE:g} ({elapsed:.1f}s)")
     return EXIT_OK
 
 

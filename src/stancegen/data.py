@@ -111,7 +111,10 @@ class Vocabulary:
             parts = line.split("\t")
             if len(parts) != 2:
                 raise ParseError(f"expected 'token<TAB>id', got {line!r}", line=lineno)
-            mapping[parts[0]] = int(parts[1])
+            try:
+                mapping[parts[0]] = int(parts[1])
+            except ValueError:
+                raise ParseError(f"id {parts[1]!r} is not an integer", line=lineno) from None
         return cls(mapping)
 
 
@@ -220,7 +223,10 @@ def load_embeddings(path, vocab: Vocabulary, dim: int) -> EmbeddingMatrix:
                 raise ParseError(
                     f"expected {dim} values for token {tok!r}, got {len(parts) - 1}", line=lineno
                 )
-            found[tok] = np.array([float(v) for v in parts[1:]], dtype=np.float64)
+            try:
+                found[tok] = np.array([float(v) for v in parts[1:]], dtype=np.float64)
+            except ValueError:
+                raise ParseError(f"non-numeric value in the vector for {tok!r}", line=lineno) from None
     values = np.zeros((len(vocab), dim), dtype=np.float64)
     for tok, idx in vocab.token_to_id.items():
         if idx == PAD_ID:

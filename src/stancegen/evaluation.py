@@ -11,7 +11,7 @@ import numpy as np
 
 from .data import STANCE_TO_INDEX, STANCES, Corpus
 from .errors import CapabilityError
-from .models import ATTENTION_VARIANTS, Model, model_forward
+from .models import ATTENTION_VARIANTS, Model, model_forward_batch
 
 
 class ConfusionMatrix:
@@ -120,20 +120,22 @@ class AttentionRecord:
 def attention_records(model: Model, corpus: Corpus) -> list[AttentionRecord]:
     if model.spec.variant not in ATTENTION_VARIANTS:
         raise CapabilityError(f"variant {model.spec.variant} has no attention layer")
-    records = []
-    for ex in corpus:
-        out = model_forward(model, ex)
-        alpha = out.attention.alpha.value
-        records.append(
-            AttentionRecord(
-                tokens=list(ex.sentence_tokens),
-                weights=[float(a) for a in alpha],
-                target=ex.raw_target,
-                gold=ex.stance,
-                predicted=STANCES[int(np.argmax(out.stance_probs.value))],
-            )
+    if not corpus.examples:
+        return []
+    # the whole corpus as one batch; each alpha row is cut at its sentence
+    out = model_forward_batch(model, corpus.examples)
+    alpha = out.attention.alpha.value
+    predicted = np.argmax(out.stance_probs.value, axis=1)
+    return [
+        AttentionRecord(
+            tokens=list(ex.sentence_tokens),
+            weights=[float(a) for a in alpha[i][out.sentence_mask[i]]],
+            target=ex.raw_target,
+            gold=ex.stance,
+            predicted=STANCES[predicted[i]],
         )
-    return records
+        for i, ex in enumerate(corpus.examples)
+    ]
 
 
 def _heatmap_html(records: list[AttentionRecord]) -> str:

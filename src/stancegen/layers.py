@@ -1,9 +1,9 @@
 """Neural building blocks: LSTMs, conditional encoders, attention, pooling,
 dropout, and the gradient-reversal layer.
 
-Each layer comes in two flavors sharing the same parameters: a per-example
-version operating on vectors, and a row-batched version operating on
-(batch, dim) matrices with trailing padding controlled by validity masks.
+Every layer is row-batched: a sequence is a list of (batch, dim) matrices,
+one per position, with trailing padding marked by validity masks. A single
+example is a batch of one.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import ShapeError
 from .tensor import (
     Tensor,
     _record,
@@ -21,9 +20,7 @@ from .tensor import (
     add_rowvec,
     blend_rows,
     column,
-    concat,
     concat_cols,
-    dot,
     dropout,
     fill_rows,
     matmul_t,
@@ -32,12 +29,10 @@ from .tensor import (
     mul,
     scale_rows_t,
     sigmoid,
-    softmax,
     softmax_rows,
     stack_cols,
     tanh,
     tensor,
-    weighted_sum,
 )
 
 
@@ -48,7 +43,7 @@ def glorot_uniform(rng: np.random.Generator, rows: int, cols: int, dtype) -> np.
 
 @dataclass
 class LSTMState:
-    """Hidden and cell vectors; rank-1 per example or (batch, hidden) batched."""
+    """Hidden and cell states, each (batch, hidden)."""
 
     h: Tensor
     c: Tensor
@@ -117,29 +112,9 @@ class AttentionOutput:
     alpha: Tensor
 
 
-def zero_state(hidden_dim: int, dtype=None) -> LSTMState:
-    return LSTMState(tensor(np.zeros(hidden_dim), dtype), tensor(np.zeros(hidden_dim), dtype))
-
-
-def zero_state_batch(batch: int, hidden_dim: int, dtype=None) -> LSTMState:
+def zero_state_batch(batch: int, hidden_dim: int, dtype) -> LSTMState:
     shape = (batch, hidden_dim)
     return LSTMState(tensor(np.zeros(shape), dtype), tensor(np.zeros(shape), dtype))
-
-
-def lstm_step(x: Tensor, prev: LSTMState, params: LSTMParams) -> LSTMState:
-    """One LSTM step: i,f,o = sigmoid gates, g = tanh candidate."""
-    if x.value.shape != (params.input_dim,):
-        raise ShapeError(f"lstm_step: input {x.value.shape}, expected ({params.input_dim},)")
-    if prev.h.value.shape != (params.hidden_dim,):
-        raise ShapeError(f"lstm_step: state {prev.h.value.shape}, expected ({params.hidden_dim},)")
-    z = concat([x, prev.h])
-    i = sigmoid(add(matvec(params.w_i, z), params.b_i))
-    f = sigmoid(add(matvec(params.w_f, z), params.b_f))
-    o = sigmoid(add(matvec(params.w_o, z), params.b_o))
-    g = tanh(add(matvec(params.w_g, z), params.b_g))
-    c = add(mul(f, prev.c), mul(i, g))
-    h = mul(o, tanh(c))
-    return LSTMState(h, c)
 
 
 def lstm_step_batch(x: Tensor, prev: LSTMState, params: LSTMParams) -> LSTMState:
@@ -154,38 +129,6 @@ def lstm_step_batch(x: Tensor, prev: LSTMState, params: LSTMParams) -> LSTMState
     return LSTMState(h, c)
 
 
-def _steps_in_order(n: int, reverse: bool) -> range:
-    return range(n - 1, -1, -1) if reverse else range(n)
-
-
-def run_lstm(
-    seq: Sequence[Tensor],
-    init: LSTMState,
-    params: LSTMParams,
-    reverse: bool = False,
-    recurrent_dropout: float = 0.0,
-    train: bool = False,
-    rng: np.random.Generator | None = None,
-) -> list[LSTMState]:
-    """Run an LSTM over a sequence; states returned in position order.
-
-    The state at the first-processed position (last position when reverse)
-    conditions on `init`. Recurrent dropout draws an independent mask on
-    h_prev entering each step.
-    """
-    if not seq:
-        raise ValueError("run_lstm: empty sequence")
-    states: list[LSTMState | None] = [None] * len(seq)
-    prev = init
-    for t in _steps_in_order(len(seq), reverse):
-        step_in = prev
-        if train and recurrent_dropout > 0.0:
-            step_in = LSTMState(dropout(prev.h, recurrent_dropout, rng), prev.c)
-        prev = lstm_step(seq[t], step_in, params)
-        states[t] = prev
-    return states  # type: ignore[return-value]
-
-
 def run_lstm_batch(
     steps: Sequence[Tensor],
     valid: np.ndarray,
@@ -196,16 +139,20 @@ def run_lstm_batch(
     train: bool = False,
     rng: np.random.Generator | None = None,
 ) -> list[LSTMState]:
-    """Batched run over padded steps; valid is (time, batch) with trailing padding.
+    """Run an LSTM over padded steps; states returned in position order.
 
-    At padded positions the state carries through unchanged, so the state at
-    the last processed step equals each row's true final state.
+    valid is (time, batch) with trailing padding. At padded positions the
+    state carries through unchanged, so the state at the last processed step
+    equals each row's true final state, and in reverse each row's first
+    processed position conditions on `init`. Recurrent dropout draws an
+    independent mask on h_prev entering each step.
     """
-    if not len(steps):
+    n = len(steps)
+    if not n:
         raise ValueError("run_lstm_batch: empty sequence")
-    states: list[LSTMState | None] = [None] * len(steps)
+    states: list[LSTMState | None] = [None] * n
     prev = init
-    for t in _steps_in_order(len(steps), reverse):
+    for t in range(n - 1, -1, -1) if reverse else range(n):
         step_in = prev
         if train and recurrent_dropout > 0.0:
             step_in = LSTMState(dropout(prev.h, recurrent_dropout, rng), prev.c)
@@ -242,34 +189,6 @@ class EncoderParams:
             yield from getattr(self, part).named(f"{prefix}.{part}")
 
 
-def conditional_encode(
-    target: Sequence[Tensor],
-    sentence: Sequence[Tensor],
-    params: EncoderParams,
-    recurrent_dropout: float = 0.0,
-    train: bool = False,
-    rng: np.random.Generator | None = None,
-) -> tuple[list[Tensor], Tensor]:
-    """Encode a sentence conditioned on its target.
-
-    The forward sentence LSTM starts from the forward target LSTM's final
-    state and the backward sentence LSTM from the backward target LSTM's
-    state at position 0. Returns per-position [h_fwd; h_bwd] vectors and the
-    target summary [h_fwd_last; h_bwd_first].
-    """
-    if not target or not sentence:
-        raise ValueError("conditional_encode: empty target or sentence")
-    hd = params.target_fwd.hidden_dim
-    kw = dict(recurrent_dropout=recurrent_dropout, train=train, rng=rng)
-    t_fwd = run_lstm(target, zero_state(hd), params.target_fwd, **kw)
-    t_bwd = run_lstm(target, zero_state(hd), params.target_bwd, reverse=True, **kw)
-    s_fwd = run_lstm(sentence, t_fwd[-1], params.sent_fwd, **kw)
-    s_bwd = run_lstm(sentence, t_bwd[0], params.sent_bwd, reverse=True, **kw)
-    hiddens = [concat([f.h, b.h]) for f, b in zip(s_fwd, s_bwd)]
-    summary = concat([t_fwd[-1].h, t_bwd[0].h])
-    return hiddens, summary
-
-
 def conditional_encode_batch(
     target_steps: Sequence[Tensor],
     target_valid: np.ndarray,
@@ -280,34 +199,25 @@ def conditional_encode_batch(
     train: bool = False,
     rng: np.random.Generator | None = None,
 ) -> tuple[list[Tensor], Tensor]:
-    batch = target_steps[0].value.shape[0]
-    hd = params.target_fwd.hidden_dim
+    """Encode sentences conditioned on their targets.
+
+    The forward sentence LSTM starts from the forward target LSTM's final
+    state and the backward sentence LSTM from the backward target LSTM's
+    state at position 0. Returns per-position [h_fwd; h_bwd] rows and the
+    target summary [h_fwd_last; h_bwd_first].
+    """
+    if not len(target_steps) or not len(sent_steps):
+        raise ValueError("conditional_encode_batch: empty target or sentence")
+    first = target_steps[0].value
+    init = zero_state_batch(first.shape[0], params.target_fwd.hidden_dim, first.dtype)
     kw = dict(recurrent_dropout=recurrent_dropout, train=train, rng=rng)
-    t_fwd = run_lstm_batch(target_steps, target_valid, zero_state_batch(batch, hd), params.target_fwd, **kw)
-    t_bwd = run_lstm_batch(
-        target_steps, target_valid, zero_state_batch(batch, hd), params.target_bwd, reverse=True, **kw
-    )
+    t_fwd = run_lstm_batch(target_steps, target_valid, init, params.target_fwd, **kw)
+    t_bwd = run_lstm_batch(target_steps, target_valid, init, params.target_bwd, reverse=True, **kw)
     s_fwd = run_lstm_batch(sent_steps, sent_valid, t_fwd[-1], params.sent_fwd, **kw)
     s_bwd = run_lstm_batch(sent_steps, sent_valid, t_bwd[0], params.sent_bwd, reverse=True, **kw)
     hiddens = [concat_cols([f.h, b.h]) for f, b in zip(s_fwd, s_bwd)]
     summary = concat_cols([t_fwd[-1].h, t_bwd[0].h])
     return hiddens, summary
-
-
-def bilstm_encode(
-    seq: Sequence[Tensor],
-    fwd: LSTMParams,
-    bwd: LSTMParams,
-    recurrent_dropout: float = 0.0,
-    train: bool = False,
-    rng: np.random.Generator | None = None,
-) -> list[Tensor]:
-    """Unconditional BiLSTM encoding from zero initial states."""
-    hd = fwd.hidden_dim
-    kw = dict(recurrent_dropout=recurrent_dropout, train=train, rng=rng)
-    f = run_lstm(seq, zero_state(hd), fwd, **kw)
-    b = run_lstm(seq, zero_state(hd), bwd, reverse=True, **kw)
-    return [concat([fj.h, bj.h]) for fj, bj in zip(f, b)]
 
 
 def bilstm_encode_batch(
@@ -319,30 +229,12 @@ def bilstm_encode_batch(
     train: bool = False,
     rng: np.random.Generator | None = None,
 ) -> list[Tensor]:
-    batch = steps[0].value.shape[0]
-    hd = fwd.hidden_dim
+    """Unconditional BiLSTM encoding from zero initial states."""
+    init = zero_state_batch(steps[0].value.shape[0], fwd.hidden_dim, steps[0].value.dtype)
     kw = dict(recurrent_dropout=recurrent_dropout, train=train, rng=rng)
-    f = run_lstm_batch(steps, valid, zero_state_batch(batch, hd), fwd, **kw)
-    b = run_lstm_batch(steps, valid, zero_state_batch(batch, hd), bwd, reverse=True, **kw)
+    f = run_lstm_batch(steps, valid, init, fwd, **kw)
+    b = run_lstm_batch(steps, valid, init, bwd, reverse=True, **kw)
     return [concat_cols([fj.h, bj.h]) for fj, bj in zip(f, b)]
-
-
-def additive_attention(
-    target_summary: Tensor,
-    hiddens: Sequence[Tensor],
-    params: AttentionParams,
-    mask: np.ndarray | None = None,
-) -> AttentionOutput:
-    """Score positions with v . tanh(w [summary; h_i]), softmax, weighted sum."""
-    if mask is None:
-        mask = np.ones(len(hiddens), dtype=bool)
-    mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
-        raise ValueError("additive_attention: all positions masked")
-    scores = [dot(params.v, tanh(matvec(params.w, concat([target_summary, h])))) for h in hiddens]
-    alpha = softmax(concat(scores), mask=mask)
-    s = weighted_sum(alpha, hiddens)
-    return AttentionOutput(s=s, alpha=alpha)
 
 
 def additive_attention_batch(
@@ -351,7 +243,11 @@ def additive_attention_batch(
     params: AttentionParams,
     mask: np.ndarray,
 ) -> AttentionOutput:
-    """Batched attention; mask is (batch, positions) with trailing padding."""
+    """Score positions with v . tanh(w [summary; h_j]), softmax, weighted sum.
+
+    mask is (batch, positions) with trailing padding; masked positions get
+    weight exactly 0.
+    """
     scores = [
         matvec(tanh(matmul_t(concat_cols([target_summary, h]), params.w)), params.v) for h in hiddens
     ]
@@ -362,22 +258,9 @@ def additive_attention_batch(
     return AttentionOutput(s=s, alpha=alpha)
 
 
-def max_pool_encode(hiddens: Sequence[Tensor], mask: np.ndarray | None = None) -> Tensor:
-    """Coordinatewise max over unmasked positions; ties favor the earliest."""
-    if mask is None:
-        mask = np.ones(len(hiddens), dtype=bool)
-    mask = np.asarray(mask, dtype=bool)
-    picked = [h for h, m in zip(hiddens, mask) if m]
-    if not picked:
-        raise ValueError("max_pool_encode: all positions masked")
-    out = picked[0]
-    for h in picked[1:]:
-        out = maximum(out, h)
-    return out
-
-
 def max_pool_encode_batch(hiddens: Sequence[Tensor], valid: np.ndarray) -> Tensor:
-    """Batched max pooling; requires position 0 valid for every row."""
+    """Coordinatewise max over each row's valid positions; ties favor the
+    earliest. valid is (batch, positions) and position 0 must be valid."""
     if not valid[:, 0].all():
         raise ValueError("max_pool_encode_batch: padding must be trailing")
     out = hiddens[0]
@@ -395,7 +278,7 @@ def grl(x: Tensor) -> Tensor:
     def backward(g):
         x.accum(-g)
 
-    return _record(out, (x,), backward)
+    return _record(out, backward)
 
 
 def dropout_apply(

@@ -1,9 +1,11 @@
 """The five architecture variants: conditional-encoding attention models and
-concat/max-pool baselines, each with optional adversarial domain heads.
+Concat max-pool baselines, each with optional adversarial domain heads.
 
 A Model owns a flat name -> Tensor registry split into the stance path and
 the adversarial path. Stance-path parameters are always created first so two
-variants sharing a seed draw identical stance-path initializations.
+variants sharing a seed draw identical stance-path initializations. The one
+forward pass runs a padded batch of examples; a single example is a batch of
+one.
 """
 
 from __future__ import annotations
@@ -19,30 +21,15 @@ from .layers import (
     AttentionOutput,
     AttentionParams,
     EncoderParams,
-    additive_attention,
     additive_attention_batch,
-    bilstm_encode,
     bilstm_encode_batch,
-    conditional_encode,
     conditional_encode_batch,
     dropout_apply,
     glorot_uniform,
     grl,
-    max_pool_encode,
     max_pool_encode_batch,
 )
-from .tensor import (
-    Tensor,
-    add,
-    add_rowvec,
-    concat,
-    concat_cols,
-    matmul_t,
-    matvec,
-    relu,
-    softmax,
-    softmax_rows,
-)
+from .tensor import Tensor, add_rowvec, concat_cols, matmul_t, relu, softmax_rows
 
 VARIANTS = ("Concat", "ConcatInvar", "BCA", "BCAInvar", "BCAInvarSpec")
 INVAR_VARIANTS = ("ConcatInvar", "BCAInvar", "BCAInvarSpec")
@@ -128,13 +115,18 @@ class Model:
 
 @dataclass
 class ForwardOutput:
-    """Per-example outputs, or row-batched when produced by the batch path."""
+    """Row-batched outputs: row i belongs to the batch's example i.
+
+    stance_probs is (batch, classes) and each domain head gives (batch, 2).
+    sentence_mask is (batch, positions) and marks the real, unpadded tokens;
+    attention.alpha has the same shape and is exactly 0 off the mask.
+    """
 
     stance_probs: Tensor
     domain_probs: list[Tensor]
     attention: AttentionOutput | None
     repr: Tensor
-    sentence_mask: np.ndarray | None = None
+    sentence_mask: np.ndarray
 
 
 def build_model(spec: ModelSpec, seed: int, embeddings: EmbeddingMatrix, dtype=np.float32) -> Model:
@@ -186,83 +178,11 @@ def build_model(spec: ModelSpec, seed: int, embeddings: EmbeddingMatrix, dtype=n
 
 def _check_ids(model: Model, ids: list[int], what: str) -> None:
     if not ids:
-        raise ValueError(f"model_forward: empty {what}")
+        raise ValueError(f"model_forward_batch: empty {what}")
     n = model.embeddings.values.shape[0]
     for tid in ids:
         if not 0 <= tid < n:
             raise DataError(f"{what} token id {tid} outside embedding table of size {n}")
-
-
-def _embed_sequence(model, ids, train, rate, rng):
-    rows = []
-    for tid in ids:
-        v = Tensor(model.embeddings.values[tid].astype(model.dtype))
-        rows.append(dropout_apply(v, rate, train, rng))
-    return rows
-
-
-def _stance_head(model: Model, s: Tensor) -> Tensor:
-    return softmax(matvec(model.w_stance, relu(matvec(model.w_mlp, s))))
-
-
-def _domain_heads(model: Model, adv: Tensor) -> list[Tensor]:
-    z = grl(adv)
-    return [
-        softmax(add(matvec(w, z), b)) for w, b in zip(model.domain_w, model.domain_b)
-    ]
-
-
-def model_forward(
-    model: Model,
-    example: Example,
-    train_mode: bool = False,
-    rng: np.random.Generator | None = None,
-    dropout: float = 0.0,
-) -> ForwardOutput:
-    """Per-example forward pass. Dropout applies after the embedding lookup,
-    between recurrent steps, and on the encoder outputs; eval mode consumes
-    no randomness. For BCAInvarSpec the reported attention weights come
-    from the invariant branch."""
-    _check_ids(model, example.target_ids, "target")
-    _check_ids(model, example.sentence_ids, "sentence")
-    kw = dict(recurrent_dropout=dropout, train=train_mode, rng=rng)
-    sent = _embed_sequence(model, example.sentence_ids, train_mode, dropout, rng)
-    tgt = _embed_sequence(model, example.target_ids, train_mode, dropout, rng)
-
-    def post(vecs):
-        return [dropout_apply(v, dropout, train_mode, rng) for v in vecs]
-
-    attention_out = None
-    variant = model.spec.variant
-    if variant in ("BCA", "BCAInvar"):
-        hiddens, summary = conditional_encode(tgt, sent, model.encoder, **kw)
-        hiddens = post(hiddens)
-        summary = dropout_apply(summary, dropout, train_mode, rng)
-        attention_out = additive_attention(summary, hiddens, model.attention)
-        s = attention_out.s
-        adv = s if variant == "BCAInvar" else None
-    elif variant in ("Concat", "ConcatInvar"):
-        t_hidden = post(bilstm_encode(tgt, model.encoder.target_fwd, model.encoder.target_bwd, **kw))
-        s_hidden = post(bilstm_encode(sent, model.encoder.sent_fwd, model.encoder.sent_bwd, **kw))
-        t_pool = max_pool_encode(t_hidden)
-        s_pool = max_pool_encode(s_hidden)
-        s = concat([t_pool, s_pool])
-        adv = s_pool if variant == "ConcatInvar" else None
-    else:  # BCAInvarSpec
-        hi, sui = conditional_encode(tgt, sent, model.encoder_invar, **kw)
-        hi = post(hi)
-        sui = dropout_apply(sui, dropout, train_mode, rng)
-        attention_out = additive_attention(sui, hi, model.attention_invar)
-        hs, sus = conditional_encode(tgt, sent, model.encoder_spec, **kw)
-        hs = post(hs)
-        sus = dropout_apply(sus, dropout, train_mode, rng)
-        spec_att = additive_attention(sus, hs, model.attention_spec)
-        s = concat([attention_out.s, spec_att.s])
-        adv = attention_out.s
-
-    stance_probs = _stance_head(model, s)
-    domain_probs = _domain_heads(model, adv) if adv is not None else []
-    return ForwardOutput(stance_probs=stance_probs, domain_probs=domain_probs, attention=attention_out, repr=s)
 
 
 def pad_id_batch(id_lists: list[list[int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -304,8 +224,12 @@ def model_forward_batch(
     rng: np.random.Generator | None = None,
     dropout: float = 0.0,
 ) -> ForwardOutput:
-    """Row-batched forward pass over padded sequences; equivalent in eval
-    mode to stacking per-example forward outputs."""
+    """Forward pass over a batch of examples, padded to the longest target
+    and sentence; padding never changes another position's output, so each
+    row equals the example's forward as a batch of one. Dropout applies
+    after the embedding lookup, between recurrent steps, and on the encoder
+    outputs; eval mode consumes no randomness. For BCAInvarSpec the reported
+    attention weights come from the invariant branch."""
     if not examples:
         raise ValueError("model_forward_batch: empty batch")
     for ex in examples:

@@ -32,12 +32,11 @@ def active_tape() -> "Tape | None":
 class Tensor:
     """A dense value buffer plus a lazily materialized gradient buffer."""
 
-    __slots__ = ("value", "grad", "node_id")
+    __slots__ = ("value", "grad")
 
     def __init__(self, value: np.ndarray):
         self.value = value
         self.grad: np.ndarray | None = None
-        self.node_id = -1
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -79,7 +78,7 @@ class Tape:
             raise ValueError(f"unknown precision {precision!r}")
         self.precision = precision
         self.dtype = PRECISIONS[precision]
-        self._nodes: list[tuple[Tensor, tuple[int, ...], Callable]] = []
+        self._nodes: list[tuple[Tensor, Callable]] = []
 
     def __enter__(self) -> "Tape":
         stack = getattr(_TLS, "tapes", None)
@@ -94,29 +93,28 @@ class Tape:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def record(self, out: Tensor, inputs: Sequence[Tensor], backward: Callable) -> None:
+    def record(self, out: Tensor, backward: Callable) -> None:
         if out.value.dtype != self.dtype:
             raise ValueError(
                 f"tensor dtype {out.value.dtype} does not match tape precision {self.precision}"
             )
-        out.node_id = len(self._nodes)
-        self._nodes.append((out, tuple(t.node_id for t in inputs), backward))
+        self._nodes.append((out, backward))
 
     def backward(self, root: Tensor) -> None:
         """Accumulate d(root)/d(tensor) into every tensor reachable from root."""
         if root.value.size != 1:
             raise ValueError(f"backward root must be a scalar, got shape {root.value.shape}")
         root.accum(np.ones_like(root.value))
-        for out, _inputs, fn in reversed(self._nodes):
+        for out, fn in reversed(self._nodes):
             g = out.grad
             if g is not None:
                 fn(g)
 
 
-def _record(out: Tensor, inputs: Sequence[Tensor], backward: Callable) -> Tensor:
+def _record(out: Tensor, backward: Callable) -> Tensor:
     tape = active_tape()
     if tape is not None:
-        tape.record(out, inputs, backward)
+        tape.record(out, backward)
     return out
 
 
@@ -160,7 +158,7 @@ def apply_unary(x: Tensor, f: str, const: float | None = None) -> Tensor:
     def backward(g):
         x.accum(UNARY_OPS[f][1](x.value, out.value, g, const))
 
-    return _record(out, (x,), backward)
+    return _record(out, backward)
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -216,7 +214,7 @@ def apply_binary(a: Tensor, b: Tensor, f: str) -> Tensor:
             a.accum(da(g))
             b.accum(db(g))
 
-    return _record(out, (a, b), backward)
+    return _record(out, backward)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -242,7 +240,7 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
         a.accum(g * take_a)
         b.accum(g * ~take_a)
 
-    return _record(out, (a, b), backward)
+    return _record(out, backward)
 
 
 def matvec(w: Tensor, x: Tensor) -> Tensor:
@@ -255,7 +253,7 @@ def matvec(w: Tensor, x: Tensor) -> Tensor:
         w.accum(np.outer(g, x.value))
         x.accum(w.value.T @ g)
 
-    return _record(out, (w, x), backward)
+    return _record(out, backward)
 
 
 def matmul_t(a: Tensor, w: Tensor) -> Tensor:
@@ -268,38 +266,7 @@ def matmul_t(a: Tensor, w: Tensor) -> Tensor:
         a.accum(g @ w.value)
         w.accum(g.T @ a.value)
 
-    return _record(out, (a, w), backward)
-
-
-def dot(a: Tensor, b: Tensor) -> Tensor:
-    """Inner product of two vectors, returned as a length-1 tensor."""
-    if a.value.ndim != 1 or a.value.shape != b.value.shape:
-        raise ShapeError(f"dot: {a.value.shape} . {b.value.shape}")
-    out = Tensor((a.value @ b.value).reshape(1))
-
-    def backward(g):
-        a.accum(g[0] * b.value)
-        b.accum(g[0] * a.value)
-
-    return _record(out, (a, b), backward)
-
-
-def concat(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate rank-1 tensors; backward splits by original offsets."""
-    if not parts:
-        raise ValueError("concat requires at least one part")
-    for p in parts:
-        if p.value.ndim != 1:
-            raise ShapeError(f"concat expects rank-1 parts, got {p.value.shape}")
-    parts = list(parts)
-    out = Tensor(np.concatenate([p.value for p in parts]))
-    offsets = np.cumsum([0] + [p.value.shape[0] for p in parts])
-
-    def backward(g):
-        for p, lo, hi in zip(parts, offsets, offsets[1:]):
-            p.accum(g[lo:hi])
-
-    return _record(out, parts, backward)
+    return _record(out, backward)
 
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
@@ -318,20 +285,7 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
         for p, lo, hi in zip(parts, offsets, offsets[1:]):
             p.accum(g[:, lo:hi])
 
-    return _record(out, parts, backward)
-
-
-def slice1d(x: Tensor, lo: int, hi: int) -> Tensor:
-    if x.value.ndim != 1 or not (0 <= lo < hi <= x.value.shape[0]):
-        raise ShapeError(f"slice1d: [{lo}:{hi}] of {x.value.shape}")
-    out = Tensor(x.value[lo:hi].copy())
-
-    def backward(g):
-        if x.grad is None:
-            x.grad = np.zeros_like(x.value)
-        x.grad[lo:hi] += g
-
-    return _record(out, (x,), backward)
+    return _record(out, backward)
 
 
 def slice_cols(x: Tensor, lo: int, hi: int) -> Tensor:
@@ -344,7 +298,7 @@ def slice_cols(x: Tensor, lo: int, hi: int) -> Tensor:
             x.grad = np.zeros_like(x.value)
         x.grad[:, lo:hi] += g
 
-    return _record(out, (x,), backward)
+    return _record(out, backward)
 
 
 def column(x: Tensor, j: int) -> Tensor:
@@ -358,7 +312,7 @@ def column(x: Tensor, j: int) -> Tensor:
             x.grad = np.zeros_like(x.value)
         x.grad[:, j] += g
 
-    return _record(out, (x,), backward)
+    return _record(out, backward)
 
 
 def stack_cols(parts: Sequence[Tensor]) -> Tensor:
@@ -376,7 +330,7 @@ def stack_cols(parts: Sequence[Tensor]) -> Tensor:
         for j, p in enumerate(parts):
             p.accum(g[:, j])
 
-    return _record(out, parts, backward)
+    return _record(out, backward)
 
 
 def add_rowvec(m: Tensor, b: Tensor) -> Tensor:
@@ -389,7 +343,7 @@ def add_rowvec(m: Tensor, b: Tensor) -> Tensor:
         m.accum(g)
         b.accum(g.sum(axis=0))
 
-    return _record(out, (m, b), backward)
+    return _record(out, backward)
 
 
 def scale_rows(m: Tensor, c: np.ndarray) -> Tensor:
@@ -403,7 +357,7 @@ def scale_rows(m: Tensor, c: np.ndarray) -> Tensor:
     def backward(g):
         m.accum(g * col)
 
-    return _record(out, (m,), backward)
+    return _record(out, backward)
 
 
 def scale_rows_t(m: Tensor, c: Tensor) -> Tensor:
@@ -416,7 +370,7 @@ def scale_rows_t(m: Tensor, c: Tensor) -> Tensor:
         m.accum(g * c.value[:, None])
         c.accum((g * m.value).sum(axis=1))
 
-    return _record(out, (m, c), backward)
+    return _record(out, backward)
 
 
 def blend_rows(new: Tensor, old: Tensor, keep_new: np.ndarray) -> Tensor:
@@ -433,7 +387,7 @@ def blend_rows(new: Tensor, old: Tensor, keep_new: np.ndarray) -> Tensor:
         new.accum(g * col)
         old.accum(g * ~col)
 
-    return _record(out, (new, old), backward)
+    return _record(out, backward)
 
 
 def fill_rows(m: Tensor, keep: np.ndarray, fill: float) -> Tensor:
@@ -447,7 +401,7 @@ def fill_rows(m: Tensor, keep: np.ndarray, fill: float) -> Tensor:
     def backward(g):
         m.accum(g * col)
 
-    return _record(out, (m,), backward)
+    return _record(out, backward)
 
 
 def select_rows(m: Tensor, idx: np.ndarray) -> Tensor:
@@ -463,37 +417,11 @@ def select_rows(m: Tensor, idx: np.ndarray) -> Tensor:
             m.grad = np.zeros_like(m.value)
         m.grad[rows, idx] += g
 
-    return _record(out, (m,), backward)
-
-
-def softmax(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Max-subtracted softmax over a vector; masked positions are exactly 0."""
-    if x.value.ndim != 1:
-        raise ShapeError(f"softmax expects rank-1, got {x.value.shape}")
-    v = x.value
-    if mask is None:
-        e = np.exp(v - v.max())
-        p = e / e.sum()
-    else:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != v.shape:
-            raise ShapeError(f"softmax: mask {mask.shape} vs {v.shape}")
-        if not mask.any():
-            raise ValueError("softmax: all positions masked")
-        e = np.zeros_like(v)
-        e[mask] = np.exp(v[mask] - v[mask].max())
-        p = e / e.sum()
-    out = Tensor(p)
-
-    def backward(g):
-        inner = (g * p).sum()
-        x.accum(p * (g - inner))
-
-    return _record(out, (x,), backward)
+    return _record(out, backward)
 
 
 def softmax_rows(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Row-wise masked softmax over a matrix."""
+    """Max-subtracted softmax over each row; masked positions are exactly 0."""
     if x.value.ndim != 2:
         raise ShapeError(f"softmax_rows expects rank-2, got {x.value.shape}")
     v = x.value
@@ -516,30 +444,7 @@ def softmax_rows(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
         inner = (g * p).sum(axis=1, keepdims=True)
         x.accum(p * (g - inner))
 
-    return _record(out, (x,), backward)
-
-
-def weighted_sum(weights: Tensor, vectors: Sequence[Tensor]) -> Tensor:
-    """Sum of vectors[i] scaled by weights[i]."""
-    vectors = list(vectors)
-    if weights.value.ndim != 1 or weights.value.shape[0] != len(vectors):
-        raise ShapeError(
-            f"weighted_sum: {weights.value.shape[0] if weights.value.ndim == 1 else weights.value.shape} "
-            f"weights over {len(vectors)} vectors"
-        )
-    n = vectors[0].value.shape[0]
-    for v in vectors:
-        if v.value.shape != (n,):
-            raise ShapeError(f"weighted_sum: vector shape {v.value.shape} != ({n},)")
-    stacked = np.stack([v.value for v in vectors])
-    out = Tensor(weights.value @ stacked)
-
-    def backward(g):
-        weights.accum(stacked @ g)
-        for w_i, v in zip(weights.value, vectors):
-            v.accum(w_i * g)
-
-    return _record(out, [weights] + vectors, backward)
+    return _record(out, backward)
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -549,7 +454,7 @@ def sum_all(x: Tensor) -> Tensor:
     def backward(g):
         x.accum(np.full_like(x.value, g[0]))
 
-    return _record(out, (x,), backward)
+    return _record(out, backward)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
@@ -561,7 +466,7 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     def backward(g):
         x.accum(g * factor)
 
-    return _record(out, (x,), backward)
+    return _record(out, backward)
 
 
 def finite_difference_check(

@@ -1,7 +1,7 @@
 """Losses, Adam with L2, gradient clipping, early stopping, and the
 mini-batch adversarial training loop.
 
-The optimized objective is stance_loss + lambda * domain_loss with gradient
+The optimized objective is stance loss + lambda * domain loss with gradient
 reversal on the adversarial path, so shared encoder parameters descend the
 stance loss while ascending the domain loss, and domain heads descend their
 own loss. The stance - lambda * domain scalar is computed for logging only.
@@ -27,7 +27,6 @@ from .tensor import (
     negate,
     scale,
     select_rows,
-    slice1d,
     sum_all,
     zero_grads,
 )
@@ -70,32 +69,18 @@ class Hyperparams:
         return self.attn_dim if self.attn_dim is not None else 2 * self.hidden_dim
 
 
-def stance_loss(probs: Tensor, gold: str | int) -> Tensor:
-    """Cross-entropy -log p[gold] with a 1e-12 probability floor."""
-    idx = STANCE_TO_INDEX[gold] if isinstance(gold, str) else gold
-    return negate(log(clamp_min(slice1d(probs, idx, idx + 1), PROB_FLOOR)))
-
-
-def domain_loss(domain_probs: list[Tensor], gold_domain: int) -> Tensor:
-    """Mean over domains of binary cross-entropy against "belongs to i"."""
-    if not 0 <= gold_domain < len(domain_probs):
-        raise ValueError(f"gold_domain {gold_domain} out of range for {len(domain_probs)} domains")
-    total = None
-    for i, p in enumerate(domain_probs):
-        cls = 0 if i == gold_domain else 1  # class 0 = "belongs to domain i"
-        term = negate(log(clamp_min(slice1d(p, cls, cls + 1), PROB_FLOOR)))
-        total = term if total is None else add(total, term)
-    return scale(total, 1.0 / len(domain_probs))
-
-
 def stance_loss_batch(probs: Tensor, gold_idx: np.ndarray) -> Tensor:
-    """Mean stance cross-entropy over a batch; probs is (batch, 3)."""
+    """Mean over the batch of -log p[gold] with a 1e-12 probability floor;
+    probs is (batch, 3) and gold_idx holds class indices."""
     picked = select_rows(probs, gold_idx)
     return scale(sum_all(negate(log(clamp_min(picked, PROB_FLOOR)))), 1.0 / probs.value.shape[0])
 
 
 def domain_loss_batch(domain_probs: list[Tensor], gold_domain: np.ndarray) -> Tensor:
-    """Mean over batch and domains of the per-head binary cross-entropies."""
+    """Mean over batch and domains of the per-head binary cross-entropies;
+    head i's class 0 means "belongs to domain i"."""
+    if gold_domain.min() < 0 or gold_domain.max() >= len(domain_probs):
+        raise ValueError(f"gold domain out of range for {len(domain_probs)} domains")
     batch = domain_probs[0].value.shape[0]
     total = None
     for i, p in enumerate(domain_probs):

@@ -216,6 +216,17 @@ def test_train_malformed_tsv_exits_3(workspace, capsys):
     assert "line" in capsys.readouterr().err
 
 
+def test_train_non_numeric_embedding_value_exits_3(workspace, capsys):
+    tmp_path, data_dir, out_dir, _ = workspace
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("love 0.1 0.2 0.3 0.4 0.5\nhate 0.1 0.2 oops 0.4 0.5\n")
+    config = write_config(tmp_path / "emb.cfg", data_dir, out_dir, embeddings_path=vectors)
+    assert main(["train", "--config", str(config)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: line 2:")
+    assert "Traceback" not in err
+
+
 def test_train_count_check_on_tiny_data_exits_3(workspace):
     tmp_path, data_dir, out_dir, _ = workspace
     config = write_config(tmp_path / "strict.cfg", data_dir, out_dir, count_check="true")
@@ -309,6 +320,22 @@ def test_eval_vocab_mismatch_exits_4(workspace):
     assert code == EXIT_CHECKPOINT
 
 
+def test_eval_non_integer_vocab_id_exits_3(workspace, capsys):
+    out_dir, config = _trained(workspace)
+    vocab_file = out_dir / "vocab.tsv"
+    lines = vocab_file.read_text().splitlines()
+    lines[2] = lines[2].split("\t")[0] + "\tthree"
+    vocab_file.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main(
+        ["eval", "--config", str(config), "--checkpoint", str(out_dir / "model_seed0.npz")]
+    )
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: line 3:")
+    assert "Traceback" not in err
+
+
 def test_eval_empty_dataset_exits_3(workspace, tmp_path):
     out_dir, config = _trained(workspace)
     empty = tmp_path / "empty.tsv"
@@ -400,9 +427,13 @@ def test_dump_attention_concat_exits_5(workspace, capsys):
 
 def test_gradcheck_passes(capsys):
     assert main(["gradcheck"]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert "gradcheck passed" in out
-    assert "FAIL" not in out
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1].startswith("gradcheck passed: ")
+    assert not any("FAIL" in line for line in lines)
+    # the summary counts the component lines above it
+    assert int(lines[-1].split()[2]) == len(lines) - 1
+    names = {line.split()[0] for line in lines[:-1]}
+    assert {"lstm_step_batch", "lstm_sequence", "conditional_encoder", "attention", "max_pool"} <= names
 
 
 def test_gradcheck_negative_control(capsys, monkeypatch):

@@ -6,27 +6,19 @@ from stancegen.layers import (
     EncoderParams,
     LSTMParams,
     LSTMState,
-    additive_attention,
     additive_attention_batch,
-    bilstm_encode,
-    conditional_encode,
+    bilstm_encode_batch,
     conditional_encode_batch,
     dropout_apply,
     grl,
-    lstm_step,
     lstm_step_batch,
-    max_pool_encode,
     max_pool_encode_batch,
-    run_lstm,
     run_lstm_batch,
-    zero_state,
     zero_state_batch,
 )
 from stancegen.errors import ShapeError
 from stancegen.tensor import (
     Tape,
-    concat,
-    dot,
     finite_difference_check,
     matvec,
     mul,
@@ -40,6 +32,11 @@ F64 = np.float64
 
 def t64(values):
     return tensor(values, dtype=F64)
+
+
+def contract(out, probe):
+    """Scalar sum of out * probe, the head every gradient test backpropagates."""
+    return sum_all(mul(out, t64(probe)))
 
 
 def zero_lstm_params(input_dim, hidden, forget_bias=0.0):
@@ -60,39 +57,59 @@ def param_list(p):
     return [t for _, t in p.named("p")]
 
 
+def _pad_batch(seqs, dim):
+    """Per-position (batch, dim) steps and the (time, batch) validity mask of
+    a ragged batch with trailing zero padding."""
+    n = max(len(s) for s in seqs)
+    batch = len(seqs)
+    steps = np.zeros((n, batch, dim))
+    valid = np.zeros((n, batch), dtype=bool)
+    for i, s in enumerate(seqs):
+        for t, v in enumerate(s):
+            steps[t, i] = v
+            valid[t, i] = True
+    return [t64(steps[t]) for t in range(n)], valid
+
+
+def _pad_rows(rows, dim):
+    """Per-position (batch, dim) columns and the (batch, positions) mask."""
+    steps, valid = _pad_batch(rows, dim)
+    return steps, valid.T.copy()
+
+
 # --------------------------------------------------------------- lstm_step
 
 
 def test_lstm_step_zero_params_zero_state():
     p = zero_lstm_params(2, 3)
-    out = lstm_step(t64([5.0, -1.0]), zero_state(3, F64), p)
-    assert np.array_equal(out.h.value, np.zeros(3))
-    assert np.array_equal(out.c.value, np.zeros(3))
+    out = lstm_step_batch(t64([[5.0, -1.0], [0.5, 2.0]]), zero_state_batch(2, 3, F64), p)
+    assert np.array_equal(out.h.value, np.zeros((2, 3)))
+    assert np.array_equal(out.c.value, np.zeros((2, 3)))
 
 
 def test_lstm_step_zero_params_cell_carry():
     # gates sigmoid(0) = 0.5 and candidate tanh(0) = 0, so c = 0.5 * c_prev
     p = zero_lstm_params(1, 1)
-    prev = LSTMState(t64([0.0]), t64([1.0]))
-    out = lstm_step(t64([0.0]), prev, p)
-    assert np.allclose(out.c.value, [0.5], atol=1e-12)
-    assert np.allclose(out.h.value, [0.5 * np.tanh(0.5)], atol=1e-12)
-    assert abs(out.h.value[0] - 0.23106) < 1e-5
+    prev = LSTMState(t64([[0.0]]), t64([[1.0]]))
+    out = lstm_step_batch(t64([[0.0]]), prev, p)
+    assert np.allclose(out.c.value, [[0.5]], atol=1e-12)
+    assert np.allclose(out.h.value, [[0.5 * np.tanh(0.5)]], atol=1e-12)
+    assert abs(out.h.value[0, 0] - 0.23106) < 1e-5
 
 
 def test_lstm_step_saturated_forget_gate_preserves_cell():
     p = zero_lstm_params(1, 1, forget_bias=50.0)
-    prev = LSTMState(t64([0.0]), t64([2.0]))
-    out = lstm_step(t64([0.0]), prev, p)
-    assert abs(out.c.value[0] - 2.0) < 1e-6
+    prev = LSTMState(t64([[0.0], [0.0]]), t64([[2.0], [-3.0]]))
+    out = lstm_step_batch(t64([[0.0], [0.0]]), prev, p)
+    assert np.allclose(out.c.value, [[2.0], [-3.0]], atol=1e-6)
 
 
 def test_lstm_step_dimension_mismatch():
     p = zero_lstm_params(2, 3)
     with pytest.raises(ShapeError):
-        lstm_step(t64([1.0]), zero_state(3, F64), p)
+        lstm_step_batch(t64([[1.0]]), zero_state_batch(1, 3, F64), p)
     with pytest.raises(ShapeError):
-        lstm_step(t64([1.0, 2.0]), zero_state(2, F64), p)
+        lstm_step_batch(t64([[1.0, 2.0]]), zero_state_batch(1, 2, F64), p)
 
 
 def test_lstm_params_init_invariants():
@@ -115,10 +132,10 @@ def test_lstm_params_init_invariants():
 def test_run_lstm_single_step_equals_lstm_step():
     rng = np.random.default_rng(1)
     p = rand_lstm_params(2, 3, rng)
-    x = t64(rng.uniform(-1, 1, 2))
-    init = LSTMState(t64(rng.uniform(-1, 1, 3)), t64(rng.uniform(-1, 1, 3)))
-    states = run_lstm([x], init, p)
-    direct = lstm_step(x, init, p)
+    x = t64(rng.uniform(-1, 1, (2, 2)))
+    init = LSTMState(t64(rng.uniform(-1, 1, (2, 3))), t64(rng.uniform(-1, 1, (2, 3))))
+    states = run_lstm_batch([x], np.ones((1, 2), dtype=bool), init, p)
+    direct = lstm_step_batch(x, init, p)
     assert np.array_equal(states[0].h.value, direct.h.value)
     assert np.array_equal(states[0].c.value, direct.c.value)
 
@@ -126,11 +143,12 @@ def test_run_lstm_single_step_equals_lstm_step():
 def test_run_lstm_reverse_mirrors_forward_on_palindrome():
     rng = np.random.default_rng(2)
     p = rand_lstm_params(2, 3, rng)
-    a = rng.uniform(-1, 1, 2)
-    b = rng.uniform(-1, 1, 2)
+    a = rng.uniform(-1, 1, (2, 2))
+    b = rng.uniform(-1, 1, (2, 2))
     seq = [t64(a), t64(b), t64(a)]
-    fwd = run_lstm(seq, zero_state(3, F64), p)
-    rev = run_lstm(seq, zero_state(3, F64), p, reverse=True)
+    valid = np.ones((3, 2), dtype=bool)
+    fwd = run_lstm_batch(seq, valid, zero_state_batch(2, 3, F64), p)
+    rev = run_lstm_batch(seq, valid, zero_state_batch(2, 3, F64), p, reverse=True)
     for j in range(3):
         assert np.allclose(rev[j].h.value, fwd[2 - j].h.value, atol=1e-12)
         assert np.allclose(rev[j].c.value, fwd[2 - j].c.value, atol=1e-12)
@@ -138,26 +156,32 @@ def test_run_lstm_reverse_mirrors_forward_on_palindrome():
 
 def test_run_lstm_zero_params_zero_init_all_states_zero():
     p = zero_lstm_params(2, 3)
-    seq = [t64([1.0, 2.0]), t64([-3.0, 4.0])]
-    for st in run_lstm(seq, zero_state(3, F64), p):
-        assert np.array_equal(st.h.value, np.zeros(3))
-        assert np.array_equal(st.c.value, np.zeros(3))
+    steps, valid = _pad_batch([[[1.0, 2.0], [-3.0, 4.0]], [[0.5, 0.5]]], 2)
+    for reverse in (False, True):
+        for st in run_lstm_batch(steps, valid, zero_state_batch(2, 3, F64), p, reverse=reverse):
+            assert np.array_equal(st.h.value, np.zeros((2, 3)))
+            assert np.array_equal(st.c.value, np.zeros((2, 3)))
 
 
 def test_run_lstm_empty_sequence_rejected():
     p = zero_lstm_params(2, 3)
     with pytest.raises(ValueError):
-        run_lstm([], zero_state(3, F64), p)
+        run_lstm_batch([], np.zeros((0, 1), dtype=bool), zero_state_batch(1, 3, F64), p)
 
 
 def test_run_lstm_reverse_first_processed_position_conditions_on_init():
+    # in a ragged batch each row's first processed position is its own last
+    # valid one; the padding after it must hand `init` through untouched
     rng = np.random.default_rng(3)
     p = rand_lstm_params(2, 2, rng)
-    init = LSTMState(t64(rng.uniform(-1, 1, 2)), t64(rng.uniform(-1, 1, 2)))
-    seq = [t64(rng.uniform(-1, 1, 2)) for _ in range(3)]
-    rev = run_lstm(seq, init, p, reverse=True)
-    direct = lstm_step(seq[2], init, p)
-    assert np.array_equal(rev[2].h.value, direct.h.value)
+    lengths = (3, 1, 2)
+    init = LSTMState(t64(rng.uniform(-1, 1, (3, 2))), t64(rng.uniform(-1, 1, (3, 2))))
+    steps, valid = _pad_batch([[rng.uniform(-1, 1, 2) for _ in range(n)] for n in lengths], 2)
+    rev = run_lstm_batch(steps, valid, init, p, reverse=True)
+    for i, n in enumerate(lengths):
+        direct = lstm_step_batch(steps[n - 1], init, p)
+        assert np.array_equal(rev[n - 1].h.value[i], direct.h.value[i])
+        assert np.array_equal(rev[n - 1].c.value[i], direct.c.value[i])
 
 
 # -------------------------------------------------------- conditional_encode
@@ -166,12 +190,12 @@ def test_run_lstm_reverse_first_processed_position_conditions_on_init():
 def test_conditional_encode_shapes():
     rng = np.random.default_rng(4)
     params = EncoderParams.init(3, 4, rng, F64)
-    target = [t64(rng.uniform(-1, 1, 3)) for _ in range(2)]
-    sentence = [t64(rng.uniform(-1, 1, 3)) for _ in range(3)]
-    hiddens, summary = conditional_encode(target, sentence, params)
+    t_steps, t_valid = _pad_batch([[rng.uniform(-1, 1, 3) for _ in range(m)] for m in (2, 1)], 3)
+    s_steps, s_valid = _pad_batch([[rng.uniform(-1, 1, 3) for _ in range(n)] for n in (3, 2)], 3)
+    hiddens, summary = conditional_encode_batch(t_steps, t_valid, s_steps, s_valid, params)
     assert len(hiddens) == 3
-    assert all(h.value.shape == (8,) for h in hiddens)
-    assert summary.value.shape == (8,)
+    assert all(h.value.shape == (2, 8) for h in hiddens)
+    assert summary.value.shape == (2, 8)
 
 
 def test_conditional_encode_zero_target_params_matches_unconditional():
@@ -182,10 +206,10 @@ def test_conditional_encode_zero_target_params_matches_unconditional():
         sent_fwd=rand_lstm_params(3, 2, rng),
         sent_bwd=rand_lstm_params(3, 2, rng),
     )
-    target = [t64(rng.uniform(-1, 1, 3))]
-    sentence = [t64(rng.uniform(-1, 1, 3)) for _ in range(3)]
-    cond, _ = conditional_encode(target, sentence, params)
-    plain = bilstm_encode(sentence, params.sent_fwd, params.sent_bwd)
+    t_steps, t_valid = _pad_batch([[rng.uniform(-1, 1, 3)], [rng.uniform(-1, 1, 3)] * 2], 3)
+    s_steps, s_valid = _pad_batch([[rng.uniform(-1, 1, 3) for _ in range(n)] for n in (3, 1)], 3)
+    cond, _ = conditional_encode_batch(t_steps, t_valid, s_steps, s_valid, params)
+    plain = bilstm_encode_batch(s_steps, s_valid, params.sent_fwd, params.sent_bwd)
     for c, p in zip(cond, plain):
         assert np.allclose(c.value, p.value, atol=1e-14)
 
@@ -193,24 +217,26 @@ def test_conditional_encode_zero_target_params_matches_unconditional():
 def test_conditional_encode_single_target_token_seeds_exact_step():
     rng = np.random.default_rng(6)
     params = EncoderParams.init(3, 2, rng, F64)
-    target = [t64(rng.uniform(-1, 1, 3))]
-    sentence = [t64(rng.uniform(-1, 1, 3)) for _ in range(2)]
-    hiddens, summary = conditional_encode(target, sentence, params)
+    target = [t64(rng.uniform(-1, 1, (2, 3)))]
+    s_steps, s_valid = _pad_batch([[rng.uniform(-1, 1, 3) for _ in range(n)] for n in (2, 1)], 3)
+    hiddens, summary = conditional_encode_batch(target, np.ones((1, 2), dtype=bool), s_steps, s_valid, params)
 
-    t_state = lstm_step(target[0], zero_state(2, F64), params.target_fwd)
-    assert np.array_equal(summary.value[:2], t_state.h.value)
-    manual_fwd = run_lstm(sentence, t_state, params.sent_fwd)
-    assert np.array_equal(hiddens[0].value[:2], manual_fwd[0].h.value)
-    assert np.array_equal(hiddens[1].value[:2], manual_fwd[1].h.value)
+    t_state = lstm_step_batch(target[0], zero_state_batch(2, 2, F64), params.target_fwd)
+    assert np.array_equal(summary.value[:, :2], t_state.h.value)
+    manual_fwd = run_lstm_batch(s_steps, s_valid, t_state, params.sent_fwd)
+    assert np.array_equal(hiddens[0].value[:, :2], manual_fwd[0].h.value)
+    assert np.array_equal(hiddens[1].value[:, :2], manual_fwd[1].h.value)
 
 
 def test_conditional_encode_rejects_empty():
     rng = np.random.default_rng(7)
     params = EncoderParams.init(3, 2, rng, F64)
+    step, valid = [t64(np.zeros((1, 3)))], np.ones((1, 1), dtype=bool)
+    empty = np.zeros((0, 1), dtype=bool)
     with pytest.raises(ValueError):
-        conditional_encode([], [t64([0, 0, 0])], params)
+        conditional_encode_batch([], empty, step, valid, params)
     with pytest.raises(ValueError):
-        conditional_encode([t64([0, 0, 0])], [], params)
+        conditional_encode_batch(step, valid, [], empty, params)
 
 
 # -------------------------------------------------------- additive_attention
@@ -223,99 +249,111 @@ def rand_attention(rng, attn_dim, in_dim):
 def test_attention_single_unmasked_position():
     rng = np.random.default_rng(8)
     params = rand_attention(rng, 3, 6)
-    summary = t64(rng.uniform(-1, 1, 4))
-    hiddens = [t64(rng.uniform(-1, 1, 2)) for _ in range(3)]
-    out = additive_attention(summary, hiddens, params, mask=np.array([False, True, False]))
-    assert np.array_equal(out.alpha.value, [0.0, 1.0, 0.0])
-    assert np.allclose(out.s.value, hiddens[1].value, atol=1e-14)
+    summary = t64(rng.uniform(-1, 1, (2, 4)))
+    hiddens = [t64(rng.uniform(-1, 1, (2, 2))) for _ in range(3)]
+    mask = np.array([[False, True, False], [True, False, False]])
+    out = additive_attention_batch(summary, hiddens, params, mask)
+    assert np.array_equal(out.alpha.value, [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+    assert np.allclose(out.s.value[0], hiddens[1].value[0], atol=1e-14)
+    assert np.allclose(out.s.value[1], hiddens[0].value[1], atol=1e-14)
 
 
 def test_attention_identical_hiddens_uniform():
     rng = np.random.default_rng(9)
     params = rand_attention(rng, 3, 6)
-    summary = t64(rng.uniform(-1, 1, 4))
-    h = rng.uniform(-1, 1, 2)
+    summary = t64(rng.uniform(-1, 1, (2, 4)))
+    h = rng.uniform(-1, 1, (2, 2))
     hiddens = [t64(h) for _ in range(4)]
-    out = additive_attention(summary, hiddens, params)
-    assert np.allclose(out.alpha.value, [0.25] * 4, atol=1e-12)
+    out = additive_attention_batch(summary, hiddens, params, np.ones((2, 4), dtype=bool))
+    assert np.allclose(out.alpha.value, 0.25, atol=1e-12)
 
 
 def test_attention_zero_score_vector_gives_mean():
     rng = np.random.default_rng(10)
     params = AttentionParams(w=t64(rng.uniform(-1, 1, (3, 6))), v=t64(np.zeros(3)))
-    summary = t64(rng.uniform(-1, 1, 4))
-    hiddens = [t64(rng.uniform(-1, 1, 2)) for _ in range(3)]
-    out = additive_attention(summary, hiddens, params)
-    assert np.allclose(out.alpha.value, [1 / 3] * 3, atol=1e-12)
-    mean = np.mean([h.value for h in hiddens], axis=0)
-    assert np.allclose(out.s.value, mean, atol=1e-12)
+    summary = t64(rng.uniform(-1, 1, (2, 4)))
+    hiddens = [t64(rng.uniform(-1, 1, (2, 2))) for _ in range(3)]
+    mask = np.array([[True, True, True], [True, True, False]])
+    out = additive_attention_batch(summary, hiddens, params, mask)
+    assert np.allclose(out.alpha.value, [[1 / 3] * 3, [0.5, 0.5, 0.0]], atol=1e-12)
+    values = np.stack([h.value for h in hiddens])
+    assert np.allclose(out.s.value[0], values[:, 0].mean(axis=0), atol=1e-12)
+    assert np.allclose(out.s.value[1], values[:2, 1].mean(axis=0), atol=1e-12)
 
 
 def test_attention_all_masked_rejected():
     rng = np.random.default_rng(11)
     params = rand_attention(rng, 3, 6)
     with pytest.raises(ValueError):
-        additive_attention(t64(np.zeros(4)), [t64(np.zeros(2))], params, mask=np.array([False]))
+        additive_attention_batch(
+            t64(np.zeros((1, 4))), [t64(np.zeros((1, 2)))], params, np.array([[False]])
+        )
 
 
 def test_attention_alpha_sums_to_one_float32():
     rng = np.random.default_rng(12)
     with Tape("float32"):
         params = AttentionParams.init(3, 6, rng, np.float32)
-        summary = tensor(rng.uniform(-1, 1, 4))
-        hiddens = [tensor(rng.uniform(-1, 1, 2)) for _ in range(5)]
-        out = additive_attention(summary, hiddens, params, mask=np.array([True, True, False, True, True]))
-    assert abs(out.alpha.value.sum() - 1.0) < 1e-6
+        summary = tensor(rng.uniform(-1, 1, (2, 4)))
+        hiddens = [tensor(rng.uniform(-1, 1, (2, 2))) for _ in range(5)]
+        mask = np.array([[True, True, False, True, True], [True, True, True, False, False]])
+        out = additive_attention_batch(summary, hiddens, params, mask)
+    assert out.alpha.value.dtype == np.float32
+    assert np.allclose(out.alpha.value.sum(axis=1), 1.0, atol=1e-6)
 
 
 def test_attention_masked_positions_leak_no_gradient():
     rng = np.random.default_rng(13)
     params = rand_attention(rng, 3, 6)
-    summary = t64(rng.uniform(-1, 1, 4))
-    hiddens = [t64(rng.uniform(-1, 1, 2)) for _ in range(3)]
-    mask = np.array([True, False, True])
+    summary = t64(rng.uniform(-1, 1, (2, 4)))
+    hiddens = [t64(rng.uniform(-1, 1, (2, 2))) for _ in range(3)]
+    mask = np.array([[True, False, True], [True, True, True]])
     with Tape("float64") as tape:
-        out = additive_attention(summary, hiddens, params, mask=mask)
-        tape.backward(dot(out.s, t64([1.0, -2.0])))
-    assert out.alpha.value[1] == 0.0
-    assert hiddens[1].grad is None or not hiddens[1].grad.any()
-    assert hiddens[0].grad is not None and hiddens[0].grad.any()
+        out = additive_attention_batch(summary, hiddens, params, mask)
+        tape.backward(contract(out.s, [[1.0, -2.0], [0.5, 1.5]]))
+    assert out.alpha.value[0, 1] == 0.0
+    assert not hiddens[1].grad[0].any()  # masked in row 0
+    assert hiddens[1].grad[1].any()  # the same position is live in row 1
+    assert hiddens[0].grad[0].any()
 
 
 # ----------------------------------------------------------- max_pool_encode
 
 
 def test_max_pool_examples():
-    assert np.array_equal(max_pool_encode([t64([1, 5]), t64([3, 2])]).value, [3, 5])
-    single = t64([4.0, -1.0])
-    assert max_pool_encode([single]) is single
+    cols, valid = _pad_rows([[[1, 5], [3, 2]], [[0, 0]]], 2)
+    assert np.array_equal(max_pool_encode_batch(cols, valid).value, [[3, 5], [0, 0]])
+    single = t64([[4.0, -1.0]])
+    assert max_pool_encode_batch([single], np.array([[True]])) is single
 
 
 def test_max_pool_tie_routes_gradient_to_first():
-    a, b = t64([2.0, 2.0]), t64([2.0, 2.0])
+    a, b = t64([[2.0, 2.0]]), t64([[2.0, 2.0]])
     with Tape("float64") as tape:
-        out = max_pool_encode([a, b])
+        out = max_pool_encode_batch([a, b], np.ones((1, 2), dtype=bool))
         tape.backward(sum_all(out))
-    assert np.array_equal(out.value, [2.0, 2.0])
-    assert np.array_equal(a.grad, [1.0, 1.0])
-    assert np.array_equal(b.grad, [0.0, 0.0])
+    assert np.array_equal(out.value, [[2.0, 2.0]])
+    assert np.array_equal(a.grad, [[1.0, 1.0]])
+    assert np.array_equal(b.grad, [[0.0, 0.0]])
 
 
 def test_max_pool_exactly_one_position_per_coordinate_gets_gradient():
     rng = np.random.default_rng(14)
-    hiddens = [t64(rng.uniform(-1, 1, 4)) for _ in range(5)]
+    hiddens = [t64(rng.uniform(-1, 1, (2, 4))) for _ in range(5)]
+    valid = np.array([[True] * 5, [True, True, True, False, False]])
     with Tape("float64") as tape:
-        tape.backward(sum_all(max_pool_encode(hiddens)))
-    grads = np.stack([h.grad if h.grad is not None else np.zeros(4) for h in hiddens])
-    assert np.array_equal((grads != 0).sum(axis=0), np.ones(4))
+        tape.backward(sum_all(max_pool_encode_batch(hiddens, valid)))
+    grads = np.stack([h.grad if h.grad is not None else np.zeros((2, 4)) for h in hiddens])
+    assert np.array_equal((grads != 0).sum(axis=0), np.ones((2, 4)))
+    assert not grads[3:, 1].any()  # padding of row 1
 
 
 def test_max_pool_respects_mask_and_rejects_all_masked():
-    vecs = [t64([9.0, 9.0]), t64([1.0, 2.0])]
-    out = max_pool_encode(vecs, mask=np.array([False, True]))
-    assert np.array_equal(out.value, [1.0, 2.0])
+    vecs = [t64([[1.0, 2.0], [5.0, 5.0]]), t64([[9.0, 9.0], [0.0, 0.0]])]
+    out = max_pool_encode_batch(vecs, np.array([[True, False], [True, True]]))
+    assert np.array_equal(out.value, [[1.0, 2.0], [5.0, 5.0]])
     with pytest.raises(ValueError):
-        max_pool_encode(vecs, mask=np.array([False, False]))
+        max_pool_encode_batch(vecs, np.array([[False, False], [True, True]]))
 
 
 # ------------------------------------------------------------------- grl
@@ -329,17 +367,15 @@ def test_grl_forward_is_bitwise_identity():
 
 def test_grl_backward_negates_exactly():
     x = t64([0.4, -1.1])
-    g = t64([0.3, -0.7])
     with Tape("float64") as tape:
-        tape.backward(dot(grl(x), g))
+        tape.backward(contract(grl(x), [0.3, -0.7]))
     assert np.array_equal(x.grad, [-0.3, 0.7])
 
 
 def test_grl_double_application_cancels():
     x = t64([0.4, -1.1])
-    g = t64([0.3, -0.7])
     with Tape("float64") as tape:
-        tape.backward(dot(grl(grl(x)), g))
+        tape.backward(contract(grl(grl(x)), [0.3, -0.7]))
     assert np.array_equal(x.grad, [0.3, -0.7])
 
 
@@ -354,7 +390,7 @@ def test_grl_twin_graphs_give_exactly_negated_upstream_gradients():
         with Tape("float64") as tape:
             rep = tanh(matvec(w, u))
             fed = grl(rep) if with_grl else rep
-            tape.backward(dot(tanh(fed), head))
+            tape.backward(sum_all(mul(tanh(fed), head)))
         return w.grad, u.grad, head.grad
 
     gw1, gu1, gh1 = run(True)
@@ -408,14 +444,13 @@ def test_dropout_invalid_rate_rejected():
 def test_lstm_step_gradients_match_finite_differences():
     rng = np.random.default_rng(16)
     p = rand_lstm_params(2, 3, rng)
-    x = t64(rng.uniform(-1, 1, 2))
-    h0 = t64(rng.uniform(-1, 1, 3))
-    c0 = t64(rng.uniform(-1, 1, 3))
-    probe = np.random.default_rng(99).uniform(-1, 1, 3)
+    x = t64(rng.uniform(-1, 1, (2, 2)))
+    h0 = t64(rng.uniform(-1, 1, (2, 3)))
+    c0 = t64(rng.uniform(-1, 1, (2, 3)))
+    probe = np.random.default_rng(99).uniform(-1, 1, (2, 3))
 
     def f():
-        st = lstm_step(x, LSTMState(h0, c0), p)
-        return dot(st.h, t64(probe))
+        return contract(lstm_step_batch(x, LSTMState(h0, c0), p).h, probe)
 
     assert finite_difference_check(f, param_list(p) + [x, h0, c0]) < 1e-4
 
@@ -423,45 +458,45 @@ def test_lstm_step_gradients_match_finite_differences():
 def test_run_lstm_gradients_match_finite_differences():
     rng = np.random.default_rng(17)
     p = rand_lstm_params(2, 2, rng)
-    seq_vals = [rng.uniform(-1, 1, 2) for _ in range(3)]
-    seq = [t64(v) for v in seq_vals]
-    probe = np.random.default_rng(98).uniform(-1, 1, 2)
+    steps, valid = _pad_batch([[rng.uniform(-1, 1, 2) for _ in range(n)] for n in (3, 2)], 2)
+    probe = np.random.default_rng(98).uniform(-1, 1, (2, 2))
 
     def f():
-        states = run_lstm(seq, zero_state(2, F64), p, reverse=True)
-        return dot(states[0].h, t64(probe))
+        states = run_lstm_batch(steps, valid, zero_state_batch(2, 2, F64), p, reverse=True)
+        return contract(states[0].h, probe)
 
-    assert finite_difference_check(f, param_list(p) + seq) < 1e-4
+    assert finite_difference_check(f, param_list(p) + steps) < 1e-4
 
 
 def test_recurrent_dropout_gradients_match_finite_differences():
     rng = np.random.default_rng(18)
     p = rand_lstm_params(2, 2, rng)
-    seq = [t64(rng.uniform(-1, 1, 2)) for _ in range(3)]
-    probe = np.random.default_rng(97).uniform(-1, 1, 2)
+    steps, valid = _pad_batch([[rng.uniform(-1, 1, 2) for _ in range(n)] for n in (2, 3)], 2)
+    probe = np.random.default_rng(97).uniform(-1, 1, (2, 2))
 
     def f():
-        states = run_lstm(
-            seq, zero_state(2, F64), p, recurrent_dropout=0.5, train=True, rng=np.random.default_rng(5)
+        states = run_lstm_batch(
+            steps, valid, zero_state_batch(2, 2, F64), p,
+            recurrent_dropout=0.5, train=True, rng=np.random.default_rng(5),
         )
-        return dot(states[-1].h, t64(probe))
+        return contract(states[-1].h, probe)
 
-    assert finite_difference_check(f, param_list(p) + seq) < 1e-4
+    assert finite_difference_check(f, param_list(p) + steps) < 1e-4
 
 
 def test_conditional_encode_with_attention_gradients_match_finite_differences():
     rng = np.random.default_rng(19)
     enc = EncoderParams.init(2, 2, rng, F64)
     attn = AttentionParams.init(3, 8, rng, F64)
-    target = [t64(rng.uniform(-1, 1, 2)) for _ in range(2)]
-    sentence = [t64(rng.uniform(-1, 1, 2)) for _ in range(3)]
-    probe = np.random.default_rng(96).uniform(-1, 1, 4)
-    params = [t for _, t in enc.named("e")] + [t for _, t in attn.named("a")] + target + sentence
+    t_steps, t_valid = _pad_batch([[rng.uniform(-1, 1, 2) for _ in range(m)] for m in (2, 1)], 2)
+    s_steps, s_valid = _pad_batch([[rng.uniform(-1, 1, 2) for _ in range(n)] for n in (2, 3)], 2)
+    probe = np.random.default_rng(96).uniform(-1, 1, (2, 4))
+    params = [t for _, t in enc.named("e")] + [t for _, t in attn.named("a")] + t_steps + s_steps
 
     def f():
-        hiddens, summary = conditional_encode(target, sentence, enc)
-        out = additive_attention(summary, hiddens, attn)
-        return dot(out.s, t64(probe))
+        hiddens, summary = conditional_encode_batch(t_steps, t_valid, s_steps, s_valid, enc)
+        out = additive_attention_batch(summary, hiddens, attn, s_valid.T)
+        return contract(out.s, probe)
 
     assert finite_difference_check(f, params) < 1e-4
 
@@ -469,11 +504,12 @@ def test_conditional_encode_with_attention_gradients_match_finite_differences():
 def test_max_pool_gradients_match_finite_differences():
     rng = np.random.default_rng(20)
     # spread values so the eps=1e-5 probes never flip an argmax
-    hiddens = [t64(rng.permutation(4) * 1.0 + rng.uniform(-0.3, 0.3, 4)) for _ in range(3)]
-    probe = np.random.default_rng(95).uniform(-1, 1, 4)
+    hiddens = [t64(rng.permutation(8).reshape(2, 4) * 1.0 + rng.uniform(-0.3, 0.3, (2, 4))) for _ in range(3)]
+    valid = np.array([[True, True, True], [True, True, False]])
+    probe = np.random.default_rng(95).uniform(-1, 1, (2, 4))
 
     def f():
-        return dot(max_pool_encode(hiddens), t64(probe))
+        return contract(max_pool_encode_batch(hiddens, valid), probe)
 
     assert finite_difference_check(f, hiddens) < 1e-4
 
@@ -487,10 +523,10 @@ def test_grl_gradients_match_finite_differences_up_to_sign():
     # through grl the analytic gradient is the negation of the true derivative,
     # so check the equivalent identity: grad(f(grl)) == -grad(f)
     def f_plain():
-        return dot(tanh(matvec(w, x)), t64(probe))
+        return contract(tanh(matvec(w, x)), probe)
 
     def f_grl():
-        return dot(tanh(grl(matvec(w, x))), t64(probe))
+        return contract(tanh(grl(matvec(w, x))), probe)
 
     assert finite_difference_check(f_plain, [w, x]) < 1e-4
     from stancegen.tensor import zero_grads
@@ -505,19 +541,10 @@ def test_grl_gradients_match_finite_differences_up_to_sign():
             assert np.array_equal(w.grad, -gw_plain)
 
 
-# ------------------------------------------------- batched layer equivalence
-
-
-def _pad_batch(seqs, dim):
-    n = max(len(s) for s in seqs)
-    batch = len(seqs)
-    steps = np.zeros((n, batch, dim))
-    valid = np.zeros((n, batch), dtype=bool)
-    for i, s in enumerate(seqs):
-        for t, v in enumerate(s):
-            steps[t, i] = v
-            valid[t, i] = True
-    return [t64(steps[t]) for t in range(n)], valid
+# ------------------------------- ragged batch rows against batches of one
+#
+# Padding must not leak: row i of a ragged batch equals the same layer run
+# on example i alone, as a batch of one.
 
 
 def test_lstm_step_batch_matches_single_rows():
@@ -528,43 +555,43 @@ def test_lstm_step_batch_matches_single_rows():
     cs = rng.uniform(-1, 1, (4, 2))
     batch = lstm_step_batch(t64(xs), LSTMState(t64(hs), t64(cs)), p)
     for i in range(4):
-        single = lstm_step(t64(xs[i]), LSTMState(t64(hs[i]), t64(cs[i])), p)
-        assert np.allclose(batch.h.value[i], single.h.value, atol=1e-14)
-        assert np.allclose(batch.c.value[i], single.c.value, atol=1e-14)
+        single = lstm_step_batch(t64(xs[i : i + 1]), LSTMState(t64(hs[i : i + 1]), t64(cs[i : i + 1])), p)
+        assert np.allclose(batch.h.value[i], single.h.value[0], atol=1e-14)
+        assert np.allclose(batch.c.value[i], single.c.value[0], atol=1e-14)
+
+
+def _run_alone(seq, p, reverse):
+    steps, valid = _pad_batch([seq], 2)
+    return run_lstm_batch(steps, valid, zero_state_batch(1, 2, F64), p, reverse=reverse)
 
 
 def test_run_lstm_batch_carries_state_through_padding():
     rng = np.random.default_rng(23)
     p = rand_lstm_params(2, 2, rng)
-    seqs = [
-        [rng.uniform(-1, 1, 2) for _ in range(3)],
-        [rng.uniform(-1, 1, 2) for _ in range(1)],
-        [rng.uniform(-1, 1, 2) for _ in range(2)],
-    ]
+    seqs = [[rng.uniform(-1, 1, 2) for _ in range(n)] for n in (3, 1, 2)]
     steps, valid = _pad_batch(seqs, 2)
     out = run_lstm_batch(steps, valid, zero_state_batch(3, 2, F64), p)
     for i, s in enumerate(seqs):
-        single = run_lstm([t64(v) for v in s], zero_state(2, F64), p)
+        single = _run_alone(s, p, reverse=False)
         # final stored state equals the example's true final state
-        assert np.allclose(out[-1].h.value[i], single[-1].h.value, atol=1e-13)
-        assert np.allclose(out[-1].c.value[i], single[-1].c.value, atol=1e-13)
+        assert np.allclose(out[-1].h.value[i], single[-1].h.value[0], atol=1e-13)
+        assert np.allclose(out[-1].c.value[i], single[-1].c.value[0], atol=1e-13)
         for t in range(len(s)):
-            assert np.allclose(out[t].h.value[i], single[t].h.value, atol=1e-13)
+            assert np.allclose(out[t].h.value[i], single[t].h.value[0], atol=1e-13)
 
 
 def test_run_lstm_batch_reverse_matches_single():
     rng = np.random.default_rng(24)
     p = rand_lstm_params(2, 2, rng)
-    seqs = [
-        [rng.uniform(-1, 1, 2) for _ in range(2)],
-        [rng.uniform(-1, 1, 2) for _ in range(4)],
-    ]
+    seqs = [[rng.uniform(-1, 1, 2) for _ in range(n)] for n in (2, 4)]
     steps, valid = _pad_batch(seqs, 2)
     out = run_lstm_batch(steps, valid, zero_state_batch(2, 2, F64), p, reverse=True)
     for i, s in enumerate(seqs):
-        single = run_lstm([t64(v) for v in s], zero_state(2, F64), p, reverse=True)
+        single = _run_alone(s, p, reverse=True)
+        for t in range(len(s)):
+            assert np.allclose(out[t].h.value[i], single[t].h.value[0], atol=1e-13)
         # position 0 holds the fully conditioned backward state
-        assert np.allclose(out[0].h.value[i], single[0].h.value, atol=1e-13)
+        assert np.allclose(out[0].c.value[i], single[0].c.value[0], atol=1e-13)
 
 
 def test_conditional_encode_batch_matches_single():
@@ -576,12 +603,10 @@ def test_conditional_encode_batch_matches_single():
     s_steps, s_valid = _pad_batch(sents, 3)
     hiddens, summary = conditional_encode_batch(t_steps, t_valid, s_steps, s_valid, enc)
     for i in range(3):
-        hs, summ = conditional_encode(
-            [t64(v) for v in targets[i]], [t64(v) for v in sents[i]], enc
-        )
-        assert np.allclose(summary.value[i], summ.value, atol=1e-13)
+        hs, summ = conditional_encode_batch(*_pad_batch([targets[i]], 3), *_pad_batch([sents[i]], 3), enc)
+        assert np.allclose(summary.value[i], summ.value[0], atol=1e-13)
         for t in range(len(sents[i])):
-            assert np.allclose(hiddens[t].value[i], hs[t].value, atol=1e-13)
+            assert np.allclose(hiddens[t].value[i], hs[t].value[0], atol=1e-13)
 
 
 def test_additive_attention_batch_matches_single():
@@ -589,34 +614,25 @@ def test_additive_attention_batch_matches_single():
     attn = AttentionParams.init(3, 8, rng, F64)
     summaries = rng.uniform(-1, 1, (2, 4))
     hiddens_rows = [[rng.uniform(-1, 1, 4) for _ in range(n)] for n in (3, 2)]
-    n_max = 3
-    mask = np.array([[True, True, True], [True, True, False]])
-    cols = [
-        t64(np.stack([row[j] if j < len(row) else np.zeros(4) for row in hiddens_rows]))
-        for j in range(n_max)
-    ]
+    cols, mask = _pad_rows(hiddens_rows, 4)
     out = additive_attention_batch(t64(summaries), cols, attn, mask)
-    for i in range(2):
-        single = additive_attention(
-            t64(summaries[i]), [t64(v) for v in hiddens_rows[i]], attn
-        )
-        assert np.allclose(out.s.value[i], single.s.value, atol=1e-13)
-        assert np.allclose(out.alpha.value[i, : len(hiddens_rows[i])], single.alpha.value, atol=1e-13)
-        assert not out.alpha.value[i, len(hiddens_rows[i]):].any()
+    for i, row in enumerate(hiddens_rows):
+        alone, alone_mask = _pad_rows([row], 4)
+        single = additive_attention_batch(t64(summaries[i : i + 1]), alone, attn, alone_mask)
+        n = len(row)
+        assert np.allclose(out.s.value[i], single.s.value[0], atol=1e-13)
+        assert np.allclose(out.alpha.value[i, :n], single.alpha.value[0], atol=1e-13)
+        assert not out.alpha.value[i, n:].any()
 
 
 def test_max_pool_batch_matches_single_and_requires_leading_valid():
     rng = np.random.default_rng(27)
     rows = [[rng.uniform(-1, 1, 3) for _ in range(n)] for n in (2, 3)]
-    cols = [
-        t64(np.stack([row[j] if j < len(row) else np.zeros(3) for row in rows]))
-        for j in range(3)
-    ]
-    valid = np.array([[True, True, False], [True, True, True]])
+    cols, valid = _pad_rows(rows, 3)
     out = max_pool_encode_batch(cols, valid)
-    for i in range(2):
-        single = max_pool_encode([t64(v) for v in rows[i]])
-        assert np.allclose(out.value[i], single.value, atol=1e-14)
+    for i, row in enumerate(rows):
+        single = max_pool_encode_batch(*_pad_rows([row], 3))
+        assert np.allclose(out.value[i], single.value[0], atol=1e-14)
     with pytest.raises(ValueError):
         max_pool_encode_batch(cols, np.array([[False, True, False], [True, True, True]]))
 
@@ -630,7 +646,7 @@ def test_run_lstm_batch_gradients_match_finite_differences():
 
     def f():
         out = run_lstm_batch(steps, valid, zero_state_batch(2, 2, F64), p)
-        return sum_all(mul(out[-1].h, t64(probe)))
+        return contract(out[-1].h, probe)
 
     assert finite_difference_check(f, param_list(p) + steps) < 1e-4
 
@@ -645,7 +661,7 @@ def test_attention_batch_gradients_match_finite_differences():
 
     def f():
         out = additive_attention_batch(summary, cols, attn, mask)
-        return sum_all(mul(out.s, t64(probe)))
+        return contract(out.s, probe)
 
     params = [t for _, t in attn.named("a")] + [summary] + cols
     assert finite_difference_check(f, params) < 1e-4

@@ -8,12 +8,12 @@ from stancegen.models import (
     ModelSpec,
     build_model,
     load_checkpoint,
-    model_forward,
     model_forward_batch,
     pad_id_batch,
     save_checkpoint,
 )
-from stancegen.tensor import Tape, add, log, negate, slice1d, sum_all, zero_grads
+from stancegen.tensor import Tape, zero_grads
+from stancegen.training import domain_loss_batch
 
 F64 = np.float64
 
@@ -55,6 +55,11 @@ def example(sent_ids, tgt_ids, stance="FAVOR", domain=0):
 
 
 EX = example([2, 3, 4], [5, 6])
+
+
+def forward_one(model, ex=EX):
+    """The forward pass of one example: a batch of one."""
+    return model_forward_batch(model, [ex])
 
 
 # ------------------------------------------------------------------- spec
@@ -147,55 +152,57 @@ def test_parameter_counts_match_closed_form(variant, formula):
     assert m.param_count() == formula(EMBED_DIM, HIDDEN, ATTN, DOMAINS)
 
 
-# ---------------------------------------------------------- model_forward
+# ---------------------------------------------------- model_forward_batch
 
 
 @pytest.mark.parametrize("variant", M.VARIANTS)
 def test_forward_stance_probs_is_distribution(variant):
     m = build_model(spec_for(variant), seed=1, embeddings=embeddings(), dtype=F64)
-    out = model_forward(m, EX)
-    assert out.stance_probs.value.shape == (3,)
+    out = forward_one(m)
+    assert out.stance_probs.value.shape == (1, 3)
     assert abs(out.stance_probs.value.sum() - 1.0) < 1e-9
 
 
 def test_forward_domain_rows_are_distributions():
     m = build_model(spec_for("BCAInvar"), seed=2, embeddings=embeddings(), dtype=F64)
-    out = model_forward(m, EX)
+    out = model_forward_batch(m, ragged_examples())
     assert len(out.domain_probs) == DOMAINS
     for p in out.domain_probs:
-        assert p.value.shape == (2,)
-        assert abs(p.value.sum() - 1.0) < 1e-9
+        assert p.value.shape == (3, 2)
+        assert np.allclose(p.value.sum(axis=1), 1.0, atol=1e-9)
 
 
 def test_forward_zero_stance_weights_give_uniform():
     m = build_model(spec_for("BCA"), seed=3, embeddings=embeddings(), dtype=F64)
     m.w_stance.value[:] = 0.0
-    out = model_forward(m, EX)
-    assert np.allclose(out.stance_probs.value, [1 / 3] * 3, atol=1e-12)
+    out = forward_one(m)
+    assert np.allclose(out.stance_probs.value, [[1 / 3] * 3], atol=1e-12)
 
 
 def test_forward_attention_presence_by_variant():
     emb = embeddings()
-    bca = model_forward(build_model(spec_for("BCA"), seed=4, embeddings=emb, dtype=F64), EX)
+    bca = forward_one(build_model(spec_for("BCA"), seed=4, embeddings=emb, dtype=F64))
     assert bca.attention is not None
-    assert bca.attention.alpha.value.shape == (3,)
-    conc = model_forward(build_model(spec_for("Concat"), seed=4, embeddings=emb, dtype=F64), EX)
+    assert bca.attention.alpha.value.shape == (1, 3)
+    conc = forward_one(build_model(spec_for("Concat"), seed=4, embeddings=emb, dtype=F64))
     assert conc.attention is None
     assert not conc.domain_probs
 
 
 def test_forward_rejects_empty_and_out_of_range_ids():
     m = build_model(spec_for("BCA"), seed=5, embeddings=embeddings(), dtype=F64)
-    with pytest.raises(ValueError):
-        model_forward(m, example([], [2]))
+    with pytest.raises(ValueError, match="empty sentence"):
+        forward_one(m, example([], [2]))
+    with pytest.raises(ValueError, match="empty target"):
+        model_forward_batch(m, [EX, example([2], [])])
     with pytest.raises(DataError, match="token id"):
-        model_forward(m, example([2, VOCAB_SIZE + 3], [2]))
+        forward_one(m, example([2, VOCAB_SIZE + 3], [2]))
 
 
 def test_forward_eval_mode_deterministic_without_rng():
     m = build_model(spec_for("BCAInvarSpec"), seed=6, embeddings=embeddings(), dtype=F64)
-    a = model_forward(m, EX)
-    b = model_forward(m, EX)
+    a = forward_one(m)
+    b = forward_one(m)
     assert np.array_equal(a.stance_probs.value, b.stance_probs.value)
     assert np.array_equal(a.attention.alpha.value, b.attention.alpha.value)
 
@@ -204,21 +211,24 @@ def test_forward_stance_path_identical_between_bca_and_bcainvar():
     emb = embeddings()
     bca = build_model(spec_for("BCA"), seed=8, embeddings=emb, dtype=F64)
     inv = build_model(spec_for("BCAInvar"), seed=8, embeddings=emb, dtype=F64)
-    out_b = model_forward(bca, EX)
-    out_i = model_forward(inv, EX)
+    out_b = forward_one(bca)
+    out_i = forward_one(inv)
     assert np.array_equal(out_b.stance_probs.value, out_i.stance_probs.value)
 
 
+@pytest.mark.parametrize("variant", M.VARIANTS)
+def test_eval_forward_keeps_model_precision(variant):
+    # no tape: the encoder's zero initial states must not promote to float64
+    m = build_model(spec_for(variant), seed=7, embeddings=embeddings(), dtype=np.float32)
+    out = model_forward_batch(m, ragged_examples())
+    assert out.stance_probs.value.dtype == np.float32
+    assert out.repr.value.dtype == np.float32
+    assert all(p.value.dtype == np.float32 for p in out.domain_probs)
+    if out.attention is not None:
+        assert out.attention.alpha.value.dtype == np.float32
+
+
 # -------------------------------------------------------- grl placement
-
-
-def domain_nll(domain_probs, gold):
-    total = None
-    for i, p in enumerate(domain_probs):
-        cls = 0 if i == gold else 1  # class 0 = "belongs to domain i"
-        term = negate(log(slice1d(p, cls, cls + 1)))
-        total = term if total is None else add(total, term)
-    return sum_all(total)
 
 
 @pytest.mark.parametrize("variant", ["ConcatInvar", "BCAInvar", "BCAInvarSpec"])
@@ -233,8 +243,8 @@ def test_grl_flips_encoder_gradients_only(variant, monkeypatch):
             monkeypatch.undo()
         zero_grads(m.params.values())
         with Tape("float64") as tape:
-            out = model_forward(m, EX)
-            tape.backward(domain_nll(out.domain_probs, gold=1))
+            out = forward_one(m)
+            tape.backward(domain_loss_batch(out.domain_probs, np.array([1])))
         return {
             name: (None if t.grad is None else t.grad.copy()) for name, t in m.params.items()
         }, m.adversarial
@@ -275,20 +285,25 @@ def test_pad_id_batch_layout():
 
 @pytest.mark.parametrize("variant", M.VARIANTS)
 def test_batch_forward_matches_per_example(variant):
+    # padding must not leak: row i of a ragged batch equals example i's
+    # forward as a batch of one, and attention on its padding is exactly 0
     m = build_model(spec_for(variant), seed=10, embeddings=embeddings(), dtype=F64)
     exs = ragged_examples()
     batch = model_forward_batch(m, exs)
+    assert len(batch.domain_probs) == (DOMAINS if variant in M.INVAR_VARIANTS else 0)
     for i, ex in enumerate(exs):
-        single = model_forward(m, ex)
-        assert np.allclose(batch.stance_probs.value[i], single.stance_probs.value, atol=1e-12)
+        single = forward_one(m, ex)
+        assert np.allclose(batch.stance_probs.value[i], single.stance_probs.value[0], atol=1e-12)
+        assert np.allclose(batch.repr.value[i], single.repr.value[0], atol=1e-12)
         for d in range(len(single.domain_probs)):
             assert np.allclose(
-                batch.domain_probs[d].value[i], single.domain_probs[d].value, atol=1e-12
+                batch.domain_probs[d].value[i], single.domain_probs[d].value[0], atol=1e-12
             )
+        n = len(ex.sentence_ids)
+        assert np.array_equal(batch.sentence_mask[i], np.arange(batch.sentence_mask.shape[1]) < n)
         if single.attention is not None:
-            n = len(ex.sentence_ids)
             assert np.allclose(
-                batch.attention.alpha.value[i, :n], single.attention.alpha.value, atol=1e-12
+                batch.attention.alpha.value[i, :n], single.attention.alpha.value[0], atol=1e-12
             )
             assert not batch.attention.alpha.value[i, n:].any()
 
@@ -319,8 +334,8 @@ def test_checkpoint_round_trip_value_exact(tmp_path):
     assert set(loaded.params) == set(m.params)
     for name in m.params:
         assert np.array_equal(loaded.params[name].value, m.params[name].value), name
-    out_orig = model_forward(m, EX)
-    out_loaded = model_forward(loaded, EX)
+    out_orig = forward_one(m)
+    out_loaded = forward_one(loaded)
     assert np.array_equal(out_orig.stance_probs.value, out_loaded.stance_probs.value)
 
 

@@ -13,9 +13,7 @@ from stancegen.tensor import (
     blend_rows,
     clamp_min,
     column,
-    concat,
     concat_cols,
-    dot,
     dropout,
     exp,
     fill_rows,
@@ -32,15 +30,12 @@ from stancegen.tensor import (
     scale_rows_t,
     select_rows,
     sigmoid,
-    slice1d,
     slice_cols,
-    softmax,
     softmax_rows,
     stack_cols,
     sub,
     sum_all,
     tensor,
-    weighted_sum,
     zero_grads,
 )
 
@@ -120,64 +115,52 @@ def test_matvec_dimension_mismatch():
 
 
 def test_concat_examples():
-    assert list(concat([t64([1]), t64([2, 3])]).value) == [1, 2, 3]
-    assert list(concat([t64([7, 8])]).value) == [7, 8]
+    assert concat_cols([t64([[1], [4]]), t64([[2, 3], [5, 6]])]).value.tolist() == [[1, 2, 3], [4, 5, 6]]
+    assert concat_cols([t64([[7, 8]])]).value.tolist() == [[7, 8]]
     with pytest.raises(ValueError):
-        concat([])
+        concat_cols([])
+    with pytest.raises(ShapeError):
+        concat_cols([t64([[1]]), t64([[1], [2]])])
 
 
 # ----------------------------------------------------------------- softmax
 
 
 def test_softmax_symmetry():
-    assert np.allclose(softmax(t64([0.0, 0.0, 0.0])).value, [1 / 3] * 3, atol=1e-12)
+    assert np.allclose(softmax_rows(t64([[0.0, 0.0, 0.0]])).value, [[1 / 3] * 3], atol=1e-12)
 
 
 def test_softmax_hand_derived():
     # exp(0) = 1 and exp(ln 3) = 3, so the normalized outputs are 1/4 and 3/4
-    p = softmax(t64([0.0, np.log(3.0)])).value
-    assert np.allclose(p, [0.25, 0.75], atol=1e-12)
+    p = softmax_rows(t64([[0.0, np.log(3.0)], [np.log(3.0), 0.0]])).value
+    assert np.allclose(p, [[0.25, 0.75], [0.75, 0.25]], atol=1e-12)
 
 
 def test_softmax_single_unmasked_position():
-    p = softmax(t64([5.0, 1.0]), mask=np.array([True, False])).value
-    assert p[0] == 1.0 and p[1] == 0.0
+    p = softmax_rows(t64([[5.0, 1.0]]), mask=np.array([[True, False]])).value
+    assert p[0, 0] == 1.0 and p[0, 1] == 0.0
 
 
 def test_softmax_all_masked_raises():
     with pytest.raises(ValueError, match="masked"):
-        softmax(t64([1.0, 2.0]), mask=np.array([False, False]))
+        softmax_rows(t64([[1.0, 2.0], [3.0, 4.0]]), mask=np.array([[True, True], [False, False]]))
 
 
 def test_softmax_masked_positions_get_zero_gradient():
-    x = t64([1.0, 50.0, 2.0])
+    x = t64([[1.0, 50.0, 2.0]])
     with Tape("float64") as tape:
-        p = softmax(x, mask=np.array([True, False, True]))
-        tape.backward(dot(p, t64([1.0, 5.0, -2.0])))
-    assert x.grad[1] == 0.0
-    assert x.grad[0] != 0.0
+        p = softmax_rows(x, mask=np.array([[True, False, True]]))
+        tape.backward(sum_all(mul(p, t64([[1.0, 5.0, -2.0]]))))
+    assert x.grad[0, 1] == 0.0
+    assert x.grad[0, 0] != 0.0
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=1, max_size=8))
 def test_softmax_sums_to_one(vals):
-    p = softmax(t64(vals)).value
+    p = softmax_rows(t64([vals])).value
     assert abs(p.sum() - 1.0) < 1e-9
     assert ((p >= 0.0) & (p <= 1.0)).all()
-
-
-# ------------------------------------------------------------ weighted sum
-
-
-def test_weighted_sum_examples():
-    assert list(weighted_sum(t64([1.0]), [t64([2, 3])]).value) == [2, 3]
-    assert list(weighted_sum(t64([0.5, 0.5]), [t64([0, 2]), t64([2, 0])]).value) == [1, 1]
-    assert list(weighted_sum(t64([0, 1]), [t64([9, 9]), t64([1, 2])]).value) == [1, 2]
-
-
-def test_weighted_sum_count_mismatch():
-    with pytest.raises(ShapeError):
-        weighted_sum(t64([1.0, 2.0]), [t64([1.0])])
 
 
 # ---------------------------------------------------------------- backward
@@ -334,29 +317,11 @@ def _op_catalog():
 
     cases["matmul_t"] = build_matmul_t
 
-    def build_dot(rng):
-        a, b = _vec(rng), _vec(rng)
-        return lambda: _reduce(dot(a, b), rng), [a, b]
-
-    cases["dot"] = build_dot
-
-    def build_concat(rng):
-        a, b = _vec(rng, 2), _vec(rng, 3)
-        return lambda: _reduce(concat([a, b]), rng), [a, b]
-
-    cases["concat"] = build_concat
-
     def build_concat_cols(rng):
         a, b = _mat(rng, 3, 2), _mat(rng, 3, 1)
         return lambda: _reduce(concat_cols([a, b]), rng), [a, b]
 
     cases["concat_cols"] = build_concat_cols
-
-    def build_slice1d(rng):
-        x = _vec(rng, 4)
-        return lambda: _reduce(slice1d(x, 1, 3), rng), [x]
-
-    cases["slice1d"] = build_slice1d
 
     def build_slice_cols(rng):
         x = _mat(rng, 2, 4)
@@ -417,15 +382,15 @@ def _op_catalog():
     cases["select_rows"] = build_select_rows
 
     def build_softmax(rng):
-        x = _vec(rng, 4)
-        return lambda: _reduce(softmax(x), rng), [x]
+        x = _mat(rng, 3, 4)
+        return lambda: _reduce(softmax_rows(x), rng), [x]
 
     cases["softmax"] = build_softmax
 
     def build_softmax_masked(rng):
-        x = _vec(rng, 4)
-        mask = np.array([True, True, False, True])
-        return lambda: _reduce(softmax(x, mask), rng), [x]
+        x = _mat(rng, 1, 4)
+        mask = np.array([[True, True, False, True]])
+        return lambda: _reduce(softmax_rows(x, mask), rng), [x]
 
     cases["softmax_masked"] = build_softmax_masked
 
@@ -436,13 +401,6 @@ def _op_catalog():
         return lambda: _reduce(softmax_rows(x, mask), rng), [x]
 
     cases["softmax_rows"] = build_softmax_rows
-
-    def build_weighted_sum(rng):
-        w = _vec(rng)
-        vs = [_vec(rng, 2) for _ in range(3)]
-        return lambda: _reduce(weighted_sum(w, vs), rng), [w] + vs
-
-    cases["weighted_sum"] = build_weighted_sum
 
     def build_sum_all(rng):
         x = _mat(rng)
@@ -530,12 +488,19 @@ def test_softmax_rows_matches_per_row_softmax():
     mask[:, 0] = True
     batched = softmax_rows(x, mask).value
     for i in range(3):
-        row = softmax(tensor(x.value[i], dtype=np.float64), mask[i]).value
+        e = np.exp(x.value[i, mask[i]] - x.value[i, mask[i]].max())
+        row = np.zeros(5)
+        row[mask[i]] = e / e.sum()
         assert np.allclose(batched[i], row, atol=1e-14)
+        assert not batched[i, ~mask[i]].any()
 
 
-def test_dropout_no_tape_runs_value_only():
+def test_dropout_no_tape_runs_value_only(monkeypatch):
+    def record(*args):
+        raise AssertionError("an op recorded a node with no tape active")
+
+    monkeypatch.setattr(Tape, "record", record)
     x = tensor([1.0, 2.0, 3.0], dtype=np.float64)
     out = dropout(x, 0.5, np.random.default_rng(0))
     assert out.value.shape == (3,)
-    assert out.node_id == -1
+    assert out.grad is None

@@ -5,7 +5,7 @@ import pytest
 
 import stancegen.models as M
 import stancegen.training as TR
-from stancegen.data import Corpus, Example, build_vocab, encode_corpus, random_embeddings
+from stancegen.data import STANCE_TO_INDEX, Corpus, Example, build_vocab, encode_corpus, random_embeddings
 from stancegen.errors import ConfigError
 from stancegen.models import ModelSpec, build_model
 from stancegen.tensor import Tape, Tensor, add, scale
@@ -15,10 +15,8 @@ from stancegen.training import (
     Hyperparams,
     adam_step,
     clip_gradients,
-    domain_loss,
     domain_loss_batch,
     predict_corpus,
-    stance_loss,
     stance_loss_batch,
     total_loss,
     train,
@@ -31,64 +29,72 @@ LN3 = math.log(3.0)
 # ------------------------------------------------------------------ losses
 
 
+def stance_loss_one(probs, gold):
+    """Stance loss of one example: a batch of one."""
+    return stance_loss_batch(Tensor(np.array([probs], dtype=float)), np.array([gold]))
+
+
+def domain_loss_one(heads, gold):
+    """Domain loss of one example over per-head [p(in), p(out)] pairs."""
+    return domain_loss_batch([Tensor(np.array([h], dtype=float)) for h in heads], np.array([gold]))
+
+
 def test_stance_loss_uniform_is_ln3():
     with Tape("float64"):
-        loss = stance_loss(Tensor(np.full(3, 1 / 3)), "FAVOR")
+        loss = stance_loss_one(np.full(3, 1 / 3), 0)
     assert abs(loss.value[0] - LN3) < 1e-12
 
 
 def test_stance_loss_perfect_is_zero():
     with Tape("float64"):
-        loss = stance_loss(Tensor(np.array([0.0, 1.0, 0.0])), "AGAINST")
+        loss = stance_loss_one([0.0, 1.0, 0.0], 1)
     assert loss.value[0] == 0.0
 
 
 def test_stance_loss_floor_caps_blowup():
     # gold probability 0 hits the 1e-12 floor instead of inf
     with Tape("float64"):
-        loss = stance_loss(Tensor(np.array([0.0, 1.0, 0.0])), "FAVOR")
+        loss = stance_loss_one([0.0, 1.0, 0.0], 0)
     assert abs(loss.value[0] - (-math.log(1e-12))) < 1e-9
     assert np.isfinite(loss.value[0])
 
 
 def test_stance_loss_accepts_index():
+    # training maps gold labels to class indices through STANCE_TO_INDEX
     probs = np.array([0.2, 0.5, 0.3])
     with Tape("float64"):
-        by_name = stance_loss(Tensor(probs.copy()), "NONE")
-        by_index = stance_loss(Tensor(probs.copy()), 2)
-    assert by_name.value[0] == by_index.value[0]
+        loss = stance_loss_one(probs, STANCE_TO_INDEX["NONE"])
+    assert abs(loss.value[0] - (-math.log(0.3))) < 1e-12
 
 
 def test_stance_loss_gradient_is_reciprocal():
     with Tape("float64") as tape:
-        p = Tensor(np.array([0.25, 0.5, 0.25]))
-        loss = stance_loss(p, 0)
+        p = Tensor(np.array([[0.25, 0.5, 0.25]]))
+        loss = stance_loss_batch(p, np.array([0]))
         tape.backward(loss)
-    assert np.allclose(p.grad, [-4.0, 0.0, 0.0])
+    assert np.allclose(p.grad, [[-4.0, 0.0, 0.0]])
 
 
 def test_domain_loss_half_everywhere_is_ln2():
     with Tape("float64"):
-        probs = [Tensor(np.array([0.5, 0.5])) for _ in range(4)]
-        loss = domain_loss(probs, 1)
+        loss = domain_loss_one([[0.5, 0.5]] * 4, 1)
     assert abs(loss.value[0] - LN2) < 1e-12
 
 
 def test_domain_loss_perfect_is_zero():
     with Tape("float64"):
-        probs = [
-            Tensor(np.array([1.0, 0.0]) if i == 2 else np.array([0.0, 1.0]))
-            for i in range(4)
-        ]
-        loss = domain_loss(probs, 2)
+        heads = [[1.0, 0.0] if i == 2 else [0.0, 1.0] for i in range(4)]
+        loss = domain_loss_one(heads, 2)
     assert loss.value[0] == 0.0
 
 
 def test_domain_loss_gold_out_of_range():
     with Tape("float64"):
-        probs = [Tensor(np.array([0.5, 0.5])) for _ in range(3)]
+        heads = [[0.5, 0.5]] * 3
         with pytest.raises(ValueError, match="out of range"):
-            domain_loss(probs, 3)
+            domain_loss_one(heads, 3)
+        with pytest.raises(ValueError, match="out of range"):
+            domain_loss_one(heads, -1)
 
 
 def test_batched_stance_loss_matches_singles():
@@ -97,16 +103,15 @@ def test_batched_stance_loss_matches_singles():
     gold = np.array([0, 2, 1, 1, 0])
     with Tape("float64"):
         batched = stance_loss_batch(Tensor(raw.copy()), gold)
-        singles = [stance_loss(Tensor(raw[i].copy()), int(gold[i])).value[0] for i in range(5)]
+        singles = [stance_loss_one(raw[i], gold[i]).value[0] for i in range(5)]
     assert abs(batched.value[0] - np.mean(singles)) < 1e-12
 
 
 def test_batch_size_one_stance_loss_matches_single():
-    probs = np.array([[0.1, 0.6, 0.3]])
-    with Tape("float64"):
-        batched = stance_loss_batch(Tensor(probs.copy()), np.array([1]))
-        single = stance_loss(Tensor(probs[0].copy()), 1)
-    assert abs(batched.value[0] - single.value[0]) < 1e-6
+    with Tape("float32"):
+        batched = stance_loss_batch(Tensor(np.array([[0.1, 0.6, 0.3]], dtype=np.float32)), np.array([1]))
+    assert batched.value.dtype == np.float32
+    assert abs(batched.value[0] - (-math.log(0.6))) < 1e-6
 
 
 def test_batched_domain_loss_matches_singles():
@@ -115,10 +120,7 @@ def test_batched_domain_loss_matches_singles():
     gold = np.array([0, 2, 1, 0])
     with Tape("float64"):
         batched = domain_loss_batch([Tensor(h.copy()) for h in heads], gold)
-        singles = [
-            domain_loss([Tensor(h[b].copy()) for h in heads], int(gold[b])).value[0]
-            for b in range(4)
-        ]
+        singles = [domain_loss_one([h[b] for h in heads], gold[b]).value[0] for b in range(4)]
     assert abs(batched.value[0] - np.mean(singles)) < 1e-12
 
 
