@@ -72,9 +72,6 @@ class Corpus:
     def __iter__(self):
         return iter(self.examples)
 
-    def target_counts(self) -> dict[str, int]:
-        return dict(Counter(e.raw_target for e in self.examples))
-
     def label_counts(self) -> dict[str, int]:
         counts = Counter(e.stance for e in self.examples)
         return {s: counts.get(s, 0) for s in STANCES}
@@ -123,7 +120,6 @@ class EmbeddingMatrix:
     """Frozen |V| x dim lookup table; rows align with vocabulary ids."""
 
     values: np.ndarray
-    frozen: bool = True
 
     @property
     def dim(self) -> int:
@@ -233,7 +229,7 @@ def load_embeddings(path, vocab: Vocabulary, dim: int) -> EmbeddingMatrix:
             continue
         vec = found.get(tok)
         values[idx] = vec if vec is not None else _hash_seeded_vector(tok, dim)
-    return EmbeddingMatrix(values=values, frozen=True)
+    return EmbeddingMatrix(values=values)
 
 
 def random_embeddings(vocab: Vocabulary, dim: int) -> EmbeddingMatrix:
@@ -242,7 +238,7 @@ def random_embeddings(vocab: Vocabulary, dim: int) -> EmbeddingMatrix:
     for tok, idx in vocab.token_to_id.items():
         if idx != PAD_ID:
             values[idx] = _hash_seeded_vector(tok, dim)
-    return EmbeddingMatrix(values=values, frozen=True)
+    return EmbeddingMatrix(values=values)
 
 
 def encode_corpus(corpus: Corpus, vocab: Vocabulary) -> Corpus:

@@ -33,3 +33,7 @@ class CheckpointError(RuntimeError):
 
 class CapabilityError(RuntimeError):
     """The requested operation is unsupported by this model variant."""
+
+
+class NonFiniteLossError(RuntimeError):
+    """Training produced a NaN or infinite loss; no update was applied."""

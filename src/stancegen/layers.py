@@ -22,7 +22,6 @@ from .tensor import (
     column,
     concat_cols,
     dropout,
-    fill_rows,
     matmul_t,
     matvec,
     maximum,
@@ -260,14 +259,15 @@ def additive_attention_batch(
 
 def max_pool_encode_batch(hiddens: Sequence[Tensor], valid: np.ndarray) -> Tensor:
     """Coordinatewise max over each row's valid positions; ties favor the
-    earliest. valid is (batch, positions) and position 0 must be valid."""
+    earliest. valid is (batch, positions) and position 0 must be valid;
+    padded rows keep their running max."""
     if not valid[:, 0].all():
         raise ValueError("max_pool_encode_batch: padding must be trailing")
     out = hiddens[0]
     for j in range(1, len(hiddens)):
         keep = valid[:, j]
-        cand = hiddens[j] if keep.all() else fill_rows(hiddens[j], keep, -np.inf)
-        out = maximum(out, cand)
+        cand = maximum(out, hiddens[j])
+        out = cand if keep.all() else blend_rows(cand, out, keep)
     return out
 
 

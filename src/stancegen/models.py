@@ -1,5 +1,6 @@
-"""The five architecture variants: conditional-encoding attention models and
-Concat max-pool baselines, each with optional adversarial domain heads.
+"""The five architecture variants, read from one table: each variant is a
+list of branches, either conditional encoding with attention or a BiLSTM
+max-pool pair, with or without adversarial domain heads.
 
 A Model owns a flat name -> Tensor registry split into the stance path and
 the adversarial path. Stance-path parameters are always created first so two
@@ -11,7 +12,7 @@ one.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -31,9 +32,29 @@ from .layers import (
 )
 from .tensor import Tensor, add_rowvec, concat_cols, matmul_t, relu, softmax_rows
 
-VARIANTS = ("Concat", "ConcatInvar", "BCA", "BCAInvar", "BCAInvarSpec")
-INVAR_VARIANTS = ("ConcatInvar", "BCAInvar", "BCAInvarSpec")
-ATTENTION_VARIANTS = ("BCA", "BCAInvar", "BCAInvarSpec")
+
+@dataclass(frozen=True)
+class Architecture:
+    """attention: conditional encoder + attention per branch, else a BiLSTM
+    max-pool pair. branches: the parameter-name suffix of each branch, whose
+    stance representations are concatenated. heads: adversarial domain heads
+    behind the GRL, reading the first branch's sentence representation."""
+
+    attention: bool
+    branches: tuple[str, ...]
+    heads: bool
+
+
+ARCHITECTURES = {
+    "Concat": Architecture(attention=False, branches=("",), heads=False),
+    "ConcatInvar": Architecture(attention=False, branches=("",), heads=True),
+    "BCA": Architecture(attention=True, branches=("",), heads=False),
+    "BCAInvar": Architecture(attention=True, branches=("",), heads=True),
+    "BCAInvarSpec": Architecture(attention=True, branches=("_invar", "_spec"), heads=True),
+}
+VARIANTS = tuple(ARCHITECTURES)
+INVAR_VARIANTS = tuple(v for v, a in ARCHITECTURES.items() if a.heads)
+ATTENTION_VARIANTS = tuple(v for v, a in ARCHITECTURES.items() if a.attention)
 
 CHECKPOINT_VERSION = 1
 
@@ -53,10 +74,14 @@ class ModelSpec:
         for name in ("embed_dim", "hidden_dim", "attn_dim", "num_stance_classes"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        if self.variant in INVAR_VARIANTS and self.num_domains < 2:
+        if self.architecture.heads and self.num_domains < 2:
             raise ConfigError(f"{self.variant} needs at least 2 source domains")
         if self.num_domains < 0:
             raise ConfigError("num_domains must be non-negative")
+
+    @property
+    def architecture(self) -> Architecture:
+        return ARCHITECTURES[self.variant]
 
     @property
     def mlp_dim(self) -> int:
@@ -64,10 +89,10 @@ class ModelSpec:
 
     @property
     def repr_dim(self) -> int:
-        """Width of the vector fed to the stance head."""
-        if self.variant in ("BCA", "BCAInvar"):
-            return 2 * self.hidden_dim
-        return 4 * self.hidden_dim  # Concat pair or [s_Invar; s_Spec]
+        """Width of the vector fed to the stance head: per branch, the
+        attention summary or the [target; sentence] max-pool pair."""
+        arch = self.architecture
+        return len(arch.branches) * (2 if arch.attention else 4) * self.hidden_dim
 
     @property
     def domain_repr_dim(self) -> int:
@@ -75,14 +100,15 @@ class ModelSpec:
         return 2 * self.hidden_dim
 
     def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "embed_dim": self.embed_dim,
-            "hidden_dim": self.hidden_dim,
-            "attn_dim": self.attn_dim,
-            "num_domains": self.num_domains,
-            "num_stance_classes": self.num_stance_classes,
-        }
+        return asdict(self)
+
+
+@dataclass
+class Branch:
+    """One encoder, plus its attention unless the branch max-pools."""
+
+    encoder: EncoderParams
+    attention: AttentionParams | None
 
 
 @dataclass
@@ -92,12 +118,7 @@ class Model:
     dtype: type
     params: dict[str, Tensor]
     adversarial: set[str]
-    encoder: EncoderParams | None = None
-    attention: AttentionParams | None = None
-    encoder_invar: EncoderParams | None = None
-    attention_invar: AttentionParams | None = None
-    encoder_spec: EncoderParams | None = None
-    attention_spec: AttentionParams | None = None
+    branches: list[Branch] = field(default_factory=list)
     w_mlp: Tensor | None = None
     w_stance: Tensor | None = None
     domain_w: list[Tensor] = field(default_factory=list)
@@ -144,28 +165,21 @@ def build_model(spec: ModelSpec, seed: int, embeddings: EmbeddingMatrix, dtype=n
                 raise ConfigError(f"duplicate parameter name {name}")
             params[name] = t
 
-    e, h = spec.embed_dim, spec.hidden_dim
-    if spec.variant in ("Concat", "ConcatInvar", "BCA", "BCAInvar"):
-        model.encoder = EncoderParams.init(e, h, rng, dtype)
-        register(model.encoder.named("encoder"))
-        if spec.variant in ("BCA", "BCAInvar"):
-            model.attention = AttentionParams.init(spec.attn_dim, 4 * h, rng, dtype)
-            register(model.attention.named("attention"))
-    else:  # BCAInvarSpec: two fully separate conditional branches
-        model.encoder_invar = EncoderParams.init(e, h, rng, dtype)
-        register(model.encoder_invar.named("encoder_invar"))
-        model.attention_invar = AttentionParams.init(spec.attn_dim, 4 * h, rng, dtype)
-        register(model.attention_invar.named("attention_invar"))
-        model.encoder_spec = EncoderParams.init(e, h, rng, dtype)
-        register(model.encoder_spec.named("encoder_spec"))
-        model.attention_spec = AttentionParams.init(spec.attn_dim, 4 * h, rng, dtype)
-        register(model.attention_spec.named("attention_spec"))
+    arch = spec.architecture
+    for suffix in arch.branches:
+        encoder = EncoderParams.init(spec.embed_dim, spec.hidden_dim, rng, dtype)
+        register(encoder.named("encoder" + suffix))
+        attention = None
+        if arch.attention:
+            attention = AttentionParams.init(spec.attn_dim, 4 * spec.hidden_dim, rng, dtype)
+            register(attention.named("attention" + suffix))
+        model.branches.append(Branch(encoder, attention))
 
     model.w_mlp = Tensor(glorot_uniform(rng, spec.mlp_dim, spec.repr_dim, dtype))
     model.w_stance = Tensor(glorot_uniform(rng, spec.num_stance_classes, spec.mlp_dim, dtype))
     register([("stance.w_mlp", model.w_mlp), ("stance.w_stance", model.w_stance)])
 
-    if spec.variant in INVAR_VARIANTS:
+    if arch.heads:
         for i in range(spec.num_domains):
             w = Tensor(glorot_uniform(rng, 2, spec.domain_repr_dim, dtype))
             b = Tensor(np.zeros(2, dtype=dtype))
@@ -228,8 +242,9 @@ def model_forward_batch(
     and sentence; padding never changes another position's output, so each
     row equals the example's forward as a batch of one. Dropout applies
     after the embedding lookup, between recurrent steps, and on the encoder
-    outputs; eval mode consumes no randomness. For BCAInvarSpec the reported
-    attention weights come from the invariant branch."""
+    outputs; eval mode consumes no randomness. The stance head reads the
+    branches' concatenated representations; the domain heads and the
+    reported attention weights come from the first branch."""
     if not examples:
         raise ValueError("model_forward_batch: empty batch")
     for ex in examples:
@@ -244,44 +259,32 @@ def model_forward_batch(
     def post(mats):
         return [dropout_apply(m, dropout, train_mode, rng) for m in mats]
 
-    attention_out = None
-    variant = model.spec.variant
-    if variant in ("BCA", "BCAInvar"):
-        hiddens, summary = conditional_encode_batch(tgt, t_valid, sent, s_valid, model.encoder, **kw)
-        hiddens = post(hiddens)
-        summary = dropout_apply(summary, dropout, train_mode, rng)
-        attention_out = additive_attention_batch(summary, hiddens, model.attention, s_mask)
-        s = attention_out.s
-        adv = s if variant == "BCAInvar" else None
-    elif variant in ("Concat", "ConcatInvar"):
-        t_hidden = post(
-            bilstm_encode_batch(tgt, t_valid, model.encoder.target_fwd, model.encoder.target_bwd, **kw)
-        )
-        s_hidden = post(
-            bilstm_encode_batch(sent, s_valid, model.encoder.sent_fwd, model.encoder.sent_bwd, **kw)
-        )
-        t_pool = max_pool_encode_batch(t_hidden, t_valid.T)
-        s_pool = max_pool_encode_batch(s_hidden, s_mask)
-        s = concat_cols([t_pool, s_pool])
-        adv = s_pool if variant == "ConcatInvar" else None
-    else:  # BCAInvarSpec
-        hi, sui = conditional_encode_batch(tgt, t_valid, sent, s_valid, model.encoder_invar, **kw)
-        hi = post(hi)
-        sui = dropout_apply(sui, dropout, train_mode, rng)
-        attention_out = additive_attention_batch(sui, hi, model.attention_invar, s_mask)
-        hs, sus = conditional_encode_batch(tgt, t_valid, sent, s_valid, model.encoder_spec, **kw)
-        hs = post(hs)
-        sus = dropout_apply(sus, dropout, train_mode, rng)
-        spec_att = additive_attention_batch(sus, hs, model.attention_spec, s_mask)
-        s = concat_cols([attention_out.s, spec_att.s])
-        adv = attention_out.s
-
-    stance_probs = _stance_head_batch(model, s)
-    domain_probs = _domain_heads_batch(model, adv) if adv is not None else []
+    attentions: list[AttentionOutput] = []
+    stance_reprs: list[Tensor] = []
+    sentence_reprs: list[Tensor] = []
+    for branch in model.branches:
+        enc = branch.encoder
+        if branch.attention is not None:
+            hiddens, summary = conditional_encode_batch(tgt, t_valid, sent, s_valid, enc, **kw)
+            hiddens = post(hiddens)
+            summary = dropout_apply(summary, dropout, train_mode, rng)
+            att = additive_attention_batch(summary, hiddens, branch.attention, s_mask)
+            attentions.append(att)
+            stance_reprs.append(att.s)
+            sentence_reprs.append(att.s)
+        else:
+            t_hidden = post(bilstm_encode_batch(tgt, t_valid, enc.target_fwd, enc.target_bwd, **kw))
+            s_hidden = post(bilstm_encode_batch(sent, s_valid, enc.sent_fwd, enc.sent_bwd, **kw))
+            t_pool = max_pool_encode_batch(t_hidden, t_valid.T)
+            s_pool = max_pool_encode_batch(s_hidden, s_mask)
+            stance_reprs.append(concat_cols([t_pool, s_pool]))
+            sentence_reprs.append(s_pool)
+    s = stance_reprs[0] if len(stance_reprs) == 1 else concat_cols(stance_reprs)
+    heads = model.spec.architecture.heads
     return ForwardOutput(
-        stance_probs=stance_probs,
-        domain_probs=domain_probs,
-        attention=attention_out,
+        stance_probs=_stance_head_batch(model, s),
+        domain_probs=_domain_heads_batch(model, sentence_reprs[0]) if heads else [],
+        attention=attentions[0] if attentions else None,
         repr=s,
         sentence_mask=s_mask,
     )
@@ -342,5 +345,9 @@ def load_checkpoint(
         arr = arrays[name]
         if arr.shape != t.value.shape:
             raise CheckpointError(f"{path}: shape mismatch for {name}: {arr.shape} vs {t.value.shape}")
+        if arr.dtype != t.value.dtype:
+            raise CheckpointError(
+                f"{path}: {name} is {arr.dtype}, but the checkpoint precision is {meta['precision']}"
+            )
         t.value = arr
     return model, meta

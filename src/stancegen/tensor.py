@@ -129,7 +129,6 @@ UNARY_OPS = {
     "sigmoid": (lambda x, c: _sigmoid(x), lambda x, y, g, c: g * y * (1.0 - y)),
     "relu": (lambda x, c: np.maximum(x, 0.0), lambda x, y, g, c: g * (x > 0.0)),
     "log": (lambda x, c: np.log(x), lambda x, y, g, c: g / x),
-    "exp": (lambda x, c: np.exp(x), lambda x, y, g, c: g * y),
     "negate": (lambda x, c: -x, lambda x, y, g, c: -g),
     "scale": (lambda x, c: x * c, lambda x, y, g, c: g * c),
     "clamp_min": (lambda x, c: np.maximum(x, c), lambda x, y, g, c: g * (x > c)),
@@ -137,7 +136,6 @@ UNARY_OPS = {
 
 BINARY_OPS = {
     "add": (lambda a, b: a + b, lambda g: g, lambda g: g),
-    "sub": (lambda a, b: a - b, lambda g: g, lambda g: -g),
     "mul": None,  # handled separately: backward needs operand values
 }
 
@@ -175,10 +173,6 @@ def relu(x: Tensor) -> Tensor:
 
 def log(x: Tensor) -> Tensor:
     return apply_unary(x, "log")
-
-
-def exp(x: Tensor) -> Tensor:
-    return apply_unary(x, "exp")
 
 
 def negate(x: Tensor) -> Tensor:
@@ -219,10 +213,6 @@ def apply_binary(a: Tensor, b: Tensor, f: str) -> Tensor:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     return apply_binary(a, b, "add")
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return apply_binary(a, b, "sub")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -288,19 +278,6 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     return _record(out, backward)
 
 
-def slice_cols(x: Tensor, lo: int, hi: int) -> Tensor:
-    if x.value.ndim != 2 or not (0 <= lo < hi <= x.value.shape[1]):
-        raise ShapeError(f"slice_cols: [{lo}:{hi}] of {x.value.shape}")
-    out = Tensor(x.value[:, lo:hi].copy())
-
-    def backward(g):
-        if x.grad is None:
-            x.grad = np.zeros_like(x.value)
-        x.grad[:, lo:hi] += g
-
-    return _record(out, backward)
-
-
 def column(x: Tensor, j: int) -> Tensor:
     """Extract column j of a rank-2 tensor as a rank-1 tensor."""
     if x.value.ndim != 2 or not (0 <= j < x.value.shape[1]):
@@ -346,20 +323,6 @@ def add_rowvec(m: Tensor, b: Tensor) -> Tensor:
     return _record(out, backward)
 
 
-def scale_rows(m: Tensor, c: np.ndarray) -> Tensor:
-    """Multiply row i by constant c[i] (no gradient to c)."""
-    c = np.asarray(c, dtype=m.value.dtype)
-    if m.value.ndim != 2 or c.shape != (m.value.shape[0],):
-        raise ShapeError(f"scale_rows: {m.value.shape} by {c.shape}")
-    col = c[:, None]
-    out = Tensor(m.value * col)
-
-    def backward(g):
-        m.accum(g * col)
-
-    return _record(out, backward)
-
-
 def scale_rows_t(m: Tensor, c: Tensor) -> Tensor:
     """Multiply row i by c[i] where c is a differentiable vector."""
     if m.value.ndim != 2 or c.value.shape != (m.value.shape[0],):
@@ -386,20 +349,6 @@ def blend_rows(new: Tensor, old: Tensor, keep_new: np.ndarray) -> Tensor:
     def backward(g):
         new.accum(g * col)
         old.accum(g * ~col)
-
-    return _record(out, backward)
-
-
-def fill_rows(m: Tensor, keep: np.ndarray, fill: float) -> Tensor:
-    """Replace rows where keep is false by a constant (no gradient there)."""
-    keep = np.asarray(keep, dtype=bool)
-    if m.value.ndim != 2 or keep.shape != (m.value.shape[0],):
-        raise ShapeError(f"fill_rows: {m.value.shape} mask {keep.shape}")
-    col = keep[:, None]
-    out = Tensor(np.where(col, m.value, m.value.dtype.type(fill)))
-
-    def backward(g):
-        m.accum(g * col)
 
     return _record(out, backward)
 
@@ -473,12 +422,16 @@ def finite_difference_check(
     f: Callable[[], Tensor],
     params: Sequence[Tensor],
     eps: float = 1e-5,
+    numeric: Callable[[], Tensor] | None = None,
 ) -> float:
     """Max relative error between tape gradients of f() and central differences.
 
     f must be a deterministic scalar-valued function of the parameter values
-    and must not open a tape of its own; parameters should be float64.
-    Relative error uses |a - n| / (|a| + |n| + 1e-12) per coordinate.
+    and must not open a tape of its own; parameters should be float64. The
+    central differences are taken of `numeric` if given, else of f, so a
+    saddle objective can be checked against the function its gradient
+    should follow. Relative error uses |a - n| / (|a| + |n| + 1e-12) per
+    coordinate.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -490,6 +443,7 @@ def finite_difference_check(
         np.array(p.grad) if p.grad is not None else np.zeros_like(p.value) for p in params
     ]
     zero_grads(params)
+    probe = numeric if numeric is not None else f
     worst = 0.0
     for p, a in zip(params, analytic):
         flat = p.value.reshape(-1)
@@ -497,9 +451,9 @@ def finite_difference_check(
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
-            hi = float(f().value.reshape(-1)[0])
+            hi = float(probe().value.reshape(-1)[0])
             flat[i] = orig - eps
-            lo = float(f().value.reshape(-1)[0])
+            lo = float(probe().value.reshape(-1)[0])
             flat[i] = orig
             numeric = (hi - lo) / (2.0 * eps)
             err = abs(float(a_flat[i]) - numeric) / (abs(float(a_flat[i])) + abs(numeric) + 1e-12)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import STANCE_TO_INDEX, STANCES, Corpus
-from .errors import ConfigError
+from .errors import ConfigError, NonFiniteLossError
 from .evaluation import compute_metrics
 from .models import Model, model_forward_batch, save_checkpoint
 from .tensor import (
@@ -219,9 +219,11 @@ def train(
     """Mini-batch training with per-epoch dev selection and early stopping.
 
     The model is left holding the best-epoch parameters; if checkpoint_path
-    is given they are also saved there.
+    is given they are also saved there. A non-finite objective raises
+    NonFiniteLossError before its backward pass, so no update is applied and
+    nothing is written.
     """
-    adversarial = model.spec.variant in ("ConcatInvar", "BCAInvar", "BCAInvarSpec")
+    adversarial = model.spec.architecture.heads
     if adversarial:
         missing = [i for i, ex in enumerate(train_corpus) if ex.domain_index is None]
         if missing:
@@ -246,7 +248,7 @@ def train(
         order = shuffle_rng.permutation(len(examples))
         stance_total = 0.0
         domain_total = 0.0
-        for lo in range(0, len(order), hp.batch_size):
+        for step, lo in enumerate(range(0, len(order), hp.batch_size), start=1):
             batch = [examples[i] for i in order[lo : lo + hp.batch_size]]
             with Tape(precision) as tape:
                 out = model_forward_batch(
@@ -261,6 +263,10 @@ def train(
                     domain_total += float(d_loss.value[0]) * len(batch)
                 else:
                     objective = s_loss
+                if not np.isfinite(objective.value).all():
+                    raise NonFiniteLossError(
+                        f"non-finite loss {float(objective.value[0])} at epoch {epoch}, step {step}"
+                    )
                 tape.backward(objective)
             stance_total += float(s_loss.value[0]) * len(batch)
             clip_gradients(params, hp.clip_norm)

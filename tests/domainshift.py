@@ -94,7 +94,7 @@ def build(seed, per_domain=40, dev_n=40, held_n=80):
     emb_rng = np.random.default_rng([seed, 7])
     values = emb_rng.uniform(-0.5, 0.5, (len(vocab), EMBED_DIM))
     values[0] = 0.0
-    emb = EmbeddingMatrix(values=values, frozen=True)
+    emb = EmbeddingMatrix(values=values)
     for c in (train_c, dev_c, held_c):
         encode_corpus(c, vocab)
     return train_c, dev_c, held_c, emb

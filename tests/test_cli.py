@@ -243,13 +243,81 @@ def test_multi_seed_median_summary(workspace, capsys):
     assert "median over 3 seeds" in capsys.readouterr().out
 
 
-def test_parallel_seeds_produce_artifacts(workspace):
-    _, _, out_dir, config = workspace
+def _artifacts(out_dir):
+    """Every file's bytes; npz files as their arrays, since zip entries carry
+    a write time."""
+    found = {}
+    for path in sorted(out_dir.iterdir()):
+        if path.suffix == ".npz":
+            with np.load(path) as archive:
+                found[path.name] = {k: archive[k] for k in archive.files}
+        else:
+            found[path.name] = path.read_bytes()
+    return found
+
+
+def test_parallel_seeds_produce_artifacts(workspace, tmp_path):
+    _, data_dir, out_dir, config = workspace
     code = main(["train", "--config", str(config), "--seeds", "0,1", "--parallel-seeds"])
     assert code == EXIT_OK
     assert (out_dir / "model_seed0.npz").exists()
     assert (out_dir / "model_seed1.npz").exists()
     assert "median over 2 seeds" in (out_dir / "summary.txt").read_text()
+    # identical, file by file, to the same seeds trained one after another
+    serial_dir = tmp_path / "serial"
+    serial_cfg = write_config(tmp_path / "serial.cfg", data_dir, serial_dir)
+    assert main(["train", "--config", str(serial_cfg), "--seeds", "0,1"]) == EXIT_OK
+    parallel, serial = _artifacts(out_dir), _artifacts(serial_dir)
+    assert parallel.keys() == serial.keys()
+    for name, content in serial.items():
+        if name.endswith(".npz"):
+            assert content.keys() == parallel[name].keys(), name
+            for key, arr in content.items():
+                assert arr.dtype == parallel[name][key].dtype, (name, key)
+                assert arr.tobytes() == parallel[name][key].tobytes(), (name, key)
+        else:
+            assert content == parallel[name], name
+
+
+@pytest.mark.parametrize("cpus,seeds,expected", [(2, "0,1,2", 2), (8, "0,1", 2), (None, "0,1", 1)])
+def test_parallel_seeds_worker_count_capped_by_cpus(workspace, monkeypatch, cpus, seeds, expected):
+    import concurrent.futures
+
+    created = []
+
+    class InProcessPool:
+        """Stands in for ProcessPoolExecutor: records max_workers, starts no process."""
+
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    _, _, out_dir, config = workspace
+    monkeypatch.setattr("os.cpu_count", lambda: cpus)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    assert main(["train", "--config", str(config), "--seeds", seeds, "--parallel-seeds"]) == EXIT_OK
+    assert created == [expected]
+    assert len(list(out_dir.glob("model_seed*.npz"))) == len(seeds.split(","))
+
+
+def test_train_non_finite_loss_exits_1(workspace, capsys):
+    tmp_path, data_dir, out_dir, _ = workspace
+    emb = tmp_path / "emb.txt"
+    emb.write_text("love nan nan nan nan nan\nhate 1 1 1 1 1\n", encoding="utf-8")
+    config = write_config(tmp_path / "nan.cfg", data_dir, out_dir, embeddings_path=emb)
+    assert main(["train", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert "non-finite loss nan at epoch 1, step 1" in err
+    assert "Traceback" not in err
+    assert not (out_dir / "model_seed0.npz").exists()
 
 
 def test_rerun_is_byte_identical(workspace, tmp_path):
@@ -444,3 +512,17 @@ def test_gradcheck_negative_control(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "tanh" in [line.split()[0] for line in out.splitlines() if "FAIL" in line]
     assert "gradcheck FAILED" in out
+
+
+def test_gradcheck_catches_unnegated_reversal(capsys, monkeypatch):
+    import stancegen.models as M
+
+    def passthrough(x):
+        out = T.Tensor(x.value.copy())
+        return T._record(out, lambda g: x.accum(g))
+
+    monkeypatch.setattr(M, "grl", passthrough)
+    assert main(["gradcheck"]) == 1
+    out = capsys.readouterr().out
+    assert "bcainvar_objective" in [line.split()[0] for line in out.splitlines() if "FAIL" in line]
+    assert "gradcheck FAILED: bcainvar_objective" in out

@@ -179,7 +179,6 @@ def test_load_embeddings_reads_vectors(tmp_path):
     p.write_text("a 0.1 0.2\nskipped 9 9\n", encoding="utf-8")
     emb = load_embeddings(p, vocab, dim=2)
     assert np.allclose(emb.values[vocab.id_of("a")], [0.1, 0.2])
-    assert emb.frozen
 
 
 def test_load_embeddings_pad_row_is_zero(tmp_path):

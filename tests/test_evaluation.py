@@ -150,7 +150,7 @@ def embeddings():
     rng = np.random.default_rng(1234)
     values = rng.uniform(-0.5, 0.5, (12, 3))
     values[0] = 0.0
-    return EmbeddingMatrix(values=values, frozen=True)
+    return EmbeddingMatrix(values=values)
 
 
 def example(sent_ids, tgt_ids, stance=F, domain=0):

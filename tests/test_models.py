@@ -28,7 +28,7 @@ def embeddings(dim=EMBED_DIM, size=VOCAB_SIZE):
     rng = np.random.default_rng(1234)
     values = rng.uniform(-0.5, 0.5, (size, dim))
     values[0] = 0.0
-    return EmbeddingMatrix(values=values, frozen=True)
+    return EmbeddingMatrix(values=values)
 
 
 def spec_for(variant, domains=DOMAINS):
@@ -404,3 +404,35 @@ def test_checkpoint_missing_parameter_detected(tmp_path):
     np.savez(path, __meta__=np.array(json.dumps(meta)), **arrays)
     with pytest.raises(CheckpointError, match="w_mlp"):
         load_checkpoint(path, embeddings=embeddings())
+
+
+def test_checkpoint_dtype_mismatch_names_the_array(tmp_path):
+    m = trained_like_model()
+    path = tmp_path / "model.npz"
+    save_checkpoint(m, path, vocab_hash="x")
+    with np.load(path) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    arrays["stance.w_mlp"] = arrays["stance.w_mlp"].astype(np.float64)
+    np.savez(path, **arrays)
+    with pytest.raises(CheckpointError, match=r"stance\.w_mlp is float64.*float32"):
+        load_checkpoint(path, embeddings=embeddings())
+
+
+@pytest.mark.parametrize(
+    "variant,prefixes",
+    [
+        ("Concat", {"encoder", "stance"}),
+        ("ConcatInvar", {"encoder", "stance", "domain"}),
+        ("BCA", {"encoder", "attention", "stance"}),
+        ("BCAInvar", {"encoder", "attention", "stance", "domain"}),
+        (
+            "BCAInvarSpec",
+            {"encoder_invar", "attention_invar", "encoder_spec", "attention_spec", "stance", "domain"},
+        ),
+    ],
+)
+def test_parameter_names_by_variant(variant, prefixes):
+    # checkpoints store parameters by these names
+    m = build_model(spec_for(variant), seed=0, embeddings=embeddings(), dtype=F64)
+    assert {name.split(".")[0] for name in m.params} == prefixes
+    assert len(m.branches) == (2 if variant == "BCAInvarSpec" else 1)

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,8 +17,6 @@ from stancegen.tensor import (
     column,
     concat_cols,
     dropout,
-    exp,
-    fill_rows,
     finite_difference_check,
     log,
     matmul_t,
@@ -26,14 +26,11 @@ from stancegen.tensor import (
     negate,
     relu,
     scale,
-    scale_rows,
     scale_rows_t,
     select_rows,
     sigmoid,
-    slice_cols,
     softmax_rows,
     stack_cols,
-    sub,
     sum_all,
     tensor,
     zero_grads,
@@ -68,8 +65,7 @@ def test_log_rejects_non_positive_naming_index():
         log(t64([1.0, -2.0]))
 
 
-def test_exp_negate_scale_values():
-    assert np.allclose(exp(t64([0.0, 1.0])).value, [1.0, np.e])
+def test_negate_scale_clamp_values():
     assert list(negate(t64([1.0, -2.0])).value) == [-1.0, 2.0]
     assert list(scale(t64([1.0, 2.0]), 3.0).value) == [3.0, 6.0]
     assert list(clamp_min(t64([0.5, 2.0]), 1.0).value) == [1.0, 2.0]
@@ -81,7 +77,8 @@ def test_exp_negate_scale_values():
 def test_add_mul_sub_examples():
     assert list(add(t64([1, 2]), t64([3, 4])).value) == [4, 6]
     assert list(mul(t64([2, 3]), t64([0, 1])).value) == [0, 3]
-    assert list(sub(t64([1, 1]), t64([1, 1])).value) == [0, 0]
+    # subtraction is an add of a negation
+    assert list(add(t64([3, 1]), negate(t64([1, 1]))).value) == [2, 0]
 
 
 def test_binary_shape_mismatch_reports_both_shapes():
@@ -233,6 +230,15 @@ def test_fd_check_constant_is_exact_zero():
     assert finite_difference_check(lambda: Tensor(c.copy()), [p]) == 0.0
 
 
+def test_fd_check_differences_numeric_instead_of_f():
+    p = t64([0.4, -0.7])
+    f = lambda: sum_all(mul(p, p))
+    # the same function as numeric reads exactly what f alone reads
+    assert finite_difference_check(f, [p], numeric=f) == finite_difference_check(f, [p])
+    # a function whose gradient is the negation is caught
+    assert finite_difference_check(f, [p], numeric=lambda: negate(f())) > 0.99
+
+
 def test_fd_check_detects_planted_backward_error(monkeypatch):
     fwd, _bwd = T.UNARY_OPS["tanh"]
     monkeypatch.setitem(T.UNARY_OPS, "tanh", (fwd, lambda x, y, g, c: g * (1.1 - y * y)))
@@ -279,7 +285,6 @@ def _op_catalog():
     cases = {
         "tanh": unary("tanh", _vec),
         "sigmoid": unary("sigmoid", _vec),
-        "exp": unary("exp", _vec),
         "negate": unary("negate", _vec),
         "scale": unary("scale", _vec),
         "log": unary("log", lambda rng: _vec(rng, lo=0.5, hi=2.5)),
@@ -295,7 +300,6 @@ def _op_catalog():
         return build
 
     cases["add"] = binary("add")
-    cases["sub"] = binary("sub")
     cases["mul"] = binary("mul")
 
     def build_maximum(rng):
@@ -323,12 +327,6 @@ def _op_catalog():
 
     cases["concat_cols"] = build_concat_cols
 
-    def build_slice_cols(rng):
-        x = _mat(rng, 2, 4)
-        return lambda: _reduce(slice_cols(x, 1, 3), rng), [x]
-
-    cases["slice_cols"] = build_slice_cols
-
     def build_column(rng):
         x = _mat(rng, 3, 2)
         return lambda: _reduce(column(x, 1), rng), [x]
@@ -347,13 +345,6 @@ def _op_catalog():
 
     cases["add_rowvec"] = build_add_rowvec
 
-    def build_scale_rows(rng):
-        m = _mat(rng)
-        c = rng.uniform(-2, 2, 3)
-        return lambda: _reduce(scale_rows(m, c), rng), [m]
-
-    cases["scale_rows"] = build_scale_rows
-
     def build_scale_rows_t(rng):
         m, c = _mat(rng), _vec(rng)
         return lambda: _reduce(scale_rows_t(m, c), rng), [m, c]
@@ -366,13 +357,6 @@ def _op_catalog():
         return lambda: _reduce(blend_rows(a, b, keep), rng), [a, b]
 
     cases["blend_rows"] = build_blend_rows
-
-    def build_fill_rows(rng):
-        m = _mat(rng)
-        keep = np.array([True, False, True])
-        return lambda: _reduce(fill_rows(m, keep, -1.0), rng), [m]
-
-    cases["fill_rows"] = build_fill_rows
 
     def build_select_rows(rng):
         m = _mat(rng, 3, 4)
@@ -411,17 +395,21 @@ def _op_catalog():
     return cases
 
 
+TRIALS_PER_OP = 5
+
+
 @pytest.mark.parametrize("op_name", sorted(_op_catalog()))
 def test_gradients_match_finite_differences(op_name):
     build = _op_catalog()[op_name]
-    rng = np.random.default_rng(hash(op_name) % 2**32)
-    for _ in range(4):
+    # crc32, not hash(): str hashes are salted per process
+    rng = np.random.default_rng(zlib.crc32(op_name.encode()))
+    for _ in range(TRIALS_PER_OP):
         f, params = build(rng)
         assert finite_difference_check(f, params) < 1e-5
 
 
 def test_total_randomized_trials_meet_quota():
-    assert 4 * len(_op_catalog()) >= 100
+    assert TRIALS_PER_OP * len(_op_catalog()) >= 100
 
 
 # ----------------------------------------------------------- determinism

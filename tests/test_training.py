@@ -6,7 +6,7 @@ import pytest
 import stancegen.models as M
 import stancegen.training as TR
 from stancegen.data import STANCE_TO_INDEX, Corpus, Example, build_vocab, encode_corpus, random_embeddings
-from stancegen.errors import ConfigError
+from stancegen.errors import ConfigError, NonFiniteLossError
 from stancegen.models import ModelSpec, build_model
 from stancegen.tensor import Tape, Tensor, add, scale
 from stancegen.training import (
@@ -486,6 +486,19 @@ def test_invar_requires_domain_labels():
     model = toy_model("BCAInvar", emb)
     with pytest.raises(ConfigError, match="domain labels"):
         train(model, train_c, dev_c, toy_hp())
+
+
+def test_non_finite_loss_stops_before_any_update(tmp_path):
+    train_c, dev_c, emb = toy_split()
+    model = toy_model("BCAInvar", emb)
+    model.params["stance.w_stance"].value[0, 0] = np.nan
+    before = {k: p.value.copy() for k, p in model.params.items()}
+    ckpt = tmp_path / "model.npz"
+    with pytest.raises(NonFiniteLossError, match="epoch 1, step 1"):
+        train(model, train_c, dev_c, toy_hp(), checkpoint_path=ckpt)
+    for k, p in model.params.items():
+        assert np.array_equal(p.value, before[k], equal_nan=True), k
+    assert not ckpt.exists()
 
 
 def test_empty_corpus_rejected():
