@@ -15,6 +15,7 @@ import os
 import statistics
 import sys
 import time
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -66,17 +67,11 @@ from .tensor import (
     matmul_t,
     matvec,
     mul,
-    scale,
     softmax_rows,
     sum_all,
 )
-from .training import (
-    Hyperparams,
-    domain_loss_batch,
-    predict_corpus,
-    stance_loss_batch,
-    train,
-)
+from . import training
+from .training import Hyperparams, predict_corpus, train
 
 EXIT_OK = 0
 EXIT_DIAGNOSTIC = 1
@@ -418,10 +413,11 @@ def _gradcheck_components():
 
     The layers are checked in their batched form, the one training runs, on
     ragged batches of two rows wherever padding changes the computation.
+    Each component draws its operands from its own generator, seeded by its
+    name, so adding or removing one leaves every other line unchanged.
     """
-    rng = np.random.default_rng(20)
 
-    def mat(*shape):
+    def mat(rng, *shape):
         return Tensor(rng.uniform(-1.5, 1.5, shape))
 
     def reduce_with(t):
@@ -430,82 +426,81 @@ def _gradcheck_components():
         return sum_all(mul(t, Tensor(coeffs)))
 
     def unary_check(name, x_values):
-        def run():
+        def run(rng):
             x = Tensor(np.array(x_values))
             return finite_difference_check(lambda: reduce_with(apply_unary(x, name)), [x])
 
         return run
 
     def binary_check(name):
-        def run():
-            a, b = mat(4), mat(4)
+        def run(rng):
+            a, b = mat(rng, 4), mat(rng, 4)
             return finite_difference_check(lambda: reduce_with(apply_binary(a, b, name)), [a, b])
 
         return run
 
-    def matvec_check():
-        w, x = mat(3, 4), mat(4)
+    def matvec_check(rng):
+        w, x = mat(rng, 3, 4), mat(rng, 4)
         return finite_difference_check(lambda: reduce_with(matvec(w, x)), [w, x])
 
-    def matmul_check():
-        a, b = mat(2, 3), mat(4, 3)
+    def matmul_check(rng):
+        a, b = mat(rng, 2, 3), mat(rng, 4, 3)
         return finite_difference_check(lambda: reduce_with(matmul_t(a, b)), [a, b])
 
-    # a ragged batch of two rows, the second one position shorter: mask is
-    # (batch, positions), and mask.T the (positions, batch) form LSTMs take
+    # a ragged batch of two rows, the second one position shorter
     mask = np.array([[True, True, True], [True, True, False]])
 
-    def softmax_rows_check():
-        x = mat(2, 3)
+    def softmax_rows_check(rng):
+        x = mat(rng, 2, 3)
         return finite_difference_check(lambda: reduce_with(softmax_rows(x, mask)), [x])
 
     def lstm_params(input_dim, hidden):
         return LSTMParams.init(input_dim, hidden, np.random.default_rng(21), np.float64)
 
-    def lstm_step_check():
+    def lstm_step_check(rng):
         params = lstm_params(3, 2)
-        x, h, c = mat(2, 3), mat(2, 2), mat(2, 2)
+        x, h, c = mat(rng, 2, 3), mat(rng, 2, 2), mat(rng, 2, 2)
         tensors = [x, h, c] + [t for _, t in params.named("p")]
         def f():
             state = lstm_step_batch(x, LSTMState(h, c), params)
             return add(reduce_with(state.h), reduce_with(state.c))
         return finite_difference_check(f, tensors)
 
-    def lstm_sequence_check():
+    def lstm_sequence_check(rng):
         params = lstm_params(2, 2)
-        steps = [mat(2, 2) for _ in range(3)]
+        steps = [mat(rng, 2, 2) for _ in range(3)]
         tensors = steps + [t for _, t in params.named("p")]
         def f():
             # re-seeded, so every evaluation draws the same dropout masks; the
             # second row's final state reaches the last position through padding
             states = run_lstm_batch(
-                steps, mask.T, zero_state_batch(2, 2, np.float64), params,
+                steps, mask, zero_state_batch(2, 2, np.float64), params,
                 recurrent_dropout=0.3, train=True, rng=np.random.default_rng(5),
             )
             return reduce_with(states[-1].h)
         return finite_difference_check(f, tensors)
 
-    def encoder_check():
+    def encoder_check(rng):
         params = EncoderParams.init(2, 2, np.random.default_rng(22), np.float64)
-        target = [mat(2, 2) for _ in range(2)]
-        sentence = [mat(2, 2) for _ in range(3)]
-        target_valid = np.array([[True, True], [False, True]])
+        target = [mat(rng, 2, 2) for _ in range(2)]
+        sentence = [mat(rng, 2, 2) for _ in range(3)]
+        target_mask = np.array([[True, False], [True, True]])
         tensors = target + sentence + [t for _, t in params.named("enc")]
         def f():
-            hiddens, summary = conditional_encode_batch(target, target_valid, sentence, mask.T, params)
+            hiddens, summary = conditional_encode_batch(target, target_mask, sentence, mask, params)
             return add(reduce_with(summary), reduce_with(hiddens[1]))
         return finite_difference_check(f, tensors)
 
-    def attention_check():
+    def attention_check(rng):
         params = AttentionParams.init(3, 8, np.random.default_rng(23), np.float64)
-        summary = mat(2, 4)
-        hiddens = [mat(2, 4) for _ in range(3)]
+        summary = mat(rng, 2, 4)
+        hiddens = [mat(rng, 2, 4) for _ in range(3)]
         tensors = [summary] + hiddens + [t for _, t in params.named("att")]
         def f():
             return reduce_with(additive_attention_batch(summary, hiddens, params, mask).s)
         return finite_difference_check(f, tensors)
 
-    def max_pool_check():
+    def max_pool_check(rng):
         # distinct ranks 4 apart per coordinate, so eps perturbations cannot
         # flip any argmax and the maxima fall on different positions
         ranks = np.argsort(rng.random((3, 2, 3)), axis=0)
@@ -533,56 +528,58 @@ def _gradcheck_components():
                 target_ids=tgt,
             )
         batch = [ex([2, 3, 4], [5], "FAVOR", 0), ex([6, 7], [3, 2], "AGAINST", 1)]
-        gold = np.array([0, 1])
-        domains = np.array([0, 1])
-        return model, batch, gold, domains
+        return model, batch
 
-    def model_forward_check():
-        model, batch, gold, _ = _tiny_invar_setup()
+    def objective(model, batch, lam):
+        # the objective training optimizes: (objective, stance, domain)
+        return training.objective_batch(model_forward_batch(model, batch), batch, lam)
+
+    def model_forward_check(rng):
+        model, batch = _tiny_invar_setup()
         params = list(model.stance_path().values())
         def f():
-            out = model_forward_batch(model, batch)
-            return stance_loss_batch(out.stance_probs, gold)
+            return objective(model, batch, 0.3)[1]
         # wider step: some attention coordinates carry ~1e-8 gradients where
         # central-difference roundoff swamps the relative error at eps=1e-5
         return finite_difference_check(f, params, eps=3e-5)
 
-    def invar_objective_check():
+    def invar_objective_check(rng):
         # The optimized objective stance + lam*domain is a saddle: its tape
         # gradients must match central differences of stance - lam*domain on
         # shared parameters (the reversal layer negates the domain term
         # there) and of the objective itself on the domain heads.
-        model, batch, gold, domains = _tiny_invar_setup()
+        model, batch = _tiny_invar_setup()
         lam = 0.3
 
-        def objective(domain_weight):
-            out = model_forward_batch(model, batch)
-            s = stance_loss_batch(out.stance_probs, gold)
-            return add(s, scale(domain_loss_batch(out.domain_probs, domains), domain_weight))
+        def f():
+            return objective(model, batch, lam)[0]
 
         shared = finite_difference_check(
-            lambda: objective(lam), list(model.stance_path().values()), numeric=lambda: objective(-lam)
+            f, list(model.stance_path().values()), numeric=lambda: objective(model, batch, -lam)[0]
         )
-        heads = finite_difference_check(lambda: objective(lam), list(model.adversarial_path().values()))
+        heads = finite_difference_check(f, list(model.adversarial_path().values()))
         return max(shared, heads)
 
+    def seeded(name, check):
+        return name, lambda: check(np.random.default_rng(zlib.crc32(name.encode())))
+
     return [
-        ("tanh", unary_check("tanh", [-1.2, 0.3, 0.9, -0.4])),
-        ("sigmoid", unary_check("sigmoid", [-1.2, 0.3, 0.9, -0.4])),
-        ("relu", unary_check("relu", [-1.2, 0.3, 0.9, -0.4])),
-        ("log", unary_check("log", [0.4, 1.3, 2.2, 0.7])),
-        ("add", binary_check("add")),
-        ("mul", binary_check("mul")),
-        ("matvec", matvec_check),
-        ("matmul_t", matmul_check),
-        ("softmax_rows", softmax_rows_check),
-        ("lstm_step_batch", lstm_step_check),
-        ("lstm_sequence", lstm_sequence_check),
-        ("conditional_encoder", encoder_check),
-        ("attention", attention_check),
-        ("max_pool", max_pool_check),
-        ("stance_forward", model_forward_check),
-        ("bcainvar_objective", invar_objective_check),
+        seeded("tanh", unary_check("tanh", [-1.2, 0.3, 0.9, -0.4])),
+        seeded("sigmoid", unary_check("sigmoid", [-1.2, 0.3, 0.9, -0.4])),
+        seeded("relu", unary_check("relu", [-1.2, 0.3, 0.9, -0.4])),
+        seeded("log", unary_check("log", [0.4, 1.3, 2.2, 0.7])),
+        seeded("add", binary_check("add")),
+        seeded("mul", binary_check("mul")),
+        seeded("matvec", matvec_check),
+        seeded("matmul_t", matmul_check),
+        seeded("softmax_rows", softmax_rows_check),
+        seeded("lstm_step_batch", lstm_step_check),
+        seeded("lstm_sequence", lstm_sequence_check),
+        seeded("conditional_encoder", encoder_check),
+        seeded("attention", attention_check),
+        seeded("max_pool", max_pool_check),
+        seeded("stance_forward", model_forward_check),
+        seeded("bcainvar_objective", invar_objective_check),
     ]
 
 

@@ -101,7 +101,10 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
+        """Read 'token<TAB>id' lines: unique tokens, ids exactly 0..n-1, PAD at
+        id 0 and UNK at id 1. Any violation raises ParseError with its line."""
         mapping: dict[str, int] = {}
+        line_of: dict[int, int] = {}
         for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
             if not line:
                 continue
@@ -109,9 +112,23 @@ class Vocabulary:
             if len(parts) != 2:
                 raise ParseError(f"expected 'token<TAB>id', got {line!r}", line=lineno)
             try:
-                mapping[parts[0]] = int(parts[1])
+                idx = int(parts[1])
             except ValueError:
                 raise ParseError(f"id {parts[1]!r} is not an integer", line=lineno) from None
+            if parts[0] in mapping:
+                raise ParseError(f"token {parts[0]!r} is listed twice", line=lineno)
+            if idx in line_of:
+                raise ParseError(f"id {idx} is already used on line {line_of[idx]}", line=lineno)
+            mapping[parts[0]] = idx
+            line_of[idx] = lineno
+        for idx, lineno in line_of.items():
+            if not 0 <= idx < len(mapping):
+                raise ParseError(f"id {idx} is outside 0..{len(mapping) - 1}", line=lineno)
+        token_of = {i: tok for tok, i in mapping.items()}
+        for idx, special in ((PAD_ID, PAD_TOKEN), (UNK_ID, UNK_TOKEN)):
+            found = token_of.get(idx)
+            if found != special:
+                raise ParseError(f"id {idx} must be {special}, got {found!r}", line=line_of.get(idx))
         return cls(mapping)
 
 

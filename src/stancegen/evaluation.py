@@ -165,19 +165,15 @@ def _heatmap_html(records: list[AttentionRecord]) -> str:
 
 
 def dump_attention(model: Model, corpus: Corpus, out, html_out=None) -> int:
-    """Write one JSON record per example; optionally an HTML heatmap file.
+    """Write one JSON record per example to the path `out`; optionally an HTML heatmap.
 
     Returns the number of records written. Concat variants have no
     attention to dump and raise CapabilityError.
     """
     records = attention_records(model, corpus)
-    if hasattr(out, "write"):
+    with open(out, "w", encoding="utf-8") as fh:
         for rec in records:
-            out.write(rec.to_json() + "\n")
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            for rec in records:
-                fh.write(rec.to_json() + "\n")
+            fh.write(rec.to_json() + "\n")
     if html_out is not None:
         with open(html_out, "w", encoding="utf-8") as fh:
             fh.write(_heatmap_html(records))

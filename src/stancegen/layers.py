@@ -2,8 +2,8 @@
 dropout, and the gradient-reversal layer.
 
 Every layer is row-batched: a sequence is a list of (batch, dim) matrices,
-one per position, with trailing padding marked by validity masks. A single
-example is a batch of one.
+one per position, with trailing padding marked by a (batch, positions) mask
+that is True on real tokens. A single example is a batch of one.
 """
 
 from __future__ import annotations
@@ -13,25 +13,25 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .errors import ShapeError
 from .tensor import (
     Tensor,
     _record,
     add,
     add_rowvec,
     blend_rows,
-    column,
     concat_cols,
     dropout,
     matmul_t,
     matvec,
     maximum,
     mul,
-    scale_rows_t,
     sigmoid,
     softmax_rows,
     stack_cols,
     tanh,
     tensor,
+    weighted_sum,
 )
 
 
@@ -130,7 +130,7 @@ def lstm_step_batch(x: Tensor, prev: LSTMState, params: LSTMParams) -> LSTMState
 
 def run_lstm_batch(
     steps: Sequence[Tensor],
-    valid: np.ndarray,
+    mask: np.ndarray,
     init: LSTMState,
     params: LSTMParams,
     reverse: bool = False,
@@ -140,7 +140,7 @@ def run_lstm_batch(
 ) -> list[LSTMState]:
     """Run an LSTM over padded steps; states returned in position order.
 
-    valid is (time, batch) with trailing padding. At padded positions the
+    mask is (batch, positions) with trailing padding. At padded positions the
     state carries through unchanged, so the state at the last processed step
     equals each row's true final state, and in reverse each row's first
     processed position conditions on `init`. Recurrent dropout draws an
@@ -149,6 +149,9 @@ def run_lstm_batch(
     n = len(steps)
     if not n:
         raise ValueError("run_lstm_batch: empty sequence")
+    rows = steps[0].value.shape[0]
+    if mask.shape != (rows, n):
+        raise ShapeError(f"run_lstm_batch: mask {mask.shape} for {rows} rows of {n} steps")
     states: list[LSTMState | None] = [None] * n
     prev = init
     for t in range(n - 1, -1, -1) if reverse else range(n):
@@ -156,7 +159,7 @@ def run_lstm_batch(
         if train and recurrent_dropout > 0.0:
             step_in = LSTMState(dropout(prev.h, recurrent_dropout, rng), prev.c)
         new = lstm_step_batch(steps[t], step_in, params)
-        keep = valid[t]
+        keep = mask[:, t]
         if keep.all():
             prev = new
         else:
@@ -190,9 +193,9 @@ class EncoderParams:
 
 def conditional_encode_batch(
     target_steps: Sequence[Tensor],
-    target_valid: np.ndarray,
+    target_mask: np.ndarray,
     sent_steps: Sequence[Tensor],
-    sent_valid: np.ndarray,
+    sent_mask: np.ndarray,
     params: EncoderParams,
     recurrent_dropout: float = 0.0,
     train: bool = False,
@@ -210,10 +213,10 @@ def conditional_encode_batch(
     first = target_steps[0].value
     init = zero_state_batch(first.shape[0], params.target_fwd.hidden_dim, first.dtype)
     kw = dict(recurrent_dropout=recurrent_dropout, train=train, rng=rng)
-    t_fwd = run_lstm_batch(target_steps, target_valid, init, params.target_fwd, **kw)
-    t_bwd = run_lstm_batch(target_steps, target_valid, init, params.target_bwd, reverse=True, **kw)
-    s_fwd = run_lstm_batch(sent_steps, sent_valid, t_fwd[-1], params.sent_fwd, **kw)
-    s_bwd = run_lstm_batch(sent_steps, sent_valid, t_bwd[0], params.sent_bwd, reverse=True, **kw)
+    t_fwd = run_lstm_batch(target_steps, target_mask, init, params.target_fwd, **kw)
+    t_bwd = run_lstm_batch(target_steps, target_mask, init, params.target_bwd, reverse=True, **kw)
+    s_fwd = run_lstm_batch(sent_steps, sent_mask, t_fwd[-1], params.sent_fwd, **kw)
+    s_bwd = run_lstm_batch(sent_steps, sent_mask, t_bwd[0], params.sent_bwd, reverse=True, **kw)
     hiddens = [concat_cols([f.h, b.h]) for f, b in zip(s_fwd, s_bwd)]
     summary = concat_cols([t_fwd[-1].h, t_bwd[0].h])
     return hiddens, summary
@@ -221,7 +224,7 @@ def conditional_encode_batch(
 
 def bilstm_encode_batch(
     steps: Sequence[Tensor],
-    valid: np.ndarray,
+    mask: np.ndarray,
     fwd: LSTMParams,
     bwd: LSTMParams,
     recurrent_dropout: float = 0.0,
@@ -231,8 +234,8 @@ def bilstm_encode_batch(
     """Unconditional BiLSTM encoding from zero initial states."""
     init = zero_state_batch(steps[0].value.shape[0], fwd.hidden_dim, steps[0].value.dtype)
     kw = dict(recurrent_dropout=recurrent_dropout, train=train, rng=rng)
-    f = run_lstm_batch(steps, valid, init, fwd, **kw)
-    b = run_lstm_batch(steps, valid, init, bwd, reverse=True, **kw)
+    f = run_lstm_batch(steps, mask, init, fwd, **kw)
+    b = run_lstm_batch(steps, mask, init, bwd, reverse=True, **kw)
     return [concat_cols([fj.h, bj.h]) for fj, bj in zip(f, b)]
 
 
@@ -251,21 +254,18 @@ def additive_attention_batch(
         matvec(tanh(matmul_t(concat_cols([target_summary, h]), params.w)), params.v) for h in hiddens
     ]
     alpha = softmax_rows(stack_cols(scores), mask=mask)
-    s = scale_rows_t(hiddens[0], column(alpha, 0))
-    for j in range(1, len(hiddens)):
-        s = add(s, scale_rows_t(hiddens[j], column(alpha, j)))
-    return AttentionOutput(s=s, alpha=alpha)
+    return AttentionOutput(s=weighted_sum(alpha, hiddens), alpha=alpha)
 
 
-def max_pool_encode_batch(hiddens: Sequence[Tensor], valid: np.ndarray) -> Tensor:
-    """Coordinatewise max over each row's valid positions; ties favor the
-    earliest. valid is (batch, positions) and position 0 must be valid;
+def max_pool_encode_batch(hiddens: Sequence[Tensor], mask: np.ndarray) -> Tensor:
+    """Coordinatewise max over each row's real positions; ties favor the
+    earliest. mask is (batch, positions) and position 0 must be real;
     padded rows keep their running max."""
-    if not valid[:, 0].all():
+    if not mask[:, 0].all():
         raise ValueError("max_pool_encode_batch: padding must be trailing")
     out = hiddens[0]
     for j in range(1, len(hiddens)):
-        keep = valid[:, j]
+        keep = mask[:, j]
         cand = maximum(out, hiddens[j])
         out = cand if keep.all() else blend_rows(cand, out, keep)
     return out

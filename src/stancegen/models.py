@@ -30,7 +30,7 @@ from .layers import (
     grl,
     max_pool_encode_batch,
 )
-from .tensor import Tensor, add_rowvec, concat_cols, matmul_t, relu, softmax_rows
+from .tensor import PRECISIONS, Tensor, add_rowvec, concat_cols, matmul_t, relu, softmax_rows
 
 
 @dataclass(frozen=True)
@@ -199,8 +199,9 @@ def _check_ids(model: Model, ids: list[int], what: str) -> None:
             raise DataError(f"{what} token id {tid} outside embedding table of size {n}")
 
 
-def pad_id_batch(id_lists: list[list[int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pad with PAD id 0. Returns (ids (B,T), valid (T,B), mask (B,T))."""
+def pad_id_batch(id_lists: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Pad with PAD id 0. Returns (ids, mask), both (batch, position); the
+    mask is True on real tokens."""
     batch = len(id_lists)
     width = max(len(ids) for ids in id_lists)
     out = np.zeros((batch, width), dtype=np.intp)
@@ -208,7 +209,7 @@ def pad_id_batch(id_lists: list[list[int]]) -> tuple[np.ndarray, np.ndarray, np.
     for i, ids in enumerate(id_lists):
         out[i, : len(ids)] = ids
         mask[i, : len(ids)] = True
-    return out, mask.T.copy(), mask
+    return out, mask
 
 
 def _embed_steps(model, ids, train, rate, rng):
@@ -250,8 +251,8 @@ def model_forward_batch(
     for ex in examples:
         _check_ids(model, ex.target_ids, "target")
         _check_ids(model, ex.sentence_ids, "sentence")
-    t_ids, t_valid, _ = pad_id_batch([ex.target_ids for ex in examples])
-    s_ids, s_valid, s_mask = pad_id_batch([ex.sentence_ids for ex in examples])
+    t_ids, t_mask = pad_id_batch([ex.target_ids for ex in examples])
+    s_ids, s_mask = pad_id_batch([ex.sentence_ids for ex in examples])
     kw = dict(recurrent_dropout=dropout, train=train_mode, rng=rng)
     sent = _embed_steps(model, s_ids, train_mode, dropout, rng)
     tgt = _embed_steps(model, t_ids, train_mode, dropout, rng)
@@ -265,7 +266,7 @@ def model_forward_batch(
     for branch in model.branches:
         enc = branch.encoder
         if branch.attention is not None:
-            hiddens, summary = conditional_encode_batch(tgt, t_valid, sent, s_valid, enc, **kw)
+            hiddens, summary = conditional_encode_batch(tgt, t_mask, sent, s_mask, enc, **kw)
             hiddens = post(hiddens)
             summary = dropout_apply(summary, dropout, train_mode, rng)
             att = additive_attention_batch(summary, hiddens, branch.attention, s_mask)
@@ -273,9 +274,9 @@ def model_forward_batch(
             stance_reprs.append(att.s)
             sentence_reprs.append(att.s)
         else:
-            t_hidden = post(bilstm_encode_batch(tgt, t_valid, enc.target_fwd, enc.target_bwd, **kw))
-            s_hidden = post(bilstm_encode_batch(sent, s_valid, enc.sent_fwd, enc.sent_bwd, **kw))
-            t_pool = max_pool_encode_batch(t_hidden, t_valid.T)
+            t_hidden = post(bilstm_encode_batch(tgt, t_mask, enc.target_fwd, enc.target_bwd, **kw))
+            s_hidden = post(bilstm_encode_batch(sent, s_mask, enc.sent_fwd, enc.sent_bwd, **kw))
+            t_pool = max_pool_encode_batch(t_hidden, t_mask)
             s_pool = max_pool_encode_batch(s_hidden, s_mask)
             stance_reprs.append(concat_cols([t_pool, s_pool]))
             sentence_reprs.append(s_pool)
@@ -322,8 +323,14 @@ def load_checkpoint(
         raise
     except Exception as exc:
         raise CheckpointError(f"{path}: unreadable checkpoint ({exc})") from exc
-    if meta.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {meta.get('version')}")
+    version = meta.get("version") if isinstance(meta, dict) else None
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+    for key, kind in (("spec", dict), ("vocab_hash", str), ("embed_hash", str), ("precision", str)):
+        if not isinstance(meta.get(key), kind):
+            raise CheckpointError(f"{path}: checkpoint metadata lacks a {kind.__name__} {key!r}")
+    if meta["precision"] not in PRECISIONS:
+        raise CheckpointError(f"{path}: unknown checkpoint precision {meta['precision']!r}")
     if expected_vocab_hash is not None and meta["vocab_hash"] != expected_vocab_hash:
         raise CheckpointError(
             f"{path}: vocabulary hash mismatch (checkpoint {meta['vocab_hash'][:12]}..., "
@@ -331,8 +338,11 @@ def load_checkpoint(
         )
     if check_embeddings and meta["embed_hash"] != embeddings.content_hash():
         raise CheckpointError(f"{path}: embedding matrix differs from the one used at training time")
-    spec = ModelSpec(**meta["spec"])
-    model = build_model(spec, seed=0, embeddings=embeddings, dtype=np.dtype(meta["precision"]).type)
+    try:
+        spec = ModelSpec(**meta["spec"])
+    except (TypeError, ConfigError) as exc:
+        raise CheckpointError(f"{path}: invalid model spec in checkpoint metadata ({exc})") from exc
+    model = build_model(spec, seed=0, embeddings=embeddings, dtype=PRECISIONS[meta["precision"]])
     saved = set(arrays)
     expected = set(model.params)
     if saved != expected:

@@ -278,20 +278,6 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     return _record(out, backward)
 
 
-def column(x: Tensor, j: int) -> Tensor:
-    """Extract column j of a rank-2 tensor as a rank-1 tensor."""
-    if x.value.ndim != 2 or not (0 <= j < x.value.shape[1]):
-        raise ShapeError(f"column: {j} of {x.value.shape}")
-    out = Tensor(x.value[:, j].copy())
-
-    def backward(g):
-        if x.grad is None:
-            x.grad = np.zeros_like(x.value)
-        x.grad[:, j] += g
-
-    return _record(out, backward)
-
-
 def stack_cols(parts: Sequence[Tensor]) -> Tensor:
     """Stack rank-1 tensors of equal length as the columns of a matrix."""
     if not parts:
@@ -323,15 +309,25 @@ def add_rowvec(m: Tensor, b: Tensor) -> Tensor:
     return _record(out, backward)
 
 
-def scale_rows_t(m: Tensor, c: Tensor) -> Tensor:
-    """Multiply row i by c[i] where c is a differentiable vector."""
-    if m.value.ndim != 2 or c.value.shape != (m.value.shape[0],):
-        raise ShapeError(f"scale_rows_t: {m.value.shape} by {c.value.shape}")
-    out = Tensor(m.value * c.value[:, None])
+def weighted_sum(weights: Tensor, parts: Sequence[Tensor]) -> Tensor:
+    """Per-row weighted sum of equal rank-2 parts, added in j order:
+    sum_j parts[j] * weights[:, j], with weights (rows, len(parts))."""
+    parts = list(parts)
+    w = weights.value
+    shape = parts[0].value.shape if parts else ()
+    if len(shape) != 2 or w.shape != (shape[0], len(parts)) or any(p.value.shape != shape for p in parts):
+        raise ShapeError(f"weighted_sum: weights {w.shape} for {len(parts)} parts of {shape}")
+    total = parts[0].value * w[:, 0, None]
+    for j in range(1, len(parts)):
+        total = total + parts[j].value * w[:, j, None]
+    out = Tensor(total)
 
     def backward(g):
-        m.accum(g * c.value[:, None])
-        c.accum((g * m.value).sum(axis=1))
+        if weights.grad is None:
+            weights.grad = np.zeros_like(w)
+        for j, p in enumerate(parts):
+            p.accum(g * w[:, j, None])
+            weights.grad[:, j] += (g * p.value).sum(axis=1)
 
     return _record(out, backward)
 

@@ -1,10 +1,11 @@
 """Losses, Adam with L2, gradient clipping, early stopping, and the
 mini-batch adversarial training loop.
 
-The optimized objective is stance loss + lambda * domain loss with gradient
-reversal on the adversarial path, so shared encoder parameters descend the
-stance loss while ascending the domain loss, and domain heads descend their
-own loss. The stance - lambda * domain scalar is computed for logging only.
+The optimized objective, built by objective_batch, is stance loss + lambda *
+domain loss with gradient reversal on the adversarial path, so shared encoder
+parameters descend the stance loss while ascending the domain loss, and
+domain heads descend their own loss. The training log reports the two losses
+separately.
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import STANCE_TO_INDEX, STANCES, Corpus
+from .data import STANCE_TO_INDEX, STANCES, Corpus, Example
 from .errors import ConfigError, NonFiniteLossError
 from .evaluation import compute_metrics
-from .models import Model, model_forward_batch, save_checkpoint
+from .models import ForwardOutput, Model, model_forward_batch, save_checkpoint
 from .tensor import (
     Tape,
     Tensor,
@@ -90,9 +91,16 @@ def domain_loss_batch(domain_probs: list[Tensor], gold_domain: np.ndarray) -> Te
     return scale(total, 1.0 / (len(domain_probs) * batch))
 
 
-def total_loss(stance: float, domain: float, lam: float) -> float:
-    """The reported combination stance - lambda * domain (not optimized)."""
-    return stance - lam * domain
+def objective_batch(
+    out: ForwardOutput, batch: list[Example], lam: float
+) -> tuple[Tensor, Tensor, Tensor | None]:
+    """(stance + lam * domain, stance, domain) against the batch's gold labels;
+    without domain heads, domain is None and the objective is the stance loss."""
+    stance = stance_loss_batch(out.stance_probs, np.array([STANCE_TO_INDEX[ex.stance] for ex in batch]))
+    if not out.domain_probs:
+        return stance, stance, None
+    domain = domain_loss_batch(out.domain_probs, np.array([ex.domain_index for ex in batch]))
+    return add(stance, scale(domain, lam)), stance, domain
 
 
 @dataclass
@@ -223,8 +231,7 @@ def train(
     NonFiniteLossError before its backward pass, so no update is applied and
     nothing is written.
     """
-    adversarial = model.spec.architecture.heads
-    if adversarial:
+    if model.spec.architecture.heads:
         missing = [i for i, ex in enumerate(train_corpus) if ex.domain_index is None]
         if missing:
             raise ConfigError(
@@ -254,15 +261,9 @@ def train(
                 out = model_forward_batch(
                     model, batch, train_mode=True, rng=dropout_rng, dropout=hp.dropout
                 )
-                gold = np.array([STANCE_TO_INDEX[ex.stance] for ex in batch])
-                s_loss = stance_loss_batch(out.stance_probs, gold)
-                if adversarial:
-                    domains = np.array([ex.domain_index for ex in batch])
-                    d_loss = domain_loss_batch(out.domain_probs, domains)
-                    objective = add(s_loss, scale(d_loss, hp.lam))
+                objective, s_loss, d_loss = objective_batch(out, batch, hp.lam)
+                if d_loss is not None:
                     domain_total += float(d_loss.value[0]) * len(batch)
-                else:
-                    objective = s_loss
                 if not np.isfinite(objective.value).all():
                     raise NonFiniteLossError(
                         f"non-finite loss {float(objective.value[0])} at epoch {epoch}, step {step}"

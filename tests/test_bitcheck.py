@@ -1,0 +1,65 @@
+"""tools/bitcheck.py --compare on hand-made run directories (no training)."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import numpy as np
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bitcheck.py"
+spec = importlib.util.spec_from_file_location("bitcheck", TOOL)
+bitcheck = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bitcheck)
+
+
+def _fake_run(root, weights):
+    run = root / "runs" / "BCA" / "serial"
+    run.mkdir(parents=True)
+    np.savez(
+        run / "model_seed0.npz",
+        __meta__=np.array(json.dumps({"version": 1, "precision": "float32"})),
+        w=weights,
+        b=np.zeros(3, dtype=np.float32),
+    )
+    (run / "summary.txt").write_text("seed 0: best epoch 1\n", encoding="utf-8")
+    entries = {**bitcheck.file_entries(root / "runs"), "cmd:gradcheck:exit": "0"}
+    (root / "manifest.json").write_text(json.dumps(entries), encoding="utf-8")
+    return root
+
+
+def test_compare_reports_a_one_ulp_change_in_one_array(tmp_path, capsys):
+    weights = np.random.default_rng(0).uniform(-1, 1, (3, 4)).astype(np.float32)
+    nudged = weights.copy()
+    nudged[1, 2] = np.nextafter(nudged[1, 2], np.float32(np.inf))
+    a = _fake_run(tmp_path / "a", weights)
+    same = _fake_run(tmp_path / "same", weights.copy())
+    b = _fake_run(tmp_path / "b", nudged)
+
+    assert bitcheck.main(["--compare", str(a), str(same)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("0 of ")
+
+    assert bitcheck.main(["--compare", str(a), str(b)]) == 1
+    out = capsys.readouterr().out
+    differing = [line for line in out.splitlines() if line and not line.startswith(" ")]
+    assert differing == [
+        "array:BCA/serial/model_seed0.npz:w",
+        "file:BCA/serial/model_seed0.npz",
+        "2 of 6 entries differ",
+    ]
+
+
+def test_compare_reports_entries_only_one_side_has(tmp_path, capsys):
+    a = _fake_run(tmp_path / "a", np.ones((2, 2), dtype=np.float32))
+    b = _fake_run(tmp_path / "b", np.ones((2, 2), dtype=np.float32))
+    (b / "runs" / "extra.txt").write_text("x", encoding="utf-8")
+    entries = {**bitcheck.file_entries(b / "runs"), "cmd:gradcheck:exit": "0"}
+    (b / "manifest.json").write_text(json.dumps(entries), encoding="utf-8")
+    assert bitcheck.main(["--compare", str(a), str(b)]) == 1
+    assert "file:extra.txt\n  A: <absent>\n  B: '" in capsys.readouterr().out
+
+
+def test_normalise_hides_the_output_directory_and_elapsed_seconds(tmp_path):
+    text = f"wrote 3 attention records to {tmp_path}/a.jsonl\ngradcheck passed: 16 components (2.5s)\n"
+    assert bitcheck.normalise(text, tmp_path) == (
+        "wrote 3 attention records to <out>/a.jsonl\ngradcheck passed: 16 components (<seconds>s)\n"
+    )

@@ -10,6 +10,7 @@ from stancegen.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_OK,
+    _gradcheck_components,
     build_parser,
     build_run_config,
     main,
@@ -404,6 +405,57 @@ def test_eval_non_integer_vocab_id_exits_3(workspace, capsys):
     assert "Traceback" not in err
 
 
+def test_eval_vocab_with_duplicate_ids_exits_3(workspace, capsys):
+    out_dir, config = _trained(workspace)
+    vocab_file = out_dir / "vocab.tsv"
+    lines = vocab_file.read_text().splitlines()
+    lines[3] = lines[3].split("\t")[0] + "\t2"
+    vocab_file.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main(
+        ["eval", "--config", str(config), "--checkpoint", str(out_dir / "model_seed0.npz")]
+    )
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: line 4: id 2 is already used on line 3")
+    assert "Traceback" not in err
+
+
+def _rewrite_meta(path, edit):
+    with np.load(path, allow_pickle=False) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    meta = json.loads(str(arrays.pop("__meta__")))
+    edit(meta)
+    np.savez(path, __meta__=np.array(json.dumps(meta)), **arrays)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda m: m.pop("embed_hash"), "lacks a str 'embed_hash'"),
+        (lambda m: m.pop("vocab_hash"), "lacks a str 'vocab_hash'"),
+        (lambda m: m.pop("spec"), "lacks a dict 'spec'"),
+        (lambda m: m.pop("precision"), "lacks a str 'precision'"),
+        (lambda m: m.update(precision="int8x"), "unknown checkpoint precision 'int8x'"),
+        (lambda m: m.update(precision=["float32"]), "lacks a str 'precision'"),
+        (lambda m: m["spec"].update(hidden="3"), "invalid model spec"),
+        (lambda m: m["spec"].update(variant="Nope"), "invalid model spec"),
+    ],
+    ids=["no-embed-hash", "no-vocab-hash", "no-spec", "no-precision", "bad-precision",
+         "list-precision", "unknown-spec-key", "bad-variant"],
+)
+def test_eval_malformed_checkpoint_metadata_exits_4(workspace, capsys, edit, message):
+    out_dir, config = _trained(workspace)
+    checkpoint = out_dir / "model_seed0.npz"
+    _rewrite_meta(checkpoint, edit)
+    capsys.readouterr()
+    code = main(["eval", "--config", str(config), "--checkpoint", str(checkpoint)])
+    assert code == EXIT_CHECKPOINT
+    err = capsys.readouterr().err
+    assert err.startswith("checkpoint error: ") and message in err
+    assert "Traceback" not in err
+
+
 def test_eval_empty_dataset_exits_3(workspace, tmp_path):
     out_dir, config = _trained(workspace)
     empty = tmp_path / "empty.tsv"
@@ -512,6 +564,27 @@ def test_gradcheck_negative_control(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "tanh" in [line.split()[0] for line in out.splitlines() if "FAIL" in line]
     assert "gradcheck FAILED" in out
+
+
+def test_gradcheck_components_do_not_share_operands():
+    forward = {name: check() for name, check in _gradcheck_components()}
+    backward = {name: check() for name, check in reversed(_gradcheck_components())}
+    assert backward == forward
+
+
+def test_gradcheck_checks_the_training_objective(capsys, monkeypatch):
+    import stancegen.training as TR
+
+    original = TR.objective_batch
+
+    def domain_off_the_tape(out, batch, lam):
+        # a planted bug: the domain term's value counts, its gradient does not
+        objective, stance, domain = original(out, batch, lam)
+        return T.add(stance, T.Tensor(T.scale(domain, lam).value)), stance, domain
+
+    monkeypatch.setattr(TR, "objective_batch", domain_off_the_tape)
+    assert main(["gradcheck"]) == 1
+    assert "gradcheck FAILED: bcainvar_objective (" in capsys.readouterr().out
 
 
 def test_gradcheck_catches_unnegated_reversal(capsys, monkeypatch):

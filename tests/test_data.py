@@ -161,6 +161,57 @@ def test_vocab_serialization_round_trip(tmp_path):
     assert first == "<pad>\t0"
 
 
+def _vocab_file(tmp_path, text):
+    path = tmp_path / "vocab.tsv"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def test_vocab_load_rejects_duplicate_id(tmp_path):
+    path = _vocab_file(tmp_path, "<pad>\t0\n<unk>\t1\nb\t2\nc\t2\n")
+    with pytest.raises(ParseError, match=r"line 4: id 2 is already used on line 3"):
+        Vocabulary.load(path)
+
+
+def test_vocab_load_rejects_gap_in_ids(tmp_path):
+    # the ids are unique, but 3 is missing, so 4 lies outside 0..3
+    path = _vocab_file(tmp_path, "<pad>\t0\n<unk>\t1\nb\t2\nc\t4\n")
+    with pytest.raises(ParseError, match=r"line 4: id 4 is outside 0\.\.3"):
+        Vocabulary.load(path)
+
+
+def test_vocab_load_rejects_negative_id(tmp_path):
+    path = _vocab_file(tmp_path, "<pad>\t0\n<unk>\t1\nb\t-1\n")
+    with pytest.raises(ParseError, match=r"line 3: id -1 is outside"):
+        Vocabulary.load(path)
+
+
+def test_vocab_load_rejects_duplicate_token(tmp_path):
+    path = _vocab_file(tmp_path, "<pad>\t0\n<unk>\t1\nb\t2\nb\t3\n")
+    with pytest.raises(ParseError, match=r"line 4: token 'b' is listed twice"):
+        Vocabulary.load(path)
+
+
+def test_vocab_load_requires_pad_at_zero(tmp_path):
+    path = _vocab_file(tmp_path, "a\t0\n<unk>\t1\n<pad>\t2\n")
+    with pytest.raises(ParseError, match=r"line 1: id 0 must be <pad>, got 'a'"):
+        Vocabulary.load(path)
+
+
+def test_vocab_load_requires_unk_at_one(tmp_path):
+    path = _vocab_file(tmp_path, "<pad>\t0\n<unk>\t2\nb\t1\n")
+    with pytest.raises(ParseError, match=r"line 3: id 1 must be <unk>, got 'b'"):
+        Vocabulary.load(path)
+    with pytest.raises(ParseError, match=r"id 1 must be <unk>, got None"):
+        Vocabulary.load(_vocab_file(tmp_path, "<pad>\t0\n"))
+
+
+def test_vocab_load_rejects_the_unchecked_file(tmp_path):
+    # this file used to load: three tokens, ids 0, 5, 5
+    with pytest.raises(ParseError, match="line 3"):
+        Vocabulary.load(_vocab_file(tmp_path, "a\t0\nb\t5\nc\t5\n"))
+
+
 def test_encode_corpus_maps_oov_to_unk():
     corpus = corpus_of(["a b zzz"])
     vocab = build_vocab([corpus_of(["a b"])])

@@ -222,10 +222,10 @@ def test_rerun_is_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_dump_accepts_file_object(tmp_path):
-    path = tmp_path / "fh.jsonl"
-    with open(path, "w", encoding="utf-8") as fh:
-        n = dump_attention(bca_model(), CORPUS, fh)
+def test_dump_replaces_existing_file(tmp_path):
+    path = tmp_path / "old.jsonl"
+    path.write_text("stale\n" * 10, encoding="utf-8")
+    n = dump_attention(bca_model(), CORPUS, path)
     assert n == 3
     assert len(path.read_text().splitlines()) == 3
 

@@ -58,23 +58,17 @@ def param_list(p):
 
 
 def _pad_batch(seqs, dim):
-    """Per-position (batch, dim) steps and the (time, batch) validity mask of
-    a ragged batch with trailing zero padding."""
+    """Per-position (batch, dim) steps and the (batch, positions) mask of a
+    ragged batch with trailing zero padding."""
     n = max(len(s) for s in seqs)
     batch = len(seqs)
     steps = np.zeros((n, batch, dim))
-    valid = np.zeros((n, batch), dtype=bool)
+    mask = np.zeros((batch, n), dtype=bool)
     for i, s in enumerate(seqs):
         for t, v in enumerate(s):
             steps[t, i] = v
-            valid[t, i] = True
-    return [t64(steps[t]) for t in range(n)], valid
-
-
-def _pad_rows(rows, dim):
-    """Per-position (batch, dim) columns and the (batch, positions) mask."""
-    steps, valid = _pad_batch(rows, dim)
-    return steps, valid.T.copy()
+            mask[i, t] = True
+    return [t64(steps[t]) for t in range(n)], mask
 
 
 # --------------------------------------------------------------- lstm_step
@@ -134,7 +128,7 @@ def test_run_lstm_single_step_equals_lstm_step():
     p = rand_lstm_params(2, 3, rng)
     x = t64(rng.uniform(-1, 1, (2, 2)))
     init = LSTMState(t64(rng.uniform(-1, 1, (2, 3))), t64(rng.uniform(-1, 1, (2, 3))))
-    states = run_lstm_batch([x], np.ones((1, 2), dtype=bool), init, p)
+    states = run_lstm_batch([x], np.ones((2, 1), dtype=bool), init, p)
     direct = lstm_step_batch(x, init, p)
     assert np.array_equal(states[0].h.value, direct.h.value)
     assert np.array_equal(states[0].c.value, direct.c.value)
@@ -146,9 +140,9 @@ def test_run_lstm_reverse_mirrors_forward_on_palindrome():
     a = rng.uniform(-1, 1, (2, 2))
     b = rng.uniform(-1, 1, (2, 2))
     seq = [t64(a), t64(b), t64(a)]
-    valid = np.ones((3, 2), dtype=bool)
-    fwd = run_lstm_batch(seq, valid, zero_state_batch(2, 3, F64), p)
-    rev = run_lstm_batch(seq, valid, zero_state_batch(2, 3, F64), p, reverse=True)
+    mask = np.ones((2, 3), dtype=bool)
+    fwd = run_lstm_batch(seq, mask, zero_state_batch(2, 3, F64), p)
+    rev = run_lstm_batch(seq, mask, zero_state_batch(2, 3, F64), p, reverse=True)
     for j in range(3):
         assert np.allclose(rev[j].h.value, fwd[2 - j].h.value, atol=1e-12)
         assert np.allclose(rev[j].c.value, fwd[2 - j].c.value, atol=1e-12)
@@ -156,9 +150,9 @@ def test_run_lstm_reverse_mirrors_forward_on_palindrome():
 
 def test_run_lstm_zero_params_zero_init_all_states_zero():
     p = zero_lstm_params(2, 3)
-    steps, valid = _pad_batch([[[1.0, 2.0], [-3.0, 4.0]], [[0.5, 0.5]]], 2)
+    steps, mask = _pad_batch([[[1.0, 2.0], [-3.0, 4.0]], [[0.5, 0.5]]], 2)
     for reverse in (False, True):
-        for st in run_lstm_batch(steps, valid, zero_state_batch(2, 3, F64), p, reverse=reverse):
+        for st in run_lstm_batch(steps, mask, zero_state_batch(2, 3, F64), p, reverse=reverse):
             assert np.array_equal(st.h.value, np.zeros((2, 3)))
             assert np.array_equal(st.c.value, np.zeros((2, 3)))
 
@@ -166,7 +160,18 @@ def test_run_lstm_zero_params_zero_init_all_states_zero():
 def test_run_lstm_empty_sequence_rejected():
     p = zero_lstm_params(2, 3)
     with pytest.raises(ValueError):
-        run_lstm_batch([], np.zeros((0, 1), dtype=bool), zero_state_batch(1, 3, F64), p)
+        run_lstm_batch([], np.zeros((1, 0), dtype=bool), zero_state_batch(1, 3, F64), p)
+
+
+def test_run_lstm_rejects_time_by_batch_mask():
+    # an all-True (time, batch) mask used to pass: every row it read was all True
+    p = zero_lstm_params(2, 3)
+    steps = [t64(np.zeros((2, 2)))]
+    with pytest.raises(ShapeError, match=r"mask \(1, 2\) for 2 rows of 1 steps"):
+        run_lstm_batch(steps, np.ones((1, 2), dtype=bool), zero_state_batch(2, 3, F64), p)
+    ragged = [t64(np.zeros((2, 2))) for _ in range(3)]
+    with pytest.raises(ShapeError):
+        run_lstm_batch(ragged, np.array([[True, True], [True, True], [True, False]]), zero_state_batch(2, 3, F64), p)
 
 
 def test_run_lstm_reverse_first_processed_position_conditions_on_init():
@@ -176,8 +181,8 @@ def test_run_lstm_reverse_first_processed_position_conditions_on_init():
     p = rand_lstm_params(2, 2, rng)
     lengths = (3, 1, 2)
     init = LSTMState(t64(rng.uniform(-1, 1, (3, 2))), t64(rng.uniform(-1, 1, (3, 2))))
-    steps, valid = _pad_batch([[rng.uniform(-1, 1, 2) for _ in range(n)] for n in lengths], 2)
-    rev = run_lstm_batch(steps, valid, init, p, reverse=True)
+    steps, mask = _pad_batch([[rng.uniform(-1, 1, 2) for _ in range(n)] for n in lengths], 2)
+    rev = run_lstm_batch(steps, mask, init, p, reverse=True)
     for i, n in enumerate(lengths):
         direct = lstm_step_batch(steps[n - 1], init, p)
         assert np.array_equal(rev[n - 1].h.value[i], direct.h.value[i])
@@ -190,9 +195,9 @@ def test_run_lstm_reverse_first_processed_position_conditions_on_init():
 def test_conditional_encode_shapes():
     rng = np.random.default_rng(4)
     params = EncoderParams.init(3, 4, rng, F64)
-    t_steps, t_valid = _pad_batch([[rng.uniform(-1, 1, 3) for _ in range(m)] for m in (2, 1)], 3)
-    s_steps, s_valid = _pad_batch([[rng.uniform(-1, 1, 3) for _ in range(n)] for n in (3, 2)], 3)
-    hiddens, summary = conditional_encode_batch(t_steps, t_valid, s_steps, s_valid, params)
+    t_steps, t_mask = _pad_batch([[rng.uniform(-1, 1, 3) for _ in range(m)] for m in (2, 1)], 3)
+    s_steps, s_mask = _pad_batch([[rng.uniform(-1, 1, 3) for _ in range(n)] for n in (3, 2)], 3)
+    hiddens, summary = conditional_encode_batch(t_steps, t_mask, s_steps, s_mask, params)
     assert len(hiddens) == 3
     assert all(h.value.shape == (2, 8) for h in hiddens)
     assert summary.value.shape == (2, 8)
@@ -206,10 +211,10 @@ def test_conditional_encode_zero_target_params_matches_unconditional():
         sent_fwd=rand_lstm_params(3, 2, rng),
         sent_bwd=rand_lstm_params(3, 2, rng),
     )
-    t_steps, t_valid = _pad_batch([[rng.uniform(-1, 1, 3)], [rng.uniform(-1, 1, 3)] * 2], 3)
-    s_steps, s_valid = _pad_batch([[rng.uniform(-1, 1, 3) for _ in range(n)] for n in (3, 1)], 3)
-    cond, _ = conditional_encode_batch(t_steps, t_valid, s_steps, s_valid, params)
-    plain = bilstm_encode_batch(s_steps, s_valid, params.sent_fwd, params.sent_bwd)
+    t_steps, t_mask = _pad_batch([[rng.uniform(-1, 1, 3)], [rng.uniform(-1, 1, 3)] * 2], 3)
+    s_steps, s_mask = _pad_batch([[rng.uniform(-1, 1, 3) for _ in range(n)] for n in (3, 1)], 3)
+    cond, _ = conditional_encode_batch(t_steps, t_mask, s_steps, s_mask, params)
+    plain = bilstm_encode_batch(s_steps, s_mask, params.sent_fwd, params.sent_bwd)
     for c, p in zip(cond, plain):
         assert np.allclose(c.value, p.value, atol=1e-14)
 
@@ -218,12 +223,12 @@ def test_conditional_encode_single_target_token_seeds_exact_step():
     rng = np.random.default_rng(6)
     params = EncoderParams.init(3, 2, rng, F64)
     target = [t64(rng.uniform(-1, 1, (2, 3)))]
-    s_steps, s_valid = _pad_batch([[rng.uniform(-1, 1, 3) for _ in range(n)] for n in (2, 1)], 3)
-    hiddens, summary = conditional_encode_batch(target, np.ones((1, 2), dtype=bool), s_steps, s_valid, params)
+    s_steps, s_mask = _pad_batch([[rng.uniform(-1, 1, 3) for _ in range(n)] for n in (2, 1)], 3)
+    hiddens, summary = conditional_encode_batch(target, np.ones((2, 1), dtype=bool), s_steps, s_mask, params)
 
     t_state = lstm_step_batch(target[0], zero_state_batch(2, 2, F64), params.target_fwd)
     assert np.array_equal(summary.value[:, :2], t_state.h.value)
-    manual_fwd = run_lstm_batch(s_steps, s_valid, t_state, params.sent_fwd)
+    manual_fwd = run_lstm_batch(s_steps, s_mask, t_state, params.sent_fwd)
     assert np.array_equal(hiddens[0].value[:, :2], manual_fwd[0].h.value)
     assert np.array_equal(hiddens[1].value[:, :2], manual_fwd[1].h.value)
 
@@ -231,12 +236,12 @@ def test_conditional_encode_single_target_token_seeds_exact_step():
 def test_conditional_encode_rejects_empty():
     rng = np.random.default_rng(7)
     params = EncoderParams.init(3, 2, rng, F64)
-    step, valid = [t64(np.zeros((1, 3)))], np.ones((1, 1), dtype=bool)
-    empty = np.zeros((0, 1), dtype=bool)
+    step, mask = [t64(np.zeros((1, 3)))], np.ones((1, 1), dtype=bool)
+    empty = np.zeros((1, 0), dtype=bool)
     with pytest.raises(ValueError):
-        conditional_encode_batch([], empty, step, valid, params)
+        conditional_encode_batch([], empty, step, mask, params)
     with pytest.raises(ValueError):
-        conditional_encode_batch(step, valid, [], empty, params)
+        conditional_encode_batch(step, mask, [], empty, params)
 
 
 # -------------------------------------------------------- additive_attention
@@ -321,8 +326,8 @@ def test_attention_masked_positions_leak_no_gradient():
 
 
 def test_max_pool_examples():
-    cols, valid = _pad_rows([[[1, 5], [3, 2]], [[0, 0]]], 2)
-    assert np.array_equal(max_pool_encode_batch(cols, valid).value, [[3, 5], [0, 0]])
+    cols, mask = _pad_batch([[[1, 5], [3, 2]], [[0, 0]]], 2)
+    assert np.array_equal(max_pool_encode_batch(cols, mask).value, [[3, 5], [0, 0]])
     single = t64([[4.0, -1.0]])
     assert max_pool_encode_batch([single], np.array([[True]])) is single
 
@@ -340,9 +345,9 @@ def test_max_pool_tie_routes_gradient_to_first():
 def test_max_pool_exactly_one_position_per_coordinate_gets_gradient():
     rng = np.random.default_rng(14)
     hiddens = [t64(rng.uniform(-1, 1, (2, 4))) for _ in range(5)]
-    valid = np.array([[True] * 5, [True, True, True, False, False]])
+    mask = np.array([[True] * 5, [True, True, True, False, False]])
     with Tape("float64") as tape:
-        tape.backward(sum_all(max_pool_encode_batch(hiddens, valid)))
+        tape.backward(sum_all(max_pool_encode_batch(hiddens, mask)))
     grads = np.stack([h.grad if h.grad is not None else np.zeros((2, 4)) for h in hiddens])
     assert np.array_equal((grads != 0).sum(axis=0), np.ones((2, 4)))
     assert not grads[3:, 1].any()  # padding of row 1
@@ -458,11 +463,11 @@ def test_lstm_step_gradients_match_finite_differences():
 def test_run_lstm_gradients_match_finite_differences():
     rng = np.random.default_rng(17)
     p = rand_lstm_params(2, 2, rng)
-    steps, valid = _pad_batch([[rng.uniform(-1, 1, 2) for _ in range(n)] for n in (3, 2)], 2)
+    steps, mask = _pad_batch([[rng.uniform(-1, 1, 2) for _ in range(n)] for n in (3, 2)], 2)
     probe = np.random.default_rng(98).uniform(-1, 1, (2, 2))
 
     def f():
-        states = run_lstm_batch(steps, valid, zero_state_batch(2, 2, F64), p, reverse=True)
+        states = run_lstm_batch(steps, mask, zero_state_batch(2, 2, F64), p, reverse=True)
         return contract(states[0].h, probe)
 
     assert finite_difference_check(f, param_list(p) + steps) < 1e-4
@@ -471,12 +476,12 @@ def test_run_lstm_gradients_match_finite_differences():
 def test_recurrent_dropout_gradients_match_finite_differences():
     rng = np.random.default_rng(18)
     p = rand_lstm_params(2, 2, rng)
-    steps, valid = _pad_batch([[rng.uniform(-1, 1, 2) for _ in range(n)] for n in (2, 3)], 2)
+    steps, mask = _pad_batch([[rng.uniform(-1, 1, 2) for _ in range(n)] for n in (2, 3)], 2)
     probe = np.random.default_rng(97).uniform(-1, 1, (2, 2))
 
     def f():
         states = run_lstm_batch(
-            steps, valid, zero_state_batch(2, 2, F64), p,
+            steps, mask, zero_state_batch(2, 2, F64), p,
             recurrent_dropout=0.5, train=True, rng=np.random.default_rng(5),
         )
         return contract(states[-1].h, probe)
@@ -488,14 +493,14 @@ def test_conditional_encode_with_attention_gradients_match_finite_differences():
     rng = np.random.default_rng(19)
     enc = EncoderParams.init(2, 2, rng, F64)
     attn = AttentionParams.init(3, 8, rng, F64)
-    t_steps, t_valid = _pad_batch([[rng.uniform(-1, 1, 2) for _ in range(m)] for m in (2, 1)], 2)
-    s_steps, s_valid = _pad_batch([[rng.uniform(-1, 1, 2) for _ in range(n)] for n in (2, 3)], 2)
+    t_steps, t_mask = _pad_batch([[rng.uniform(-1, 1, 2) for _ in range(m)] for m in (2, 1)], 2)
+    s_steps, s_mask = _pad_batch([[rng.uniform(-1, 1, 2) for _ in range(n)] for n in (2, 3)], 2)
     probe = np.random.default_rng(96).uniform(-1, 1, (2, 4))
     params = [t for _, t in enc.named("e")] + [t for _, t in attn.named("a")] + t_steps + s_steps
 
     def f():
-        hiddens, summary = conditional_encode_batch(t_steps, t_valid, s_steps, s_valid, enc)
-        out = additive_attention_batch(summary, hiddens, attn, s_valid.T)
+        hiddens, summary = conditional_encode_batch(t_steps, t_mask, s_steps, s_mask, enc)
+        out = additive_attention_batch(summary, hiddens, attn, s_mask)
         return contract(out.s, probe)
 
     assert finite_difference_check(f, params) < 1e-4
@@ -505,11 +510,11 @@ def test_max_pool_gradients_match_finite_differences():
     rng = np.random.default_rng(20)
     # spread values so the eps=1e-5 probes never flip an argmax
     hiddens = [t64(rng.permutation(8).reshape(2, 4) * 1.0 + rng.uniform(-0.3, 0.3, (2, 4))) for _ in range(3)]
-    valid = np.array([[True, True, True], [True, True, False]])
+    mask = np.array([[True, True, True], [True, True, False]])
     probe = np.random.default_rng(95).uniform(-1, 1, (2, 4))
 
     def f():
-        return contract(max_pool_encode_batch(hiddens, valid), probe)
+        return contract(max_pool_encode_batch(hiddens, mask), probe)
 
     assert finite_difference_check(f, hiddens) < 1e-4
 
@@ -561,16 +566,16 @@ def test_lstm_step_batch_matches_single_rows():
 
 
 def _run_alone(seq, p, reverse):
-    steps, valid = _pad_batch([seq], 2)
-    return run_lstm_batch(steps, valid, zero_state_batch(1, 2, F64), p, reverse=reverse)
+    steps, mask = _pad_batch([seq], 2)
+    return run_lstm_batch(steps, mask, zero_state_batch(1, 2, F64), p, reverse=reverse)
 
 
 def test_run_lstm_batch_carries_state_through_padding():
     rng = np.random.default_rng(23)
     p = rand_lstm_params(2, 2, rng)
     seqs = [[rng.uniform(-1, 1, 2) for _ in range(n)] for n in (3, 1, 2)]
-    steps, valid = _pad_batch(seqs, 2)
-    out = run_lstm_batch(steps, valid, zero_state_batch(3, 2, F64), p)
+    steps, mask = _pad_batch(seqs, 2)
+    out = run_lstm_batch(steps, mask, zero_state_batch(3, 2, F64), p)
     for i, s in enumerate(seqs):
         single = _run_alone(s, p, reverse=False)
         # final stored state equals the example's true final state
@@ -584,8 +589,8 @@ def test_run_lstm_batch_reverse_matches_single():
     rng = np.random.default_rng(24)
     p = rand_lstm_params(2, 2, rng)
     seqs = [[rng.uniform(-1, 1, 2) for _ in range(n)] for n in (2, 4)]
-    steps, valid = _pad_batch(seqs, 2)
-    out = run_lstm_batch(steps, valid, zero_state_batch(2, 2, F64), p, reverse=True)
+    steps, mask = _pad_batch(seqs, 2)
+    out = run_lstm_batch(steps, mask, zero_state_batch(2, 2, F64), p, reverse=True)
     for i, s in enumerate(seqs):
         single = _run_alone(s, p, reverse=True)
         for t in range(len(s)):
@@ -599,9 +604,9 @@ def test_conditional_encode_batch_matches_single():
     enc = EncoderParams.init(3, 2, rng, F64)
     targets = [[rng.uniform(-1, 1, 3) for _ in range(m)] for m in (2, 1, 3)]
     sents = [[rng.uniform(-1, 1, 3) for _ in range(n)] for n in (3, 2, 1)]
-    t_steps, t_valid = _pad_batch(targets, 3)
-    s_steps, s_valid = _pad_batch(sents, 3)
-    hiddens, summary = conditional_encode_batch(t_steps, t_valid, s_steps, s_valid, enc)
+    t_steps, t_mask = _pad_batch(targets, 3)
+    s_steps, s_mask = _pad_batch(sents, 3)
+    hiddens, summary = conditional_encode_batch(t_steps, t_mask, s_steps, s_mask, enc)
     for i in range(3):
         hs, summ = conditional_encode_batch(*_pad_batch([targets[i]], 3), *_pad_batch([sents[i]], 3), enc)
         assert np.allclose(summary.value[i], summ.value[0], atol=1e-13)
@@ -614,10 +619,10 @@ def test_additive_attention_batch_matches_single():
     attn = AttentionParams.init(3, 8, rng, F64)
     summaries = rng.uniform(-1, 1, (2, 4))
     hiddens_rows = [[rng.uniform(-1, 1, 4) for _ in range(n)] for n in (3, 2)]
-    cols, mask = _pad_rows(hiddens_rows, 4)
+    cols, mask = _pad_batch(hiddens_rows, 4)
     out = additive_attention_batch(t64(summaries), cols, attn, mask)
     for i, row in enumerate(hiddens_rows):
-        alone, alone_mask = _pad_rows([row], 4)
+        alone, alone_mask = _pad_batch([row], 4)
         single = additive_attention_batch(t64(summaries[i : i + 1]), alone, attn, alone_mask)
         n = len(row)
         assert np.allclose(out.s.value[i], single.s.value[0], atol=1e-13)
@@ -628,10 +633,10 @@ def test_additive_attention_batch_matches_single():
 def test_max_pool_batch_matches_single_and_requires_leading_valid():
     rng = np.random.default_rng(27)
     rows = [[rng.uniform(-1, 1, 3) for _ in range(n)] for n in (2, 3)]
-    cols, valid = _pad_rows(rows, 3)
-    out = max_pool_encode_batch(cols, valid)
+    cols, mask = _pad_batch(rows, 3)
+    out = max_pool_encode_batch(cols, mask)
     for i, row in enumerate(rows):
-        single = max_pool_encode_batch(*_pad_rows([row], 3))
+        single = max_pool_encode_batch(*_pad_batch([row], 3))
         assert np.allclose(out.value[i], single.value[0], atol=1e-14)
     with pytest.raises(ValueError):
         max_pool_encode_batch(cols, np.array([[False, True, False], [True, True, True]]))
@@ -641,11 +646,11 @@ def test_run_lstm_batch_gradients_match_finite_differences():
     rng = np.random.default_rng(28)
     p = rand_lstm_params(2, 2, rng)
     seqs = [[rng.uniform(-1, 1, 2) for _ in range(2)], [rng.uniform(-1, 1, 2) for _ in range(3)]]
-    steps, valid = _pad_batch(seqs, 2)
+    steps, mask = _pad_batch(seqs, 2)
     probe = np.random.default_rng(93).uniform(-1, 1, (2, 2))
 
     def f():
-        out = run_lstm_batch(steps, valid, zero_state_batch(2, 2, F64), p)
+        out = run_lstm_batch(steps, mask, zero_state_batch(2, 2, F64), p)
         return contract(out[-1].h, probe)
 
     assert finite_difference_check(f, param_list(p) + steps) < 1e-4

@@ -277,10 +277,9 @@ def ragged_examples():
 
 
 def test_pad_id_batch_layout():
-    ids, valid, mask = pad_id_batch([[2, 3], [4]])
+    ids, mask = pad_id_batch([[2, 3], [4]])
     assert np.array_equal(ids, [[2, 3], [4, 0]])
     assert np.array_equal(mask, [[True, True], [True, False]])
-    assert np.array_equal(valid, mask.T)
 
 
 @pytest.mark.parametrize("variant", M.VARIANTS)

@@ -14,7 +14,6 @@ from stancegen.tensor import (
     add_rowvec,
     blend_rows,
     clamp_min,
-    column,
     concat_cols,
     dropout,
     finite_difference_check,
@@ -26,13 +25,13 @@ from stancegen.tensor import (
     negate,
     relu,
     scale,
-    scale_rows_t,
     select_rows,
     sigmoid,
     softmax_rows,
     stack_cols,
     sum_all,
     tensor,
+    weighted_sum,
     zero_grads,
 )
 
@@ -118,6 +117,50 @@ def test_concat_examples():
         concat_cols([])
     with pytest.raises(ShapeError):
         concat_cols([t64([[1]]), t64([[1], [2]])])
+
+
+# ------------------------------------------------------------- weighted sum
+
+
+def test_weighted_sum_examples():
+    parts = [t64([[1.0, 2.0], [3.0, 4.0]]), t64([[10.0, 20.0], [30.0, 40.0]])]
+    w = t64([[1.0, 0.0], [0.5, 0.25]])
+    assert weighted_sum(w, parts).value.tolist() == [[1.0, 2.0], [9.0, 12.0]]
+    assert weighted_sum(t64([[2.0], [0.0]]), parts[:1]).value.tolist() == [[2.0, 4.0], [0.0, 0.0]]
+
+
+def test_weighted_sum_adds_in_part_order():
+    # float32 addition is not associative: (1e8 - 1e8) + 1 is 1, but adding
+    # the parts in reverse, (1 - 1e8) + 1e8, is 0
+    parts = [tensor([[v]], np.float32) for v in (1e8, -1e8, 1.0)]
+    w = tensor([[1.0, 1.0, 1.0]], np.float32)
+    assert weighted_sum(w, parts).value[0, 0] == 1.0
+
+
+def test_weighted_sum_gradients_by_hand():
+    parts = [t64([[1.0, 2.0]]), t64([[3.0, -1.0]])]
+    w = t64([[0.5, 2.0]])
+    with Tape("float64") as tape:
+        tape.backward(sum_all(weighted_sum(w, parts)))
+    assert parts[0].grad.tolist() == [[0.5, 0.5]]
+    assert parts[1].grad.tolist() == [[2.0, 2.0]]
+    assert w.grad.tolist() == [[3.0, 2.0]]
+
+
+@pytest.mark.parametrize(
+    "w_shape, part_shapes",
+    [
+        ((2, 3), [(2, 4), (2, 4)]),  # one weight column too many
+        ((3, 2), [(2, 4), (2, 4)]),  # weight rows differ from part rows
+        ((2, 2), [(2, 4), (2, 3)]),  # parts of different widths
+        ((2,), [(2, 4)]),  # rank-1 weights
+        ((2, 1), [(2,)]),  # rank-1 part
+        ((2, 0), []),  # no parts
+    ],
+)
+def test_weighted_sum_shape_mismatch(w_shape, part_shapes):
+    with pytest.raises(ShapeError, match="weighted_sum"):
+        weighted_sum(t64(np.ones(w_shape)), [t64(np.ones(s)) for s in part_shapes])
 
 
 # ----------------------------------------------------------------- softmax
@@ -327,12 +370,6 @@ def _op_catalog():
 
     cases["concat_cols"] = build_concat_cols
 
-    def build_column(rng):
-        x = _mat(rng, 3, 2)
-        return lambda: _reduce(column(x, 1), rng), [x]
-
-    cases["column"] = build_column
-
     def build_stack_cols(rng):
         a, b = _vec(rng), _vec(rng)
         return lambda: _reduce(stack_cols([a, b]), rng), [a, b]
@@ -345,11 +382,11 @@ def _op_catalog():
 
     cases["add_rowvec"] = build_add_rowvec
 
-    def build_scale_rows_t(rng):
-        m, c = _mat(rng), _vec(rng)
-        return lambda: _reduce(scale_rows_t(m, c), rng), [m, c]
+    def build_weighted_sum(rng):
+        w, parts = _mat(rng, 3, 4), [_mat(rng) for _ in range(4)]
+        return lambda: _reduce(weighted_sum(w, parts), rng), [w] + parts
 
-    cases["scale_rows_t"] = build_scale_rows_t
+    cases["weighted_sum"] = build_weighted_sum
 
     def build_blend_rows(rng):
         a, b = _mat(rng), _mat(rng)

@@ -18,7 +18,6 @@ from stancegen.training import (
     domain_loss_batch,
     predict_corpus,
     stance_loss_batch,
-    total_loss,
     train,
 )
 
@@ -122,10 +121,6 @@ def test_batched_domain_loss_matches_singles():
         batched = domain_loss_batch([Tensor(h.copy()) for h in heads], gold)
         singles = [domain_loss_one([h[b] for h in heads], gold[b]).value[0] for b in range(4)]
     assert abs(batched.value[0] - np.mean(singles)) < 1e-12
-
-
-def test_total_loss_combination():
-    assert abs(total_loss(1.0, 0.5, 0.1) - 0.95) < 1e-12
 
 
 # -------------------------------------------------------------------- adam
@@ -368,6 +363,25 @@ def toy_hp(**overrides):
 
 
 # ------------------------------------------------------------- train loop
+
+
+def test_objective_batch_combines_the_two_losses():
+    train_c, _, emb = toy_split()
+    batch = train_c.examples[:4]
+    gold = np.array([STANCE_TO_INDEX[ex.stance] for ex in batch])
+    domains = np.array([ex.domain_index for ex in batch])
+    invar = toy_model("BCAInvar", emb, dtype=np.float64)
+    with Tape("float64"):
+        out = M.model_forward_batch(invar, batch)
+        objective, stance, domain = TR.objective_batch(out, batch, 0.3)
+        expected_stance = stance_loss_batch(out.stance_probs, gold)
+        expected_domain = domain_loss_batch(out.domain_probs, domains)
+    assert stance.value[0] == expected_stance.value[0]
+    assert domain.value[0] == expected_domain.value[0]
+    assert objective.value[0] == add(expected_stance, scale(expected_domain, 0.3)).value[0]
+    plain = toy_model("BCA", emb, dtype=np.float64)
+    objective, stance, domain = TR.objective_batch(M.model_forward_batch(plain, batch), batch, 0.3)
+    assert objective is stance and domain is None
 
 
 def test_toy_convergence_to_perfect_dev():
