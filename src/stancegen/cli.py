@@ -45,6 +45,7 @@ from .errors import (
     ParseError,
 )
 from .evaluation import compute_metrics, dump_attention, format_metrics
+from .files import atomic_write
 from .layers import (
     AttentionParams,
     EncoderParams,
@@ -293,7 +294,8 @@ def _train_one_seed(cfg: RunConfig, split: Split, vocab, emb, seed: int):
     metrics_text = format_metrics(dev_metrics, title=f"dev (seed {seed})") + format_metrics(
         test_metrics, title=f"test (seed {seed})"
     )
-    (out_dir / f"metrics_seed{seed}.txt").write_text(metrics_text, encoding="utf-8")
+    with atomic_write(out_dir / f"metrics_seed{seed}.txt") as fh:
+        fh.write(metrics_text)
     return seed, report.best_epoch, dev_metrics.macro_f1, test_metrics.macro_f1
 
 
@@ -333,7 +335,8 @@ def cmd_train(args) -> int:
         )
     summary = "\n".join(lines) + "\n"
     print(summary, end="")
-    (out_dir / "summary.txt").write_text(summary, encoding="utf-8")
+    with atomic_write(out_dir / "summary.txt") as fh:
+        fh.write(summary)
     return EXIT_OK
 
 
@@ -396,10 +399,7 @@ def cmd_dump_attention(args) -> int:
     model, _, vocab = _load_checkpoint_for(cfg, args.checkpoint, split)
     encode_corpus(corpus, vocab)
     out_path = Path(args.out) if args.out else Path(cfg.out_dir) / "attention.jsonl"
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     html_path = Path(args.html) if args.html else None
-    if html_path:
-        html_path.parent.mkdir(parents=True, exist_ok=True)
     count = dump_attention(model, corpus, out_path, html_out=html_path)
     print(f"wrote {count} attention records to {out_path}")
     return EXIT_OK

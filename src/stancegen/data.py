@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, ParseError
+from .files import atomic_write
 
 STANCES = ("FAVOR", "AGAINST", "NONE")
 STANCE_TO_INDEX = {s: i for i, s in enumerate(STANCES)}
@@ -97,7 +98,8 @@ class Vocabulary:
         return hashlib.sha256(self.serialize().encode("utf-8")).hexdigest()
 
     def save(self, path) -> None:
-        Path(path).write_text(self.serialize(), encoding="utf-8")
+        with atomic_write(path) as fh:
+            fh.write(self.serialize())
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
@@ -222,22 +224,26 @@ def _hash_seeded_vector(token: str, dim: int) -> np.ndarray:
 
 def load_embeddings(path, vocab: Vocabulary, dim: int) -> EmbeddingMatrix:
     """Read "token v1 ... v_dim" lines; PAD row is zeros; tokens missing from
-    the file get a deterministic hash-seeded vector in [-0.05, 0.05]."""
+    the file get a deterministic hash-seeded vector in [-0.05, 0.05].
+
+    Streams the file; a line's values are split and parsed only when its
+    token is in the vocabulary. A string-to-float64 array cast parses each
+    value as Python's float() does, so no bit depends on the conversion path.
+    """
     found: dict[str, np.ndarray] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split()
-            if not parts:
+            head = line.split(None, 1)
+            if not head or head[0] not in vocab.token_to_id:
                 continue
-            tok = parts[0]
-            if tok not in vocab.token_to_id:
-                continue
-            if len(parts) - 1 != dim:
+            tok = head[0]
+            values = head[1].split() if len(head) > 1 else []
+            if len(values) != dim:
                 raise ParseError(
-                    f"expected {dim} values for token {tok!r}, got {len(parts) - 1}", line=lineno
+                    f"expected {dim} values for token {tok!r}, got {len(values)}", line=lineno
                 )
             try:
-                found[tok] = np.array([float(v) for v in parts[1:]], dtype=np.float64)
+                found[tok] = np.array(values, dtype=np.float64)
             except ValueError:
                 raise ParseError(f"non-numeric value in the vector for {tok!r}", line=lineno) from None
     values = np.zeros((len(vocab), dim), dtype=np.float64)

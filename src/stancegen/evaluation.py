@@ -6,11 +6,13 @@ from __future__ import annotations
 import html
 import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .data import STANCE_TO_INDEX, STANCES, Corpus
 from .errors import CapabilityError
+from .files import atomic_write
 from .models import ATTENTION_VARIANTS, Model, model_forward_batch
 
 
@@ -168,13 +170,15 @@ def dump_attention(model: Model, corpus: Corpus, out, html_out=None) -> int:
     """Write one JSON record per example to the path `out`; optionally an HTML heatmap.
 
     Returns the number of records written. Concat variants have no
-    attention to dump and raise CapabilityError.
+    attention to dump and raise CapabilityError before any directory or
+    file is created; otherwise missing parent directories are made.
     """
     records = attention_records(model, corpus)
-    with open(out, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(rec.to_json() + "\n")
+    outputs = [(out, "".join(rec.to_json() + "\n" for rec in records))]
     if html_out is not None:
-        with open(html_out, "w", encoding="utf-8") as fh:
-            fh.write(_heatmap_html(records))
+        outputs.append((html_out, _heatmap_html(records)))
+    for path, text in outputs:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        with atomic_write(path) as fh:
+            fh.write(text)
     return len(records)

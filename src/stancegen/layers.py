@@ -35,7 +35,11 @@ from .tensor import (
 )
 
 
-def glorot_uniform(rng: np.random.Generator, rows: int, cols: int, dtype) -> np.ndarray:
+def glorot_uniform(rng: np.random.Generator | None, rows: int, cols: int, dtype) -> np.ndarray:
+    """Glorot-uniform draw; with rng None, an uninitialized array of the same
+    shape and dtype, for a caller that fills every entry itself."""
+    if rng is None:
+        return np.empty((rows, cols), dtype=dtype)
     r = np.sqrt(6.0 / (rows + cols))
     return rng.uniform(-r, r, size=(rows, cols)).astype(dtype)
 
@@ -70,8 +74,11 @@ class LSTMParams:
         return self.w_i.value.shape[1] - self.hidden_dim
 
     @classmethod
-    def init(cls, input_dim: int, hidden_dim: int, rng: np.random.Generator, dtype) -> "LSTMParams":
-        """Glorot-uniform gate weights; zero biases except forget bias = 1."""
+    def init(
+        cls, input_dim: int, hidden_dim: int, rng: np.random.Generator | None, dtype
+    ) -> "LSTMParams":
+        """Glorot-uniform gate weights (uninitialized when rng is None); zero
+        biases except forget bias = 1."""
 
         def w() -> Tensor:
             return Tensor(glorot_uniform(rng, hidden_dim, input_dim + hidden_dim, dtype))
@@ -94,10 +101,12 @@ class AttentionParams:
     v: Tensor
 
     @classmethod
-    def init(cls, attn_dim: int, in_dim: int, rng: np.random.Generator, dtype) -> "AttentionParams":
+    def init(
+        cls, attn_dim: int, in_dim: int, rng: np.random.Generator | None, dtype
+    ) -> "AttentionParams":
+        """Glorot-uniform w and v; uninitialized when rng is None."""
         w = Tensor(glorot_uniform(rng, attn_dim, in_dim, dtype))
-        r = np.sqrt(6.0 / (attn_dim + 1))
-        v = Tensor(rng.uniform(-r, r, size=attn_dim).astype(dtype))
+        v = Tensor(glorot_uniform(rng, attn_dim, 1, dtype).reshape(attn_dim))
         return cls(w=w, v=v)
 
     def named(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
@@ -178,7 +187,9 @@ class EncoderParams:
     sent_bwd: LSTMParams
 
     @classmethod
-    def init(cls, embed_dim: int, hidden_dim: int, rng: np.random.Generator, dtype) -> "EncoderParams":
+    def init(
+        cls, embed_dim: int, hidden_dim: int, rng: np.random.Generator | None, dtype
+    ) -> "EncoderParams":
         return cls(
             target_fwd=LSTMParams.init(embed_dim, hidden_dim, rng, dtype),
             target_bwd=LSTMParams.init(embed_dim, hidden_dim, rng, dtype),

@@ -18,6 +18,7 @@ import numpy as np
 
 from .data import EmbeddingMatrix, Example
 from .errors import CheckpointError, ConfigError, DataError
+from .files import atomic_write
 from .layers import (
     AttentionOutput,
     AttentionParams,
@@ -150,11 +151,17 @@ class ForwardOutput:
     sentence_mask: np.ndarray
 
 
-def build_model(spec: ModelSpec, seed: int, embeddings: EmbeddingMatrix, dtype=np.float32) -> Model:
-    """Initialize all parameters under one seed; stance path drawn first."""
+def build_model(
+    spec: ModelSpec, seed: int | None, embeddings: EmbeddingMatrix, dtype=np.float32
+) -> Model:
+    """Initialize all parameters under one seed; stance path drawn first.
+
+    With seed None nothing is drawn: the weight matrices are left
+    uninitialized for a caller that fills every one, as load_checkpoint does.
+    """
     if embeddings.dim != spec.embed_dim:
         raise ConfigError(f"embedding dim {embeddings.dim} != spec embed_dim {spec.embed_dim}")
-    rng = np.random.default_rng(seed)
+    rng = None if seed is None else np.random.default_rng(seed)
     params: dict[str, Tensor] = {}
     adversarial: set[str] = set()
     model = Model(spec=spec, embeddings=embeddings, dtype=dtype, params=params, adversarial=adversarial)
@@ -292,7 +299,8 @@ def model_forward_batch(
 
 
 def save_checkpoint(model: Model, path, vocab_hash: str) -> None:
-    """Write all registry parameters plus spec and dataset hashes to one npz."""
+    """Write all registry parameters plus spec and dataset hashes to one npz
+    at exactly `path`, with no suffix added."""
     meta = {
         "version": CHECKPOINT_VERSION,
         "spec": model.spec.to_dict(),
@@ -302,7 +310,8 @@ def save_checkpoint(model: Model, path, vocab_hash: str) -> None:
         "adversarial": sorted(model.adversarial),
     }
     arrays = {name: t.value for name, t in model.params.items()}
-    np.savez(path, __meta__=np.array(json.dumps(meta)), **arrays)
+    with atomic_write(path, "wb") as fh:
+        np.savez(fh, __meta__=np.array(json.dumps(meta)), **arrays)
 
 
 def load_checkpoint(
@@ -311,7 +320,8 @@ def load_checkpoint(
     expected_vocab_hash: str | None = None,
     check_embeddings: bool = True,
 ) -> tuple[Model, dict]:
-    """Rebuild a Model with value-exact parameters; returns (model, meta)."""
+    """Rebuild a Model with value-exact parameters; returns (model, meta).
+    Draws no random numbers: every parameter comes from the file."""
     try:
         with np.load(path, allow_pickle=False) as archive:
             names = set(archive.files)
@@ -342,7 +352,7 @@ def load_checkpoint(
         spec = ModelSpec(**meta["spec"])
     except (TypeError, ConfigError) as exc:
         raise CheckpointError(f"{path}: invalid model spec in checkpoint metadata ({exc})") from exc
-    model = build_model(spec, seed=0, embeddings=embeddings, dtype=PRECISIONS[meta["precision"]])
+    model = build_model(spec, seed=None, embeddings=embeddings, dtype=PRECISIONS[meta["precision"]])
     saved = set(arrays)
     expected = set(model.params)
     if saved != expected:

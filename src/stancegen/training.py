@@ -18,6 +18,7 @@ import numpy as np
 from .data import STANCE_TO_INDEX, STANCES, Corpus, Example
 from .errors import ConfigError, NonFiniteLossError
 from .evaluation import compute_metrics
+from .files import atomic_write
 from .models import ForwardOutput, Model, model_forward_batch, save_checkpoint
 from .tensor import (
     Tape,
@@ -296,7 +297,7 @@ def train(
     for k, p in params.items():
         p.value = best_values[k]
     if log_path is not None:
-        with open(log_path, "w", encoding="utf-8") as fh:
+        with atomic_write(log_path) as fh:
             fh.write(report.log_text())
     if checkpoint_path is not None:
         save_checkpoint(model, checkpoint_path, vocab_hash)

@@ -1,8 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stancegen.files as files
 import stancegen.tensor as T
 from stancegen.cli import (
     EXIT_CAPABILITY,
@@ -534,12 +536,68 @@ def test_dump_attention_concat_exits_5(workspace, capsys):
     out_dir = tmp_path / "concat_run"
     config = write_config(tmp_path / "concat.cfg", data_dir, out_dir, variant="Concat", max_epochs=1)
     assert main(["train", "--config", str(config)]) == EXIT_OK
+    capsys.readouterr()
+    jsonl_dir, html_dir = tmp_path / "new" / "jsonl", tmp_path / "new" / "html"
     code = main(
         ["dump-attention", "--config", str(config),
-         "--checkpoint", str(out_dir / "model_seed0.npz")]
+         "--checkpoint", str(out_dir / "model_seed0.npz"),
+         "--out", str(jsonl_dir / "att.jsonl"), "--html", str(html_dir / "att.html")]
     )
     assert code == EXIT_CAPABILITY
-    assert "no attention layer" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "no attention layer" in err
+    assert "Traceback" not in err
+    # rejected before anything was created
+    assert not (tmp_path / "new").exists()
+
+
+class _HalfWriter:
+    """A file that writes half of its first chunk, then fails."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, data):
+        self._fh.write(data[: len(data) // 2])
+        self._fh.flush()
+        raise OSError("simulated full disk")
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+@pytest.mark.parametrize(
+    "artifact",
+    ["vocab.tsv", "train_seed0.log", "model_seed0.npz", "metrics_seed0.txt", "summary.txt",
+     "att.jsonl", "att.html"],
+)
+def test_failed_write_keeps_the_previous_artifact(workspace, monkeypatch, artifact):
+    out_dir, config = _trained(workspace)
+    dump = ["dump-attention", "--config", str(config),
+            "--checkpoint", str(out_dir / "model_seed0.npz"),
+            "--out", str(out_dir / "att.jsonl"), "--html", str(out_dir / "att.html")]
+    assert main(dump) == EXIT_OK
+    before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    assert artifact in before
+
+    real_open = open
+
+    def open_failing_on_artifact(file, *args, **kwargs):
+        fh = real_open(file, *args, **kwargs)
+        return _HalfWriter(fh) if artifact in Path(file).name else fh
+
+    monkeypatch.setattr(files, "open", open_failing_on_artifact, raising=False)
+    command = dump if artifact.startswith("att.") else ["train", "--config", str(config)]
+    with pytest.raises(OSError, match="simulated full disk"):
+        main(command)
+    after = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    assert after == before
 
 
 # --------------------------------------------------------------- gradcheck

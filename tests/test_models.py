@@ -324,12 +324,21 @@ def trained_like_model(variant="BCAInvar", dtype=np.float32):
     return m
 
 
-def test_checkpoint_round_trip_value_exact(tmp_path):
-    m = trained_like_model()
+@pytest.mark.parametrize("variant", M.VARIANTS)
+def test_checkpoint_round_trip_value_exact(tmp_path, monkeypatch, variant):
+    m = trained_like_model(variant)
     path = tmp_path / "model.npz"
     save_checkpoint(m, path, vocab_hash="abc123")
-    loaded, meta = load_checkpoint(path, embeddings=embeddings(), expected_vocab_hash="abc123")
-    assert meta["spec"]["variant"] == "BCAInvar"
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("load_checkpoint created a random generator")
+
+    # every parameter comes from the file, so loading draws nothing
+    emb = embeddings()
+    with monkeypatch.context() as patched:
+        patched.setattr(np.random, "default_rng", no_draws)
+        loaded, meta = load_checkpoint(path, embeddings=emb, expected_vocab_hash="abc123")
+    assert meta["spec"]["variant"] == variant
     assert set(loaded.params) == set(m.params)
     for name in m.params:
         assert np.array_equal(loaded.params[name].value, m.params[name].value), name
