@@ -45,9 +45,10 @@ from .errors import (
     ParseError,
 )
 from .evaluation import compute_metrics, dump_attention, format_metrics
-from .files import atomic_write
+from .files import atomic_write, read_text
 from .layers import (
     AttentionParams,
+    Dropout,
     EncoderParams,
     LSTMParams,
     LSTMState,
@@ -68,6 +69,7 @@ from .tensor import (
     matmul_t,
     matvec,
     mul,
+    nll_sum,
     softmax_rows,
     sum_all,
 )
@@ -134,7 +136,7 @@ def parse_config_file(path) -> dict[str, str]:
     if not Path(path).exists():
         raise ConfigError(f"config file not found: {path}")
     values: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path, error=ConfigError).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -155,6 +157,9 @@ def _parse_seeds(raw: str) -> list[int]:
         raise ConfigError(f"seeds must be comma-separated integers, got {raw!r}")
     if not seeds:
         raise ConfigError("at least one seed is required")
+    negative = [s for s in seeds if s < 0]
+    if negative:
+        raise ConfigError(f"seeds must be non-negative, got {negative[0]}")
     return seeds
 
 
@@ -189,7 +194,7 @@ def build_run_config(args) -> RunConfig:
     if getattr(args, "seeds", None):
         cfg.seeds = _parse_seeds(args.seeds)
     elif getattr(args, "seed", None) is not None:
-        cfg.seeds = [args.seed]
+        cfg.seeds = _parse_seeds(str(args.seed))
     if getattr(args, "no_count_check", False):
         cfg.count_check = False
     if getattr(args, "out_dir", None):
@@ -235,19 +240,19 @@ def load_datasets(cfg: RunConfig) -> Split:
     return make_split(full, check_counts=cfg.count_check)
 
 
-def load_vocab_and_embeddings(cfg: RunConfig, split: Split | None):
-    """Vocabulary from file if configured/saved, else rebuilt from train."""
-    vocab = None
+def load_vocab_and_embeddings(cfg: RunConfig, train: Corpus | None):
+    """Vocabulary from vocab_path if set; else `train` builds it when given
+    (the train command), and out_dir/vocab.tsv is read when not (every
+    command that loads a checkpoint)."""
     if cfg.vocab_path:
         vocab = Vocabulary.load(_resolve_data_path(cfg.vocab_path, "vocab.tsv", "vocab"))
+    elif train is not None:
+        vocab = build_vocab([train], min_count=cfg.hp.min_count)
     else:
         saved = Path(cfg.out_dir) / "vocab.tsv"
-        if saved.exists():
-            vocab = Vocabulary.load(saved)
-    if vocab is None:
-        if split is None:
-            raise ConfigError("no vocabulary file available and no training data to rebuild it")
-        vocab = build_vocab([split.train], min_count=cfg.hp.min_count)
+        if not saved.exists():
+            raise ConfigError(f"no vocab_path configured and {saved} not found")
+        vocab = Vocabulary.load(saved)
     if cfg.embeddings_path:
         path = _resolve_data_path(cfg.embeddings_path, "embeddings.txt", "embeddings")
         emb = load_embeddings(path, vocab, cfg.hp.embed_dim)
@@ -302,7 +307,7 @@ def _train_one_seed(cfg: RunConfig, split: Split, vocab, emb, seed: int):
 def cmd_train(args) -> int:
     cfg = build_run_config(args)
     split = load_datasets(cfg)
-    vocab, emb = load_vocab_and_embeddings(cfg, split)
+    vocab, emb = load_vocab_and_embeddings(cfg, split.train)
     for corpus in (split.train, split.dev, split.test):
         encode_corpus(corpus, vocab)
     out_dir = Path(cfg.out_dir)
@@ -343,28 +348,26 @@ def cmd_train(args) -> int:
 # ------------------------------------------------------------ eval/predict
 
 
-def _load_checkpoint_for(cfg: RunConfig, checkpoint_path, split: Split | None):
-    vocab, emb = load_vocab_and_embeddings(cfg, split)
+def _load_checkpoint_for(cfg: RunConfig, checkpoint_path):
+    vocab, emb = load_vocab_and_embeddings(cfg, None)
     model, meta = load_checkpoint(checkpoint_path, emb, expected_vocab_hash=vocab.content_hash())
     return model, meta, vocab
 
 
-def _evaluation_corpus(cfg: RunConfig, args) -> tuple[Corpus, Split | None]:
+def _evaluation_corpus(cfg: RunConfig, args) -> Corpus:
     if getattr(args, "dataset", None):
-        corpus = parse_semeval_tsv(args.dataset)
-        split = None
+        corpus = parse_semeval_tsv(_resolve_data_path(args.dataset, "", "dataset"))
     else:
-        split = load_datasets(cfg)
-        corpus = getattr(split, args.split)
+        corpus = getattr(load_datasets(cfg), args.split)
     if len(corpus) == 0:
         raise DataError("evaluation dataset is empty")
-    return corpus, split
+    return corpus
 
 
 def cmd_eval(args) -> int:
     cfg = build_run_config(args)
-    corpus, split = _evaluation_corpus(cfg, args)
-    model, _, vocab = _load_checkpoint_for(cfg, args.checkpoint, split)
+    corpus = _evaluation_corpus(cfg, args)
+    model, _, vocab = _load_checkpoint_for(cfg, args.checkpoint)
     encode_corpus(corpus, vocab)
     preds = predict_corpus(model, corpus, cfg.hp.batch_size)
     name = args.dataset if getattr(args, "dataset", None) else args.split
@@ -374,7 +377,7 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     cfg = build_run_config(args)
-    model, _, vocab = _load_checkpoint_for(cfg, args.checkpoint, None)
+    model, _, vocab = _load_checkpoint_for(cfg, args.checkpoint)
     sentence = tokenize(args.text)
     target = tokenize(args.target)
     ex = Example(
@@ -395,8 +398,8 @@ def cmd_predict(args) -> int:
 
 def cmd_dump_attention(args) -> int:
     cfg = build_run_config(args)
-    corpus, split = _evaluation_corpus(cfg, args)
-    model, _, vocab = _load_checkpoint_for(cfg, args.checkpoint, split)
+    corpus = _evaluation_corpus(cfg, args)
+    model, _, vocab = _load_checkpoint_for(cfg, args.checkpoint)
     encode_corpus(corpus, vocab)
     out_path = Path(args.out) if args.out else Path(cfg.out_dir) / "attention.jsonl"
     html_path = Path(args.html) if args.html else None
@@ -439,6 +442,12 @@ def _gradcheck_components():
 
         return run
 
+    def nll_sum_check(rng):
+        # probabilities far above the floor, so no entry sits on its kink
+        probs = Tensor(rng.uniform(0.2, 0.9, (3, 4)))
+        idx = rng.integers(0, 4, 3)
+        return finite_difference_check(lambda: nll_sum(probs, idx, training.PROB_FLOOR), [probs])
+
     def matvec_check(rng):
         w, x = mat(rng, 3, 4), mat(rng, 4)
         return finite_difference_check(lambda: reduce_with(matvec(w, x)), [w, x])
@@ -475,7 +484,7 @@ def _gradcheck_components():
             # second row's final state reaches the last position through padding
             states = run_lstm_batch(
                 steps, mask, zero_state_batch(2, 2, np.float64), params,
-                recurrent_dropout=0.3, train=True, rng=np.random.default_rng(5),
+                drop=Dropout(0.3, np.random.default_rng(5)),
             )
             return reduce_with(states[-1].h)
         return finite_difference_check(f, tensors)
@@ -567,7 +576,7 @@ def _gradcheck_components():
         seeded("tanh", unary_check("tanh", [-1.2, 0.3, 0.9, -0.4])),
         seeded("sigmoid", unary_check("sigmoid", [-1.2, 0.3, 0.9, -0.4])),
         seeded("relu", unary_check("relu", [-1.2, 0.3, 0.9, -0.4])),
-        seeded("log", unary_check("log", [0.4, 1.3, 2.2, 0.7])),
+        seeded("nll_sum", nll_sum_check),
         seeded("add", binary_check("add")),
         seeded("mul", binary_check("mul")),
         seeded("matvec", matvec_check),

@@ -7,12 +7,11 @@ import hashlib
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError, ParseError
-from .files import atomic_write
+from .files import atomic_write, read_text, unreadable
 
 STANCES = ("FAVOR", "AGAINST", "NONE")
 STANCE_TO_INDEX = {s: i for i, s in enumerate(STANCES)}
@@ -107,7 +106,7 @@ class Vocabulary:
         id 0 and UNK at id 1. Any violation raises ParseError with its line."""
         mapping: dict[str, int] = {}
         line_of: dict[int, int] = {}
-        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+        for lineno, line in enumerate(read_text(path).splitlines(), start=1):
             if not line:
                 continue
             parts = line.split("\t")
@@ -168,8 +167,7 @@ def tokenize(text: str) -> list[str]:
 
 def parse_semeval_tsv(path) -> Corpus:
     """Parse a 4-column (ID, Target, Tweet, Stance) TSV with one header line."""
-    path = Path(path)
-    text = path.read_text(encoding="utf-8-sig")
+    text = read_text(path, encoding="utf-8-sig")
     examples: list[Example] = []
     lines = text.splitlines()
     if not lines:
@@ -222,6 +220,24 @@ def _hash_seeded_vector(token: str, dim: int) -> np.ndarray:
     return np.random.default_rng(seed).uniform(-0.05, 0.05, dim)
 
 
+def _vocab_vectors(lines, vocab: Vocabulary, dim: int) -> dict[str, np.ndarray]:
+    """The vector of each vocabulary token among "token v1 ... v_dim" lines."""
+    found: dict[str, np.ndarray] = {}
+    for lineno, line in enumerate(lines, start=1):
+        head = line.split(None, 1)
+        if not head or head[0] not in vocab.token_to_id:
+            continue
+        tok = head[0]
+        values = head[1].split() if len(head) > 1 else []
+        if len(values) != dim:
+            raise ParseError(f"expected {dim} values for token {tok!r}, got {len(values)}", line=lineno)
+        try:
+            found[tok] = np.array(values, dtype=np.float64)
+        except ValueError:
+            raise ParseError(f"non-numeric value in the vector for {tok!r}", line=lineno) from None
+    return found
+
+
 def load_embeddings(path, vocab: Vocabulary, dim: int) -> EmbeddingMatrix:
     """Read "token v1 ... v_dim" lines; PAD row is zeros; tokens missing from
     the file get a deterministic hash-seeded vector in [-0.05, 0.05].
@@ -230,22 +246,11 @@ def load_embeddings(path, vocab: Vocabulary, dim: int) -> EmbeddingMatrix:
     token is in the vocabulary. A string-to-float64 array cast parses each
     value as Python's float() does, so no bit depends on the conversion path.
     """
-    found: dict[str, np.ndarray] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            head = line.split(None, 1)
-            if not head or head[0] not in vocab.token_to_id:
-                continue
-            tok = head[0]
-            values = head[1].split() if len(head) > 1 else []
-            if len(values) != dim:
-                raise ParseError(
-                    f"expected {dim} values for token {tok!r}, got {len(values)}", line=lineno
-                )
-            try:
-                found[tok] = np.array(values, dtype=np.float64)
-            except ValueError:
-                raise ParseError(f"non-numeric value in the vector for {tok!r}", line=lineno) from None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            found = _vocab_vectors(fh, vocab, dim)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise unreadable(path, exc) from None
     values = np.zeros((len(vocab), dim), dtype=np.float64)
     for tok, idx in vocab.token_to_id.items():
         if idx == PAD_ID:

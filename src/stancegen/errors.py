@@ -5,10 +5,6 @@ class ShapeError(ValueError):
     """Operand shapes are incompatible with the requested operation."""
 
 
-class DomainError(ValueError):
-    """An input value is outside the mathematical domain of an operation."""
-
-
 class ParseError(ValueError):
     """A data file is malformed; carries the offending line number."""
 

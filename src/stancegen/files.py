@@ -1,11 +1,31 @@
-"""Whole-file writes: an artifact is either the old file or the new one,
-never a half-written mix."""
+"""File access shared by every reader and writer. Whole-file writes: an
+artifact is either the old file or the new one, never a half-written mix.
+Reads: a file that cannot be read or is not UTF-8 raises an error that names
+it."""
 
 from __future__ import annotations
 
 import contextlib
 import os
 from pathlib import Path
+
+from .errors import DataError
+
+
+def unreadable(path, exc: Exception, error: type[Exception] = DataError) -> Exception:
+    """The error to raise for a file that open() or UTF-8 decoding refused."""
+    if isinstance(exc, UnicodeDecodeError):
+        return error(f"{path}: not UTF-8 text (byte {exc.object[exc.start]:#04x})")
+    return error(f"{path}: cannot read ({exc.strerror or exc})")
+
+
+def read_text(path, encoding: str = "utf-8", error: type[Exception] = DataError) -> str:
+    """The whole file as text; raises `error` naming the file if it cannot
+    be read or decoded."""
+    try:
+        return Path(path).read_text(encoding=encoding)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise unreadable(path, exc, error) from None
 
 
 @contextlib.contextmanager

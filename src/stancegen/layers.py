@@ -3,7 +3,8 @@ dropout, and the gradient-reversal layer.
 
 Every layer is row-batched: a sequence is a list of (batch, dim) matrices,
 one per position, with trailing padding marked by a (batch, positions) mask
-that is True on real tokens. A single example is a batch of one.
+that is True on real tokens. A single example is a batch of one. A layer
+that drops units takes one optional Dropout value; None means eval mode.
 """
 
 from __future__ import annotations
@@ -42,6 +43,24 @@ def glorot_uniform(rng: np.random.Generator | None, rows: int, cols: int, dtype)
         return np.empty((rows, cols), dtype=dtype)
     r = np.sqrt(6.0 / (rows + cols))
     return rng.uniform(-r, r, size=(rows, cols)).astype(dtype)
+
+
+@dataclass(frozen=True)
+class Dropout:
+    """Inverted dropout at `rate` with masks drawn from `rng`, one draw per
+    call in call order; at rate 0 it returns its input and draws nothing."""
+
+    rate: float
+    rng: np.random.Generator | None = None
+
+    def __post_init__(self):
+        if not 0.0 <= self.rate < 1.0:
+            raise ValueError(f"dropout rate must be in [0, 1), got {self.rate}")
+        if self.rate > 0.0 and self.rng is None:
+            raise ValueError(f"dropout at rate {self.rate} needs a generator")
+
+    def __call__(self, x: Tensor) -> Tensor:
+        return x if self.rate == 0.0 else dropout(x, self.rate, self.rng)
 
 
 @dataclass
@@ -143,17 +162,15 @@ def run_lstm_batch(
     init: LSTMState,
     params: LSTMParams,
     reverse: bool = False,
-    recurrent_dropout: float = 0.0,
-    train: bool = False,
-    rng: np.random.Generator | None = None,
+    drop: Dropout | None = None,
 ) -> list[LSTMState]:
     """Run an LSTM over padded steps; states returned in position order.
 
     mask is (batch, positions) with trailing padding. At padded positions the
     state carries through unchanged, so the state at the last processed step
     equals each row's true final state, and in reverse each row's first
-    processed position conditions on `init`. Recurrent dropout draws an
-    independent mask on h_prev entering each step.
+    processed position conditions on `init`. With `drop`, an independent
+    mask falls on h_prev entering each step.
     """
     n = len(steps)
     if not n:
@@ -164,9 +181,7 @@ def run_lstm_batch(
     states: list[LSTMState | None] = [None] * n
     prev = init
     for t in range(n - 1, -1, -1) if reverse else range(n):
-        step_in = prev
-        if train and recurrent_dropout > 0.0:
-            step_in = LSTMState(dropout(prev.h, recurrent_dropout, rng), prev.c)
+        step_in = prev if drop is None else LSTMState(drop(prev.h), prev.c)
         new = lstm_step_batch(steps[t], step_in, params)
         keep = mask[:, t]
         if keep.all():
@@ -208,9 +223,7 @@ def conditional_encode_batch(
     sent_steps: Sequence[Tensor],
     sent_mask: np.ndarray,
     params: EncoderParams,
-    recurrent_dropout: float = 0.0,
-    train: bool = False,
-    rng: np.random.Generator | None = None,
+    drop: Dropout | None = None,
 ) -> tuple[list[Tensor], Tensor]:
     """Encode sentences conditioned on their targets.
 
@@ -223,11 +236,10 @@ def conditional_encode_batch(
         raise ValueError("conditional_encode_batch: empty target or sentence")
     first = target_steps[0].value
     init = zero_state_batch(first.shape[0], params.target_fwd.hidden_dim, first.dtype)
-    kw = dict(recurrent_dropout=recurrent_dropout, train=train, rng=rng)
-    t_fwd = run_lstm_batch(target_steps, target_mask, init, params.target_fwd, **kw)
-    t_bwd = run_lstm_batch(target_steps, target_mask, init, params.target_bwd, reverse=True, **kw)
-    s_fwd = run_lstm_batch(sent_steps, sent_mask, t_fwd[-1], params.sent_fwd, **kw)
-    s_bwd = run_lstm_batch(sent_steps, sent_mask, t_bwd[0], params.sent_bwd, reverse=True, **kw)
+    t_fwd = run_lstm_batch(target_steps, target_mask, init, params.target_fwd, drop=drop)
+    t_bwd = run_lstm_batch(target_steps, target_mask, init, params.target_bwd, reverse=True, drop=drop)
+    s_fwd = run_lstm_batch(sent_steps, sent_mask, t_fwd[-1], params.sent_fwd, drop=drop)
+    s_bwd = run_lstm_batch(sent_steps, sent_mask, t_bwd[0], params.sent_bwd, reverse=True, drop=drop)
     hiddens = [concat_cols([f.h, b.h]) for f, b in zip(s_fwd, s_bwd)]
     summary = concat_cols([t_fwd[-1].h, t_bwd[0].h])
     return hiddens, summary
@@ -238,15 +250,12 @@ def bilstm_encode_batch(
     mask: np.ndarray,
     fwd: LSTMParams,
     bwd: LSTMParams,
-    recurrent_dropout: float = 0.0,
-    train: bool = False,
-    rng: np.random.Generator | None = None,
+    drop: Dropout | None = None,
 ) -> list[Tensor]:
     """Unconditional BiLSTM encoding from zero initial states."""
     init = zero_state_batch(steps[0].value.shape[0], fwd.hidden_dim, steps[0].value.dtype)
-    kw = dict(recurrent_dropout=recurrent_dropout, train=train, rng=rng)
-    f = run_lstm_batch(steps, mask, init, fwd, **kw)
-    b = run_lstm_batch(steps, mask, init, bwd, reverse=True, **kw)
+    f = run_lstm_batch(steps, mask, init, fwd, drop=drop)
+    b = run_lstm_batch(steps, mask, init, bwd, reverse=True, drop=drop)
     return [concat_cols([fj.h, bj.h]) for fj, bj in zip(f, b)]
 
 
@@ -290,14 +299,3 @@ def grl(x: Tensor) -> Tensor:
         x.accum(-g)
 
     return _record(out, backward)
-
-
-def dropout_apply(
-    x: Tensor, rate: float, train_mode: bool, rng: np.random.Generator | None = None
-) -> Tensor:
-    """Inverted dropout in train mode, identity in eval mode."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if not train_mode or rate == 0.0:
-        return x
-    return dropout(x, rate, rng)

@@ -22,11 +22,11 @@ from .files import atomic_write
 from .layers import (
     AttentionOutput,
     AttentionParams,
+    Dropout,
     EncoderParams,
     additive_attention_batch,
     bilstm_encode_batch,
     conditional_encode_batch,
-    dropout_apply,
     glorot_uniform,
     grl,
     max_pool_encode_batch,
@@ -219,12 +219,8 @@ def pad_id_batch(id_lists: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
     return out, mask
 
 
-def _embed_steps(model, ids, train, rate, rng):
-    steps = []
-    for t in range(ids.shape[1]):
-        m = Tensor(model.embeddings.values[ids[:, t]].astype(model.dtype))
-        steps.append(dropout_apply(m, rate, train, rng))
-    return steps
+def _embed_steps(model: Model, ids: np.ndarray) -> list[Tensor]:
+    return [Tensor(model.embeddings.values[ids[:, t]].astype(model.dtype)) for t in range(ids.shape[1])]
 
 
 def _stance_head_batch(model: Model, s: Tensor) -> Tensor:
@@ -248,11 +244,12 @@ def model_forward_batch(
 ) -> ForwardOutput:
     """Forward pass over a batch of examples, padded to the longest target
     and sentence; padding never changes another position's output, so each
-    row equals the example's forward as a batch of one. Dropout applies
-    after the embedding lookup, between recurrent steps, and on the encoder
-    outputs; eval mode consumes no randomness. The stance head reads the
-    branches' concatenated representations; the domain heads and the
-    reported attention weights come from the first branch."""
+    row equals the example's forward as a batch of one. In train mode one
+    Dropout(dropout, rng) applies after the embedding lookup, between
+    recurrent steps, and on the encoder outputs; eval mode consumes no
+    randomness. The stance head reads the branches' concatenated
+    representations; the domain heads and the reported attention weights
+    come from the first branch."""
     if not examples:
         raise ValueError("model_forward_batch: empty batch")
     for ex in examples:
@@ -260,12 +257,13 @@ def model_forward_batch(
         _check_ids(model, ex.sentence_ids, "sentence")
     t_ids, t_mask = pad_id_batch([ex.target_ids for ex in examples])
     s_ids, s_mask = pad_id_batch([ex.sentence_ids for ex in examples])
-    kw = dict(recurrent_dropout=dropout, train=train_mode, rng=rng)
-    sent = _embed_steps(model, s_ids, train_mode, dropout, rng)
-    tgt = _embed_steps(model, t_ids, train_mode, dropout, rng)
+    drop = Dropout(dropout, rng) if train_mode else None
 
     def post(mats):
-        return [dropout_apply(m, dropout, train_mode, rng) for m in mats]
+        return mats if drop is None else [drop(m) for m in mats]
+
+    sent = post(_embed_steps(model, s_ids))
+    tgt = post(_embed_steps(model, t_ids))
 
     attentions: list[AttentionOutput] = []
     stance_reprs: list[Tensor] = []
@@ -273,16 +271,16 @@ def model_forward_batch(
     for branch in model.branches:
         enc = branch.encoder
         if branch.attention is not None:
-            hiddens, summary = conditional_encode_batch(tgt, t_mask, sent, s_mask, enc, **kw)
+            hiddens, summary = conditional_encode_batch(tgt, t_mask, sent, s_mask, enc, drop)
             hiddens = post(hiddens)
-            summary = dropout_apply(summary, dropout, train_mode, rng)
+            summary = post([summary])[0]
             att = additive_attention_batch(summary, hiddens, branch.attention, s_mask)
             attentions.append(att)
             stance_reprs.append(att.s)
             sentence_reprs.append(att.s)
         else:
-            t_hidden = post(bilstm_encode_batch(tgt, t_mask, enc.target_fwd, enc.target_bwd, **kw))
-            s_hidden = post(bilstm_encode_batch(sent, s_mask, enc.sent_fwd, enc.sent_bwd, **kw))
+            t_hidden = post(bilstm_encode_batch(tgt, t_mask, enc.target_fwd, enc.target_bwd, drop))
+            s_hidden = post(bilstm_encode_batch(sent, s_mask, enc.sent_fwd, enc.sent_bwd, drop))
             t_pool = max_pool_encode_batch(t_hidden, t_mask)
             s_pool = max_pool_encode_batch(s_hidden, s_mask)
             stance_reprs.append(concat_cols([t_pool, s_pool]))
@@ -318,7 +316,6 @@ def load_checkpoint(
     path,
     embeddings: EmbeddingMatrix,
     expected_vocab_hash: str | None = None,
-    check_embeddings: bool = True,
 ) -> tuple[Model, dict]:
     """Rebuild a Model with value-exact parameters; returns (model, meta).
     Draws no random numbers: every parameter comes from the file."""
@@ -346,7 +343,7 @@ def load_checkpoint(
             f"{path}: vocabulary hash mismatch (checkpoint {meta['vocab_hash'][:12]}..., "
             f"current {expected_vocab_hash[:12]}...)"
         )
-    if check_embeddings and meta["embed_hash"] != embeddings.content_hash():
+    if meta["embed_hash"] != embeddings.content_hash():
         raise CheckpointError(f"{path}: embedding matrix differs from the one used at training time")
     try:
         spec = ModelSpec(**meta["spec"])

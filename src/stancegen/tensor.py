@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import ShapeError
 
 PRECISIONS = {"float32": np.float32, "float64": np.float64}
 
@@ -128,10 +128,7 @@ UNARY_OPS = {
     "tanh": (lambda x, c: np.tanh(x), lambda x, y, g, c: g * (1.0 - y * y)),
     "sigmoid": (lambda x, c: _sigmoid(x), lambda x, y, g, c: g * y * (1.0 - y)),
     "relu": (lambda x, c: np.maximum(x, 0.0), lambda x, y, g, c: g * (x > 0.0)),
-    "log": (lambda x, c: np.log(x), lambda x, y, g, c: g / x),
-    "negate": (lambda x, c: -x, lambda x, y, g, c: -g),
     "scale": (lambda x, c: x * c, lambda x, y, g, c: g * c),
-    "clamp_min": (lambda x, c: np.maximum(x, c), lambda x, y, g, c: g * (x > c)),
 }
 
 BINARY_OPS = {
@@ -144,12 +141,7 @@ def apply_unary(x: Tensor, f: str, const: float | None = None) -> Tensor:
     """Elementwise unary op; registers the matching backward rule."""
     if f not in UNARY_OPS:
         raise ValueError(f"unknown unary op {f!r}")
-    if f == "log":
-        bad = np.where(x.value <= 0.0)
-        if bad[0].size:
-            idx = tuple(int(b[0]) for b in bad)
-            raise DomainError(f"log: non-positive entry {x.value[idx]} at index {idx}")
-    if f in ("scale", "clamp_min") and const is None:
+    if f == "scale" and const is None:
         raise ValueError(f"{f} requires a constant")
     out = Tensor(UNARY_OPS[f][0](x.value, const))
 
@@ -171,20 +163,8 @@ def relu(x: Tensor) -> Tensor:
     return apply_unary(x, "relu")
 
 
-def log(x: Tensor) -> Tensor:
-    return apply_unary(x, "log")
-
-
-def negate(x: Tensor) -> Tensor:
-    return apply_unary(x, "negate")
-
-
 def scale(x: Tensor, k: float) -> Tensor:
     return apply_unary(x, "scale", const=k)
-
-
-def clamp_min(x: Tensor, floor: float) -> Tensor:
-    return apply_unary(x, "clamp_min", const=floor)
 
 
 def apply_binary(a: Tensor, b: Tensor, f: str) -> Tensor:
@@ -349,22 +329,6 @@ def blend_rows(new: Tensor, old: Tensor, keep_new: np.ndarray) -> Tensor:
     return _record(out, backward)
 
 
-def select_rows(m: Tensor, idx: np.ndarray) -> Tensor:
-    """Gather one entry per row: out[i] = m[i, idx[i]]."""
-    idx = np.asarray(idx, dtype=np.intp)
-    if m.value.ndim != 2 or idx.shape != (m.value.shape[0],):
-        raise ShapeError(f"select_rows: {m.value.shape} idx {idx.shape}")
-    rows = np.arange(m.value.shape[0])
-    out = Tensor(m.value[rows, idx].copy())
-
-    def backward(g):
-        if m.grad is None:
-            m.grad = np.zeros_like(m.value)
-        m.grad[rows, idx] += g
-
-    return _record(out, backward)
-
-
 def softmax_rows(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
     """Max-subtracted softmax over each row; masked positions are exactly 0."""
     if x.value.ndim != 2:
@@ -398,6 +362,29 @@ def sum_all(x: Tensor) -> Tensor:
 
     def backward(g):
         x.accum(np.full_like(x.value, g[0]))
+
+    return _record(out, backward)
+
+
+def nll_sum(probs: Tensor, idx: np.ndarray, floor: float) -> Tensor:
+    """Summed negative log-likelihood as a length-1 tensor:
+    sum_i -log(max(probs[i, idx[i]], floor)). Below the floor an entry gets
+    no gradient; a NaN probability gives a NaN sum."""
+    idx = np.asarray(idx, dtype=np.intp)
+    if probs.value.ndim != 2 or idx.shape != (probs.value.shape[0],):
+        raise ShapeError(f"nll_sum: {probs.value.shape} idx {idx.shape}")
+    rows = np.arange(probs.value.shape[0])
+    picked = probs.value[rows, idx]
+    kept = np.maximum(picked, floor)
+    out = Tensor((-np.log(kept)).sum().reshape(1))
+
+    def backward(g):
+        g = -np.full_like(kept, g[0])
+        g = g / kept
+        g = g * (picked > floor)
+        if probs.grad is None:
+            probs.grad = np.zeros_like(probs.value)
+        probs.grad[rows, idx] += g
 
     return _record(out, backward)
 

@@ -20,18 +20,7 @@ from .errors import ConfigError, NonFiniteLossError
 from .evaluation import compute_metrics
 from .files import atomic_write
 from .models import ForwardOutput, Model, model_forward_batch, save_checkpoint
-from .tensor import (
-    Tape,
-    Tensor,
-    add,
-    clamp_min,
-    log,
-    negate,
-    scale,
-    select_rows,
-    sum_all,
-    zero_grads,
-)
+from .tensor import Tape, Tensor, add, nll_sum, scale, zero_grads
 
 PROB_FLOOR = 1e-12
 
@@ -74,8 +63,7 @@ class Hyperparams:
 def stance_loss_batch(probs: Tensor, gold_idx: np.ndarray) -> Tensor:
     """Mean over the batch of -log p[gold] with a 1e-12 probability floor;
     probs is (batch, 3) and gold_idx holds class indices."""
-    picked = select_rows(probs, gold_idx)
-    return scale(sum_all(negate(log(clamp_min(picked, PROB_FLOOR)))), 1.0 / probs.value.shape[0])
+    return scale(nll_sum(probs, gold_idx, PROB_FLOOR), 1.0 / probs.value.shape[0])
 
 
 def domain_loss_batch(domain_probs: list[Tensor], gold_domain: np.ndarray) -> Tensor:
@@ -87,7 +75,7 @@ def domain_loss_batch(domain_probs: list[Tensor], gold_domain: np.ndarray) -> Te
     total = None
     for i, p in enumerate(domain_probs):
         cls = np.where(gold_domain == i, 0, 1)
-        term = sum_all(negate(log(clamp_min(select_rows(p, cls), PROB_FLOOR))))
+        term = nll_sum(p, cls, PROB_FLOOR)
         total = term if total is None else add(total, term)
     return scale(total, 1.0 / (len(domain_probs) * batch))
 

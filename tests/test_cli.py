@@ -482,6 +482,132 @@ def test_eval_external_dataset(workspace, tmp_path, capsys):
     assert "macro-F1" in capsys.readouterr().out
 
 
+# -------------------------------------------------------- unreadable inputs
+
+NOT_UTF8 = b"\xff\xfe not text\n"
+
+
+def _bad_train_tsv(tmp_path, data_dir, out_dir, config):
+    (data_dir / "train.tsv").write_bytes(HEADER.encode() + b"\n" + NOT_UTF8)
+    return ["train", "--config", str(config)], data_dir / "train.tsv"
+
+
+def _bad_embeddings(tmp_path, data_dir, out_dir, config):
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_bytes(b"love 0.1 0.2 0.3 0.4 0.5\n" + NOT_UTF8)
+    config = write_config(tmp_path / "emb.cfg", data_dir, out_dir, embeddings_path=vectors)
+    return ["train", "--config", str(config)], vectors
+
+
+def _bad_vocab(tmp_path, data_dir, out_dir, config):
+    assert main(["train", "--config", str(config)]) == EXIT_OK
+    (out_dir / "vocab.tsv").write_bytes(b"<pad>\t0\n<unk>\t1\n" + NOT_UTF8)
+    return _eval(config, out_dir), out_dir / "vocab.tsv"
+
+
+def _bad_config(tmp_path, data_dir, out_dir, config):
+    config.write_bytes(config.read_bytes() + NOT_UTF8)
+    return ["train", "--config", str(config)], config
+
+
+def _missing_dataset(tmp_path, data_dir, out_dir, config):
+    assert main(["train", "--config", str(config)]) == EXIT_OK
+    return _eval(config, out_dir, "--dataset", str(tmp_path / "absent.tsv")), tmp_path / "absent.tsv"
+
+
+def _directory_dataset(tmp_path, data_dir, out_dir, config):
+    assert main(["train", "--config", str(config)]) == EXIT_OK
+    return _eval(config, out_dir, "--dataset", str(data_dir)), data_dir
+
+
+def _eval(config, out_dir, *extra):
+    return ["eval", "--config", str(config), "--checkpoint", str(out_dir / "model_seed0.npz"), *extra]
+
+
+@pytest.mark.parametrize(
+    "make,code",
+    [
+        (_bad_train_tsv, EXIT_DATA),
+        (_bad_embeddings, EXIT_DATA),
+        (_bad_vocab, EXIT_DATA),
+        (_bad_config, EXIT_CONFIG),
+        (_missing_dataset, EXIT_CONFIG),
+        (_directory_dataset, EXIT_DATA),
+    ],
+    ids=["tsv-not-utf8", "embeddings-not-utf8", "vocab-not-utf8", "config-not-utf8",
+         "dataset-missing", "dataset-is-a-directory"],
+)
+def test_unreadable_input_exits_with_its_code(workspace, capsys, make, code):
+    argv, path = make(*workspace)
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert str(path) in err
+
+
+@pytest.mark.parametrize(
+    "config_seeds,flags",
+    [(-1, []), (0, ["--seed", "-1"]), (0, ["--seeds", "0,-3"])],
+    ids=["config-seeds", "seed-flag", "seeds-flag"],
+)
+def test_negative_seed_exits_2(workspace, capsys, config_seeds, flags):
+    tmp_path, data_dir, out_dir, _ = workspace
+    config = write_config(tmp_path / "seeds.cfg", data_dir, out_dir, seeds=config_seeds)
+    assert main(["train", "--config", str(config), *flags]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "non-negative" in err and "Traceback" not in err
+    assert not out_dir.exists()
+
+
+# ------------------------------------------------------------- vocabulary
+
+
+def _run_arrays(out_dir):
+    with np.load(out_dir / "model_seed0.npz", allow_pickle=False) as archive:
+        return {name: archive[name] for name in archive.files}
+
+
+def test_retrain_builds_its_own_vocabulary(workspace):
+    tmp_path, data_dir, out_dir, config = workspace
+    assert main(["train", "--config", str(config)]) == EXIT_OK
+    stale = (out_dir / "vocab.tsv").read_bytes()
+    rare = write_config(tmp_path / "rare.cfg", data_dir, out_dir, min_count=1000)
+    assert main(["train", "--config", str(rare)]) == EXIT_OK
+    fresh_dir = tmp_path / "fresh"
+    fresh = write_config(tmp_path / "fresh.cfg", data_dir, fresh_dir, min_count=1000)
+    assert main(["train", "--config", str(fresh)]) == EXIT_OK
+    vocab = (out_dir / "vocab.tsv").read_bytes()
+    assert vocab == (fresh_dir / "vocab.tsv").read_bytes() != stale
+    assert vocab == b"<pad>\t0\n<unk>\t1\n"
+    retrained, reference = _run_arrays(out_dir), _run_arrays(fresh_dir)
+    assert retrained.keys() == reference.keys()
+    for name in reference:
+        assert np.array_equal(retrained[name], reference[name]), name
+    assert (out_dir / "summary.txt").read_bytes() == (fresh_dir / "summary.txt").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["eval", "predict", "dump-attention"])
+def test_checkpoint_commands_need_a_saved_vocabulary(workspace, capsys, command):
+    out_dir, config = _trained(workspace)
+    (out_dir / "vocab.tsv").unlink()
+    argv = [command, "--config", str(config), "--checkpoint", str(out_dir / "model_seed0.npz")]
+    if command == "predict":
+        argv += ["--text", "love it", "--target", "Donald Trump"]
+    capsys.readouterr()
+    assert main(argv) == EXIT_CONFIG
+    assert "vocab.tsv not found" in capsys.readouterr().err
+
+
+def test_checkpoint_commands_read_vocab_path(workspace):
+    tmp_path, data_dir, out_dir, config = workspace
+    _trained(workspace)
+    moved = tmp_path / "kept_vocab.tsv"
+    (out_dir / "vocab.tsv").rename(moved)
+    with_path = write_config(tmp_path / "vp.cfg", data_dir, out_dir, vocab_path=moved)
+    assert main(_eval(with_path, out_dir)) == EXIT_OK
+
+
 # ----------------------------------------------------------------- predict
 
 

@@ -3,13 +3,13 @@ import pytest
 
 from stancegen.layers import (
     AttentionParams,
+    Dropout,
     EncoderParams,
     LSTMParams,
     LSTMState,
     additive_attention_batch,
     bilstm_encode_batch,
     conditional_encode_batch,
-    dropout_apply,
     grl,
     lstm_step_batch,
     max_pool_encode_batch,
@@ -405,42 +405,68 @@ def test_grl_twin_graphs_give_exactly_negated_upstream_gradients():
     assert np.array_equal(gh1, gh0)  # head is downstream of grl: untouched
 
 
-# ------------------------------------------------------------ dropout_apply
+# ------------------------------------------------------------------ Dropout
 
 
 def test_dropout_rate_zero_is_identity_object():
     x = t64([1.0, 2.0])
-    assert dropout_apply(x, 0.0, train_mode=True, rng=np.random.default_rng(0)) is x
-    assert dropout_apply(x, 0.0, train_mode=False) is x
+    assert Dropout(0.0, np.random.default_rng(0))(x) is x
+    assert Dropout(0.0)(x) is x
+
+
+def _tiny_model_and_example():
+    from stancegen.data import EmbeddingMatrix, Example
+    from stancegen.models import ModelSpec, build_model
+
+    values = np.random.default_rng(1).uniform(-0.5, 0.5, (6, 3))
+    spec = ModelSpec(variant="BCAInvarSpec", embed_dim=3, hidden_dim=2, attn_dim=3, num_domains=2)
+    model = build_model(spec, 0, EmbeddingMatrix(values=values), dtype=F64)
+    return model, Example(["a", "b"], ["c"], "FAVOR", "a b", "c", 0, [2, 3], [4])
 
 
 def test_dropout_eval_mode_is_identity_object():
-    x = t64([1.0, 2.0])
-    assert dropout_apply(x, 0.1, train_mode=False) is x
+    # eval mode passes no Dropout value, whatever the rate: the forward pass
+    # equals the default one bit for bit and draws nothing
+    from stancegen.models import model_forward_batch
+
+    model, ex = _tiny_model_and_example()
+    rng = np.random.default_rng(8)
+    state = rng.bit_generator.state
+    out = model_forward_batch(model, [ex], train_mode=False, rng=rng, dropout=0.5)
+    assert out.stance_probs.value.tobytes() == model_forward_batch(model, [ex]).stance_probs.value.tobytes()
+    assert rng.bit_generator.state == state
 
 
 def test_dropout_train_mode_preserves_mean_within_two_percent():
     base = np.array([1.0, 2.0, -3.0])
     x = t64(np.tile(base, (10000, 1)))
-    out = dropout_apply(x, 0.5, train_mode=True, rng=np.random.default_rng(42))
+    out = Dropout(0.5, np.random.default_rng(42))(x)
     means = out.value.mean(axis=0)
     assert np.all(np.abs(means - base) <= 0.02 * np.abs(base) + 1e-9)
 
 
 def test_dropout_train_mode_scales_survivors():
     x = t64(np.ones(1000))
-    out = dropout_apply(x, 0.5, train_mode=True, rng=np.random.default_rng(7))
+    out = Dropout(0.5, np.random.default_rng(7))(x)
     vals = np.unique(out.value)
     assert set(vals.tolist()) <= {0.0, 2.0}
     assert 0.0 in vals and 2.0 in vals
 
 
 def test_dropout_invalid_rate_rejected():
-    x = t64([1.0])
-    with pytest.raises(ValueError):
-        dropout_apply(x, 1.0, train_mode=True, rng=np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        dropout_apply(x, -0.1, train_mode=True, rng=np.random.default_rng(0))
+    for rate in (1.0, -0.1):
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            Dropout(rate, np.random.default_rng(0))
+
+
+def test_dropout_positive_rate_needs_a_generator():
+    from stancegen.models import model_forward_batch
+
+    with pytest.raises(ValueError, match="generator"):
+        Dropout(0.1)
+    model, ex = _tiny_model_and_example()
+    with pytest.raises(ValueError, match="generator"):
+        model_forward_batch(model, [ex], train_mode=True, dropout=0.1)
 
 
 # ------------------------------------------- finite differences over layers
@@ -482,7 +508,7 @@ def test_recurrent_dropout_gradients_match_finite_differences():
     def f():
         states = run_lstm_batch(
             steps, mask, zero_state_batch(2, 2, F64), p,
-            recurrent_dropout=0.5, train=True, rng=np.random.default_rng(5),
+            drop=Dropout(0.5, np.random.default_rng(5)),
         )
         return contract(states[-1].h, probe)
 

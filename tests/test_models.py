@@ -363,10 +363,6 @@ def test_checkpoint_embedding_mismatch(tmp_path):
     other.values = other.values + 1.0
     with pytest.raises(CheckpointError, match="embedding"):
         load_checkpoint(path, embeddings=other, expected_vocab_hash="abc123")
-    loaded, _ = load_checkpoint(
-        path, embeddings=other, expected_vocab_hash="abc123", check_embeddings=False
-    )
-    assert loaded.spec.variant == "BCAInvar"
 
 
 def test_checkpoint_corrupted_file(tmp_path):

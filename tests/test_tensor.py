@@ -6,26 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stancegen.tensor as T
-from stancegen.errors import DomainError, ShapeError
+from stancegen.errors import ShapeError
 from stancegen.tensor import (
     Tape,
     Tensor,
     add,
     add_rowvec,
     blend_rows,
-    clamp_min,
     concat_cols,
     dropout,
     finite_difference_check,
-    log,
     matmul_t,
     matvec,
     maximum,
     mul,
-    negate,
+    nll_sum,
     relu,
     scale,
-    select_rows,
     sigmoid,
     softmax_rows,
     stack_cols,
@@ -59,15 +56,9 @@ def test_relu_clips_negatives():
     assert list(relu(t64([-1.0, 2.0])).value) == [0.0, 2.0]
 
 
-def test_log_rejects_non_positive_naming_index():
-    with pytest.raises(DomainError, match=r"log.*index"):
-        log(t64([1.0, -2.0]))
-
-
-def test_negate_scale_clamp_values():
-    assert list(negate(t64([1.0, -2.0])).value) == [-1.0, 2.0]
+def test_scale_values():
     assert list(scale(t64([1.0, 2.0]), 3.0).value) == [3.0, 6.0]
-    assert list(clamp_min(t64([0.5, 2.0]), 1.0).value) == [1.0, 2.0]
+    assert list(scale(t64([1.0, -2.0]), -1.0).value) == [-1.0, 2.0]
 
 
 # --------------------------------------------------------------- binary ops
@@ -77,7 +68,7 @@ def test_add_mul_sub_examples():
     assert list(add(t64([1, 2]), t64([3, 4])).value) == [4, 6]
     assert list(mul(t64([2, 3]), t64([0, 1])).value) == [0, 3]
     # subtraction is an add of a negation
-    assert list(add(t64([3, 1]), negate(t64([1, 1]))).value) == [2, 0]
+    assert list(add(t64([3, 1]), scale(t64([1, 1]), -1.0)).value) == [2, 0]
 
 
 def test_binary_shape_mismatch_reports_both_shapes():
@@ -259,6 +250,71 @@ def test_fanout_gradient_is_sum_of_single_consumer_gradients():
     assert np.allclose(combined, xa.grad + xb.grad, rtol=0, atol=1e-14)
 
 
+# ------------------------------------------------------------------ nll_sum
+#
+# The reference is the chain of five tape nodes nll_sum replaced, each op's
+# forward and backward as it was: select_rows, clamp_min, log, negate,
+# sum_all. Every intermediate gradient passes through Tensor.accum, as it did.
+
+
+def _chain_node(x, forward, backward):
+    out = Tensor(forward(x.value))
+    return T._record(out, lambda g: x.accum(backward(x.value, g)))
+
+
+def _five_op_nll_sum(probs, idx, floor):
+    rows = np.arange(probs.value.shape[0])
+    picked = Tensor(probs.value[rows, idx].copy())
+
+    def select_rows_backward(g):
+        if probs.grad is None:
+            probs.grad = np.zeros_like(probs.value)
+        probs.grad[rows, idx] += g
+
+    T._record(picked, select_rows_backward)
+    kept = _chain_node(picked, lambda x: np.maximum(x, floor), lambda x, g: g * (x > floor))
+    logs = _chain_node(kept, np.log, lambda x, g: g / x)
+    negated = _chain_node(logs, lambda x: -x, lambda x, g: -g)
+    return sum_all(negated)
+
+
+def _nll_run(op, probs_value, idx, precision):
+    probs = Tensor(probs_value.copy())
+    with Tape(precision) as tape:
+        # scaled as the losses scale it, so the incoming gradient is not 1
+        root = scale(op(probs, idx, 1e-12), 1.0 / probs_value.shape[0])
+        tape.backward(root)
+    return root.value, probs.grad
+
+
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+@pytest.mark.parametrize("with_nan", [False, True], ids=["finite", "nan_row"])
+def test_nll_sum_matches_the_five_op_chain_bit_for_bit(precision, with_nan):
+    rng = np.random.default_rng(31)
+    dtype = T.PRECISIONS[precision]
+    probs = rng.dirichlet(np.ones(3), size=6).astype(dtype)
+    idx = np.array([0, 2, 1, 1, 0, 2])
+    probs[1, 2] = 1e-15  # below the floor
+    probs[4, 0] = 1.0  # exactly log 1
+    if with_nan:
+        probs[3] = np.nan
+    fused_value, fused_grad = _nll_run(nll_sum, probs, idx, precision)
+    chain_value, chain_grad = _nll_run(_five_op_nll_sum, probs, idx, precision)
+    assert fused_value.dtype == chain_value.dtype == dtype
+    assert fused_grad.dtype == chain_grad.dtype == dtype
+    assert fused_value.tobytes() == chain_value.tobytes()
+    assert fused_grad.tobytes() == chain_grad.tobytes()
+    assert np.isnan(fused_value[0]) == with_nan
+    assert fused_grad[1, 2] == 0.0  # no gradient below the floor
+
+
+def test_nll_sum_shape_errors():
+    with pytest.raises(ShapeError, match="nll_sum"):
+        nll_sum(t64([0.5, 0.5]), np.array([0]), 1e-12)
+    with pytest.raises(ShapeError, match="nll_sum"):
+        nll_sum(t64([[0.5, 0.5]]), np.array([0, 1]), 1e-12)
+
+
 # ------------------------------------------------- finite difference check
 
 
@@ -279,7 +335,7 @@ def test_fd_check_differences_numeric_instead_of_f():
     # the same function as numeric reads exactly what f alone reads
     assert finite_difference_check(f, [p], numeric=f) == finite_difference_check(f, [p])
     # a function whose gradient is the negation is caught
-    assert finite_difference_check(f, [p], numeric=lambda: negate(f())) > 0.99
+    assert finite_difference_check(f, [p], numeric=lambda: scale(f(), -1.0)) > 0.99
 
 
 def test_fd_check_detects_planted_backward_error(monkeypatch):
@@ -328,11 +384,8 @@ def _op_catalog():
     cases = {
         "tanh": unary("tanh", _vec),
         "sigmoid": unary("sigmoid", _vec),
-        "negate": unary("negate", _vec),
         "scale": unary("scale", _vec),
-        "log": unary("log", lambda rng: _vec(rng, lo=0.5, hi=2.5)),
         "relu": unary("relu", lambda rng: _away_from(rng, 3, 0.0)),
-        "clamp_min": unary("clamp_min", lambda rng: _away_from(rng, 3, 0.5)),
     }
 
     def binary(name):
@@ -395,12 +448,20 @@ def _op_catalog():
 
     cases["blend_rows"] = build_blend_rows
 
-    def build_select_rows(rng):
-        m = _mat(rng, 3, 4)
-        idx = rng.integers(0, 4, 3)
-        return lambda: _reduce(select_rows(m, idx), rng), [m]
+    def nll(shape, floor, below=0):
+        # entries in [0.2, 0.9], the first `below` rows' picks under the floor
+        def build(rng):
+            p = _mat(rng, *shape, lo=0.2, hi=0.9)
+            idx = rng.integers(0, shape[1], shape[0])
+            p.value[np.arange(below), idx[:below]] = 0.1
+            return lambda: nll_sum(p, idx, floor), [p]
 
-    cases["select_rows"] = build_select_rows
+        return build
+
+    cases["nll_sum"] = nll((3, 4), 1e-12)
+    cases["nll_sum_one_row"] = nll((1, 3), 1e-12)
+    cases["nll_sum_two_classes"] = nll((4, 2), 1e-12)
+    cases["nll_sum_below_floor"] = nll((3, 4), 0.15, below=1)
 
     def build_softmax(rng):
         x = _mat(rng, 3, 4)

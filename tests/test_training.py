@@ -384,6 +384,19 @@ def test_objective_batch_combines_the_two_losses():
     assert objective is stance and domain is None
 
 
+def test_objective_tape_nodes_per_step():
+    # one nll_sum per loss term, then the adds and scales that combine them
+    train_c, _, emb = toy_split()
+    batch = train_c.examples[:4]
+    for variant, expected in (("BCAInvar", 12), ("BCA", 2)):
+        model = toy_model(variant, emb)
+        with Tape("float32") as tape:
+            out = M.model_forward_batch(model, batch)
+            before = len(tape)
+            TR.objective_batch(out, batch, 0.3)
+        assert len(tape) - before == expected, variant
+
+
 def test_toy_convergence_to_perfect_dev():
     train_c, dev_c, emb = toy_split()
     model = toy_model("BCA", emb)
@@ -513,6 +526,25 @@ def test_non_finite_loss_stops_before_any_update(tmp_path):
     for k, p in model.params.items():
         assert np.array_equal(p.value, before[k], equal_nan=True), k
     assert not ckpt.exists()
+
+
+def test_nan_probability_row_stops_training(tmp_path, monkeypatch):
+    # a NaN row in the stance probabilities makes the summed NLL NaN
+    train_c, dev_c, emb = toy_split()
+    model = toy_model("ConcatInvar", emb)
+    forward = TR.model_forward_batch
+
+    def nan_row(*args, **kwargs):
+        out = forward(*args, **kwargs)
+        out.stance_probs.value[1] = np.nan
+        return out
+
+    monkeypatch.setattr(TR, "model_forward_batch", nan_row)
+    before = {k: p.value.copy() for k, p in model.params.items()}
+    with pytest.raises(NonFiniteLossError, match="epoch 1, step 1"):
+        train(model, train_c, dev_c, toy_hp(), checkpoint_path=tmp_path / "model.npz")
+    for k, p in model.params.items():
+        assert np.array_equal(p.value, before[k]), k
 
 
 def test_empty_corpus_rejected():
