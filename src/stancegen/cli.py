@@ -27,6 +27,7 @@ from .data import (
     Example,
     Split,
     STANCES,
+    TRAIN_TARGETS,
     Vocabulary,
     build_vocab,
     encode_corpus,
@@ -53,7 +54,7 @@ from .layers import (
     LSTMParams,
     LSTMState,
     additive_attention_batch,
-    conditional_encode_batch,
+    bilstm_encode_batch,
     lstm_step_batch,
     max_pool_encode_batch,
     run_lstm_batch,
@@ -63,15 +64,17 @@ from .models import ModelSpec, build_model, load_checkpoint, model_forward_batch
 from .tensor import (
     Tensor,
     add,
-    apply_binary,
-    apply_unary,
+    concat_cols,
     finite_difference_check,
     matmul_t,
     matvec,
     mul,
     nll_sum,
+    relu,
+    sigmoid,
     softmax_rows,
     sum_all,
+    tanh,
 )
 from . import training
 from .training import Hyperparams, predict_corpus, train
@@ -160,6 +163,9 @@ def _parse_seeds(raw: str) -> list[int]:
     negative = [s for s in seeds if s < 0]
     if negative:
         raise ConfigError(f"seeds must be non-negative, got {negative[0]}")
+    repeated = [s for i, s in enumerate(seeds) if s in seeds[:i]]
+    if repeated:
+        raise ConfigError(f"seed {repeated[0]} is listed more than once")
     return seeds
 
 
@@ -261,24 +267,13 @@ def load_vocab_and_embeddings(cfg: RunConfig, train: Corpus | None):
     return vocab, emb
 
 
-def _model_spec(cfg: RunConfig, num_domains: int) -> ModelSpec:
-    return ModelSpec(
-        variant=cfg.variant,
-        embed_dim=cfg.hp.embed_dim,
-        hidden_dim=cfg.hp.hidden_dim,
-        attn_dim=cfg.hp.attention_dim,
-        num_domains=num_domains,
-    )
-
-
 # ------------------------------------------------------------------- train
 
 
-def _train_one_seed(cfg: RunConfig, split: Split, vocab, emb, seed: int):
+def _train_one_seed(cfg: RunConfig, spec: ModelSpec, split: Split, vocab, emb, seed: int):
     """Train, save and score one seed; returns its summary row
     (seed, best epoch, dev macro-F1, test macro-F1)."""
     out_dir = Path(cfg.out_dir)
-    spec = _model_spec(cfg, len(split.domain_names))
     model = build_model(spec, seed, emb)
     hp = dataclasses.replace(cfg.hp, seed=seed)
     report = train(
@@ -306,6 +301,15 @@ def _train_one_seed(cfg: RunConfig, split: Split, vocab, emb, seed: int):
 
 def cmd_train(args) -> int:
     cfg = build_run_config(args)
+    # the spec is checked before any data is read; make_split always gives
+    # the training targets as the source domains
+    spec = ModelSpec(
+        variant=cfg.variant,
+        embed_dim=cfg.hp.embed_dim,
+        hidden_dim=cfg.hp.hidden_dim,
+        attn_dim=cfg.hp.attention_dim,
+        num_domains=len(TRAIN_TARGETS),
+    )
     split = load_datasets(cfg)
     vocab, emb = load_vocab_and_embeddings(cfg, split.train)
     for corpus in (split.train, split.dev, split.test):
@@ -315,7 +319,7 @@ def cmd_train(args) -> int:
     vocab.save(out_dir / "vocab.tsv")
     if not cfg.embeddings_path:
         print("no embeddings path configured; using hash-seeded random vectors")
-    run_seed = functools.partial(_train_one_seed, cfg, split, vocab, emb)
+    run_seed = functools.partial(_train_one_seed, cfg, spec, split, vocab, emb)
     if cfg.parallel_seeds and len(cfg.seeds) > 1:
         # imported here: the process machinery costs every other command memory
         from concurrent.futures import ProcessPoolExecutor
@@ -428,17 +432,17 @@ def _gradcheck_components():
         coeffs = np.random.default_rng(19).uniform(-1.5, 1.5, t.value.shape)
         return sum_all(mul(t, Tensor(coeffs)))
 
-    def unary_check(name, x_values):
+    def unary_check(op, x_values):
         def run(rng):
             x = Tensor(np.array(x_values))
-            return finite_difference_check(lambda: reduce_with(apply_unary(x, name)), [x])
+            return finite_difference_check(lambda: reduce_with(op(x)), [x])
 
         return run
 
-    def binary_check(name):
+    def binary_check(op):
         def run(rng):
             a, b = mat(rng, 4), mat(rng, 4)
-            return finite_difference_check(lambda: reduce_with(apply_binary(a, b, name)), [a, b])
+            return finite_difference_check(lambda: reduce_with(op(a, b)), [a, b])
 
         return run
 
@@ -496,8 +500,15 @@ def _gradcheck_components():
         target_mask = np.array([[True, False], [True, True]])
         tensors = target + sentence + [t for _, t in params.named("enc")]
         def f():
-            hiddens, summary = conditional_encode_batch(target, target_mask, sentence, mask, params)
-            return add(reduce_with(summary), reduce_with(hiddens[1]))
+            # the model's conditional encoding: the sentence pair starts
+            # from the target pair's final states
+            t_fwd, t_bwd = bilstm_encode_batch(target, target_mask, params.target_fwd, params.target_bwd)
+            s_fwd, s_bwd = bilstm_encode_batch(
+                sentence, mask, params.sent_fwd, params.sent_bwd, init=(t_fwd[-1], t_bwd[0])
+            )
+            hidden = concat_cols([s_fwd[1].h, s_bwd[1].h])
+            summary = concat_cols([t_fwd[-1].h, t_bwd[0].h])
+            return add(reduce_with(summary), reduce_with(hidden))
         return finite_difference_check(f, tensors)
 
     def attention_check(rng):
@@ -573,12 +584,12 @@ def _gradcheck_components():
         return name, lambda: check(np.random.default_rng(zlib.crc32(name.encode())))
 
     return [
-        seeded("tanh", unary_check("tanh", [-1.2, 0.3, 0.9, -0.4])),
-        seeded("sigmoid", unary_check("sigmoid", [-1.2, 0.3, 0.9, -0.4])),
-        seeded("relu", unary_check("relu", [-1.2, 0.3, 0.9, -0.4])),
+        seeded("tanh", unary_check(tanh, [-1.2, 0.3, 0.9, -0.4])),
+        seeded("sigmoid", unary_check(sigmoid, [-1.2, 0.3, 0.9, -0.4])),
+        seeded("relu", unary_check(relu, [-1.2, 0.3, 0.9, -0.4])),
         seeded("nll_sum", nll_sum_check),
-        seeded("add", binary_check("add")),
-        seeded("mul", binary_check("mul")),
+        seeded("add", binary_check(add)),
+        seeded("mul", binary_check(mul)),
         seeded("matvec", matvec_check),
         seeded("matmul_t", matmul_check),
         seeded("softmax_rows", softmax_rows_check),

@@ -1,5 +1,8 @@
-"""Neural building blocks: LSTMs, conditional encoders, attention, pooling,
+"""Neural building blocks: LSTMs, one BiLSTM routine, attention, pooling,
 dropout, and the gradient-reversal layer.
+
+Conditional encoding is two bilstm_encode_batch calls: the target pair from
+zero states, then the sentence pair from the target's final states.
 
 Every layer is row-batched: a sequence is a list of (batch, dim) matrices,
 one per position, with trailing padding marked by a (batch, positions) mask
@@ -217,46 +220,25 @@ class EncoderParams:
             yield from getattr(self, part).named(f"{prefix}.{part}")
 
 
-def conditional_encode_batch(
-    target_steps: Sequence[Tensor],
-    target_mask: np.ndarray,
-    sent_steps: Sequence[Tensor],
-    sent_mask: np.ndarray,
-    params: EncoderParams,
-    drop: Dropout | None = None,
-) -> tuple[list[Tensor], Tensor]:
-    """Encode sentences conditioned on their targets.
-
-    The forward sentence LSTM starts from the forward target LSTM's final
-    state and the backward sentence LSTM from the backward target LSTM's
-    state at position 0. Returns per-position [h_fwd; h_bwd] rows and the
-    target summary [h_fwd_last; h_bwd_first].
-    """
-    if not len(target_steps) or not len(sent_steps):
-        raise ValueError("conditional_encode_batch: empty target or sentence")
-    first = target_steps[0].value
-    init = zero_state_batch(first.shape[0], params.target_fwd.hidden_dim, first.dtype)
-    t_fwd = run_lstm_batch(target_steps, target_mask, init, params.target_fwd, drop=drop)
-    t_bwd = run_lstm_batch(target_steps, target_mask, init, params.target_bwd, reverse=True, drop=drop)
-    s_fwd = run_lstm_batch(sent_steps, sent_mask, t_fwd[-1], params.sent_fwd, drop=drop)
-    s_bwd = run_lstm_batch(sent_steps, sent_mask, t_bwd[0], params.sent_bwd, reverse=True, drop=drop)
-    hiddens = [concat_cols([f.h, b.h]) for f, b in zip(s_fwd, s_bwd)]
-    summary = concat_cols([t_fwd[-1].h, t_bwd[0].h])
-    return hiddens, summary
-
-
 def bilstm_encode_batch(
     steps: Sequence[Tensor],
     mask: np.ndarray,
     fwd: LSTMParams,
     bwd: LSTMParams,
     drop: Dropout | None = None,
-) -> list[Tensor]:
-    """Unconditional BiLSTM encoding from zero initial states."""
-    init = zero_state_batch(steps[0].value.shape[0], fwd.hidden_dim, steps[0].value.dtype)
-    f = run_lstm_batch(steps, mask, init, fwd, drop=drop)
-    b = run_lstm_batch(steps, mask, init, bwd, reverse=True, drop=drop)
-    return [concat_cols([fj.h, bj.h]) for fj, bj in zip(f, b)]
+    init: tuple[LSTMState, LSTMState] | None = None,
+) -> tuple[list[LSTMState], list[LSTMState]]:
+    """Forward and backward LSTM states over the same steps, each list in
+    position order. The forward LSTM starts from init[0] and the backward one
+    from init[1]; with init None both start from zero states. Conditional
+    encoding passes a target's (forward[-1], backward[0]) as a sentence's
+    init."""
+    if init is None:
+        zero = zero_state_batch(mask.shape[0], fwd.hidden_dim, fwd.w_i.value.dtype)
+        init = (zero, zero)
+    f = run_lstm_batch(steps, mask, init[0], fwd, drop=drop)
+    b = run_lstm_batch(steps, mask, init[1], bwd, reverse=True, drop=drop)
+    return f, b
 
 
 def additive_attention_batch(

@@ -1,6 +1,9 @@
 """The five architecture variants, read from one table: each variant is a
 list of branches, either conditional encoding with attention or a BiLSTM
-max-pool pair, with or without adversarial domain heads.
+max-pool pair, with or without adversarial domain heads. Every branch runs
+the target BiLSTM from zero states; the sentence BiLSTM starts from the
+target's final states in a conditional branch and from zero states in a
+max-pool one.
 
 A Model owns a flat name -> Tensor registry split into the stance path and
 the adversarial path. Stance-path parameters are always created first so two
@@ -26,7 +29,6 @@ from .layers import (
     EncoderParams,
     additive_attention_batch,
     bilstm_encode_batch,
-    conditional_encode_batch,
     glorot_uniform,
     grl,
     max_pool_encode_batch,
@@ -262,6 +264,9 @@ def model_forward_batch(
     def post(mats):
         return mats if drop is None else [drop(m) for m in mats]
 
+    def hidden_rows(fwd, bwd):
+        return post([concat_cols([f.h, b.h]) for f, b in zip(fwd, bwd)])
+
     sent = post(_embed_steps(model, s_ids))
     tgt = post(_embed_steps(model, t_ids))
 
@@ -270,17 +275,20 @@ def model_forward_batch(
     sentence_reprs: list[Tensor] = []
     for branch in model.branches:
         enc = branch.encoder
+        t_fwd, t_bwd = bilstm_encode_batch(tgt, t_mask, enc.target_fwd, enc.target_bwd, drop)
         if branch.attention is not None:
-            hiddens, summary = conditional_encode_batch(tgt, t_mask, sent, s_mask, enc, drop)
-            hiddens = post(hiddens)
-            summary = post([summary])[0]
+            s_fwd, s_bwd = bilstm_encode_batch(
+                sent, s_mask, enc.sent_fwd, enc.sent_bwd, drop, init=(t_fwd[-1], t_bwd[0])
+            )
+            hiddens = hidden_rows(s_fwd, s_bwd)
+            summary = post([concat_cols([t_fwd[-1].h, t_bwd[0].h])])[0]
             att = additive_attention_batch(summary, hiddens, branch.attention, s_mask)
             attentions.append(att)
             stance_reprs.append(att.s)
             sentence_reprs.append(att.s)
         else:
-            t_hidden = post(bilstm_encode_batch(tgt, t_mask, enc.target_fwd, enc.target_bwd, drop))
-            s_hidden = post(bilstm_encode_batch(sent, s_mask, enc.sent_fwd, enc.sent_bwd, drop))
+            t_hidden = hidden_rows(t_fwd, t_bwd)
+            s_hidden = hidden_rows(*bilstm_encode_batch(sent, s_mask, enc.sent_fwd, enc.sent_bwd, drop))
             t_pool = max_pool_encode_batch(t_hidden, t_mask)
             s_pool = max_pool_encode_batch(s_hidden, s_mask)
             stance_reprs.append(concat_cols([t_pool, s_pool]))

@@ -118,91 +118,75 @@ def _record(out: Tensor, backward: Callable) -> Tensor:
     return out
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # tanh formulation avoids exp overflow for large |x|
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
-
-
-# name -> (forward(x, const), backward(x_value, out_value, grad, const))
-UNARY_OPS = {
-    "tanh": (lambda x, c: np.tanh(x), lambda x, y, g, c: g * (1.0 - y * y)),
-    "sigmoid": (lambda x, c: _sigmoid(x), lambda x, y, g, c: g * y * (1.0 - y)),
-    "relu": (lambda x, c: np.maximum(x, 0.0), lambda x, y, g, c: g * (x > 0.0)),
-    "scale": (lambda x, c: x * c, lambda x, y, g, c: g * c),
-}
-
-BINARY_OPS = {
-    "add": (lambda a, b: a + b, lambda g: g, lambda g: g),
-    "mul": None,  # handled separately: backward needs operand values
-}
-
-
-def apply_unary(x: Tensor, f: str, const: float | None = None) -> Tensor:
-    """Elementwise unary op; registers the matching backward rule."""
-    if f not in UNARY_OPS:
-        raise ValueError(f"unknown unary op {f!r}")
-    if f == "scale" and const is None:
-        raise ValueError(f"{f} requires a constant")
-    out = Tensor(UNARY_OPS[f][0](x.value, const))
+def tanh(x: Tensor) -> Tensor:
+    out = Tensor(np.tanh(x.value))
 
     def backward(g):
-        x.accum(UNARY_OPS[f][1](x.value, out.value, g, const))
+        x.accum(g * (1.0 - out.value * out.value))
 
     return _record(out, backward)
-
-
-def tanh(x: Tensor) -> Tensor:
-    return apply_unary(x, "tanh")
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    return apply_unary(x, "sigmoid")
+    # tanh formulation avoids exp overflow for large |x|
+    out = Tensor(0.5 * (1.0 + np.tanh(0.5 * x.value)))
 
-
-def relu(x: Tensor) -> Tensor:
-    return apply_unary(x, "relu")
-
-
-def scale(x: Tensor, k: float) -> Tensor:
-    return apply_unary(x, "scale", const=k)
-
-
-def apply_binary(a: Tensor, b: Tensor, f: str) -> Tensor:
-    """Elementwise binary op over equal shapes."""
-    if f not in BINARY_OPS:
-        raise ValueError(f"unknown binary op {f!r}")
-    if a.value.shape != b.value.shape:
-        raise ShapeError(f"{f}: shapes {a.value.shape} and {b.value.shape} differ")
-    if f == "mul":
-        out = Tensor(a.value * b.value)
-
-        def backward(g):
-            a.accum(g * b.value)
-            b.accum(g * a.value)
-
-    else:
-        fwd, da, db = BINARY_OPS[f]
-        out = Tensor(fwd(a.value, b.value))
-
-        def backward(g):
-            a.accum(da(g))
-            b.accum(db(g))
+    def backward(g):
+        x.accum(g * out.value * (1.0 - out.value))
 
     return _record(out, backward)
 
 
+def relu(x: Tensor) -> Tensor:
+    out = Tensor(np.maximum(x.value, 0.0))
+
+    def backward(g):
+        x.accum(g * (x.value > 0.0))
+
+    return _record(out, backward)
+
+
+def scale(x: Tensor, k: float) -> Tensor:
+    out = Tensor(x.value * k)
+
+    def backward(g):
+        x.accum(g * k)
+
+    return _record(out, backward)
+
+
+def _same_shape(name: str, a: Tensor, b: Tensor) -> None:
+    if a.value.shape != b.value.shape:
+        raise ShapeError(f"{name}: shapes {a.value.shape} and {b.value.shape} differ")
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
-    return apply_binary(a, b, "add")
+    """Elementwise sum over equal shapes."""
+    _same_shape("add", a, b)
+    out = Tensor(a.value + b.value)
+
+    def backward(g):
+        a.accum(g)
+        b.accum(g)
+
+    return _record(out, backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    return apply_binary(a, b, "mul")
+    """Elementwise product over equal shapes."""
+    _same_shape("mul", a, b)
+    out = Tensor(a.value * b.value)
+
+    def backward(g):
+        a.accum(g * b.value)
+        b.accum(g * a.value)
+
+    return _record(out, backward)
 
 
 def maximum(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise max; ties route the gradient to the first argument."""
-    if a.value.shape != b.value.shape:
-        raise ShapeError(f"maximum: shapes {a.value.shape} and {b.value.shape} differ")
+    _same_shape("maximum", a, b)
     out = Tensor(np.maximum(a.value, b.value))
 
     def backward(g):

@@ -142,25 +142,6 @@ def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
     return norm
 
 
-class EarlyStopper:
-    """Track the best dev score; stop after `patience` non-improving epochs."""
-
-    def __init__(self, patience: int):
-        self.patience = patience
-        self.best_score = -np.inf
-        self.best_epoch = 0
-        self.stale = 0
-
-    def update(self, epoch: int, score: float) -> bool:
-        if score > self.best_score:
-            self.best_score = score
-            self.best_epoch = epoch
-            self.stale = 0
-            return False
-        self.stale += 1
-        return self.stale >= self.patience
-
-
 @dataclass
 class EpochLog:
     epoch: int
@@ -213,7 +194,9 @@ def train(
     checkpoint_path=None,
     vocab_hash: str = "",
 ) -> TrainReport:
-    """Mini-batch training with per-epoch dev selection and early stopping.
+    """Mini-batch training with per-epoch dev selection and early stopping:
+    training stops once `patience` epochs have passed since the best dev
+    macro-F1, where only a strictly higher F1 counts as better.
 
     The model is left holding the best-epoch parameters; if checkpoint_path
     is given they are also saved there. A non-finite objective raises
@@ -234,7 +217,7 @@ def train(
     dropout_rng = np.random.default_rng([hp.seed, 1])
     params = model.params
     adam = AdamState.init(params)
-    stopper = EarlyStopper(hp.patience)
+    best_f1, best_epoch = -np.inf, 0
     report = TrainReport()
     precision = _precision_of(model.dtype)
     best_values: dict[str, np.ndarray] = {k: p.value.copy() for k, p in params.items()}
@@ -271,16 +254,15 @@ def train(
                 dev_f1=f1,
             )
         )
-        improved = f1 > stopper.best_score
-        should_stop = stopper.update(epoch, f1)
-        if improved:
+        if f1 > best_f1:
+            best_f1, best_epoch = f1, epoch
             best_values = {k: p.value.copy() for k, p in params.items()}
-        if should_stop:
+        elif epoch - best_epoch >= hp.patience:
             break
 
     report.stop_epoch = report.epochs[-1].epoch
-    report.best_epoch = stopper.best_epoch
-    report.best_dev_f1 = float(stopper.best_score)
+    report.best_epoch = best_epoch
+    report.best_dev_f1 = float(best_f1)
     report.wall_time = time.perf_counter() - started
     for k, p in params.items():
         p.value = best_values[k]

@@ -204,8 +204,25 @@ def test_train_missing_embeddings_exits_2(workspace, capsys):
 
 
 def test_train_unknown_variant_exits_2(workspace):
-    _, _, _, config = workspace
+    _, _, out_dir, config = workspace
     assert main(["train", "--config", str(config), "--variant", "Transformer"]) == EXIT_CONFIG
+    # rejected before the vocabulary is built and saved
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [({"variant": "Bogus"}, "unknown variant"), ({"attn_dim": 0}, "attn_dim must be positive")],
+    ids=["variant", "attn_dim"],
+)
+def test_train_invalid_spec_exits_2_before_reading_data(workspace, capsys, overrides, message):
+    tmp_path, data_dir, out_dir, _ = workspace
+    # read first, this file would exit 3
+    (data_dir / "train.tsv").write_text(HEADER + "\n1\tAtheism\tno stance column\n")
+    config = write_config(tmp_path / "spec.cfg", data_dir, out_dir, **overrides)
+    assert main(["train", "--config", str(config)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_train_config_file_missing_exits_2(tmp_path):
@@ -560,6 +577,20 @@ def test_negative_seed_exits_2(workspace, capsys, config_seeds, flags):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "config_seeds,flags,repeated",
+    [(0, ["--seeds", "0,0"], 0), ("1,2,1", [], 1)],
+    ids=["seeds-flag", "config-seeds"],
+)
+def test_repeated_seed_exits_2(workspace, capsys, config_seeds, flags, repeated):
+    tmp_path, data_dir, out_dir, _ = workspace
+    config = write_config(tmp_path / "seeds.cfg", data_dir, out_dir, seeds=config_seeds)
+    assert main(["train", "--config", str(config), *flags]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"seed {repeated} is listed more than once" in err and "Traceback" not in err
+    assert not out_dir.exists()
+
+
 # ------------------------------------------------------------- vocabulary
 
 
@@ -741,9 +772,19 @@ def test_gradcheck_passes(capsys):
 
 
 def test_gradcheck_negative_control(capsys, monkeypatch):
-    fwd, _ = T.UNARY_OPS["tanh"]
-    broken = lambda x, y, g, c: g * (1.0 - y * y) * 1.01  # 1% gradient error
-    monkeypatch.setitem(T.UNARY_OPS, "tanh", (fwd, broken))
+    import stancegen.cli as C
+    import stancegen.layers as L
+
+    def broken(x):
+        out = T.Tensor(np.tanh(x.value))
+        # 1% gradient error
+        return T._record(out, lambda g: x.accum(g * (1.0 - out.value * out.value) * 1.01))
+
+    # every module that calls tanh gets the planted one
+    original = T.tanh
+    for module in (T, L, C):
+        assert module.tanh is original
+        monkeypatch.setattr(module, "tanh", broken)
     assert main(["gradcheck"]) == 1
     out = capsys.readouterr().out
     assert "tanh" in [line.split()[0] for line in out.splitlines() if "FAIL" in line]

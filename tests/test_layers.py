@@ -9,7 +9,6 @@ from stancegen.layers import (
     LSTMState,
     additive_attention_batch,
     bilstm_encode_batch,
-    conditional_encode_batch,
     grl,
     lstm_step_batch,
     max_pool_encode_batch,
@@ -19,6 +18,8 @@ from stancegen.layers import (
 from stancegen.errors import ShapeError
 from stancegen.tensor import (
     Tape,
+    add,
+    concat_cols,
     finite_difference_check,
     matvec,
     mul,
@@ -69,6 +70,22 @@ def _pad_batch(seqs, dim):
             steps[t, i] = v
             mask[i, t] = True
     return [t64(steps[t]) for t in range(n)], mask
+
+
+def bilstm_hiddens(steps, mask, fwd, bwd, drop=None, init=None):
+    """Per-position [h_fwd; h_bwd] rows of one bilstm_encode_batch call."""
+    f, b = bilstm_encode_batch(steps, mask, fwd, bwd, drop, init)
+    return [concat_cols([fj.h, bj.h]) for fj, bj in zip(f, b)]
+
+
+def conditional_encode(t_steps, t_mask, s_steps, s_mask, enc, drop=None):
+    """Conditional encoding as the model runs it: the sentence pair starts
+    from the target pair's final states. Returns the sentence's per-position
+    rows and the target summary [h_fwd_last; h_bwd_first]."""
+    t_fwd, t_bwd = bilstm_encode_batch(t_steps, t_mask, enc.target_fwd, enc.target_bwd, drop)
+    init = (t_fwd[-1], t_bwd[0])
+    hiddens = bilstm_hiddens(s_steps, s_mask, enc.sent_fwd, enc.sent_bwd, drop, init)
+    return hiddens, concat_cols([t_fwd[-1].h, t_bwd[0].h])
 
 
 # --------------------------------------------------------------- lstm_step
@@ -197,7 +214,7 @@ def test_conditional_encode_shapes():
     params = EncoderParams.init(3, 4, rng, F64)
     t_steps, t_mask = _pad_batch([[rng.uniform(-1, 1, 3) for _ in range(m)] for m in (2, 1)], 3)
     s_steps, s_mask = _pad_batch([[rng.uniform(-1, 1, 3) for _ in range(n)] for n in (3, 2)], 3)
-    hiddens, summary = conditional_encode_batch(t_steps, t_mask, s_steps, s_mask, params)
+    hiddens, summary = conditional_encode(t_steps, t_mask, s_steps, s_mask, params)
     assert len(hiddens) == 3
     assert all(h.value.shape == (2, 8) for h in hiddens)
     assert summary.value.shape == (2, 8)
@@ -213,8 +230,8 @@ def test_conditional_encode_zero_target_params_matches_unconditional():
     )
     t_steps, t_mask = _pad_batch([[rng.uniform(-1, 1, 3)], [rng.uniform(-1, 1, 3)] * 2], 3)
     s_steps, s_mask = _pad_batch([[rng.uniform(-1, 1, 3) for _ in range(n)] for n in (3, 1)], 3)
-    cond, _ = conditional_encode_batch(t_steps, t_mask, s_steps, s_mask, params)
-    plain = bilstm_encode_batch(s_steps, s_mask, params.sent_fwd, params.sent_bwd)
+    cond, _ = conditional_encode(t_steps, t_mask, s_steps, s_mask, params)
+    plain = bilstm_hiddens(s_steps, s_mask, params.sent_fwd, params.sent_bwd)
     for c, p in zip(cond, plain):
         assert np.allclose(c.value, p.value, atol=1e-14)
 
@@ -224,7 +241,7 @@ def test_conditional_encode_single_target_token_seeds_exact_step():
     params = EncoderParams.init(3, 2, rng, F64)
     target = [t64(rng.uniform(-1, 1, (2, 3)))]
     s_steps, s_mask = _pad_batch([[rng.uniform(-1, 1, 3) for _ in range(n)] for n in (2, 1)], 3)
-    hiddens, summary = conditional_encode_batch(target, np.ones((2, 1), dtype=bool), s_steps, s_mask, params)
+    hiddens, summary = conditional_encode(target, np.ones((2, 1), dtype=bool), s_steps, s_mask, params)
 
     t_state = lstm_step_batch(target[0], zero_state_batch(2, 2, F64), params.target_fwd)
     assert np.array_equal(summary.value[:, :2], t_state.h.value)
@@ -239,9 +256,111 @@ def test_conditional_encode_rejects_empty():
     step, mask = [t64(np.zeros((1, 3)))], np.ones((1, 1), dtype=bool)
     empty = np.zeros((1, 0), dtype=bool)
     with pytest.raises(ValueError):
-        conditional_encode_batch([], empty, step, mask, params)
+        conditional_encode([], empty, step, mask, params)
     with pytest.raises(ValueError):
-        conditional_encode_batch(step, mask, [], empty, params)
+        conditional_encode(step, mask, [], empty, params)
+
+
+# The two encoder routines bilstm_encode_batch replaced, kept verbatim but for
+# their names as references: one call per BiLSTM pair must reproduce them bit
+# for bit, forward and backward.
+
+
+def reference_conditional_encode(
+    target_steps,
+    target_mask,
+    sent_steps,
+    sent_mask,
+    params,
+    drop=None,
+):
+    """Encode sentences conditioned on their targets.
+
+    The forward sentence LSTM starts from the forward target LSTM's final
+    state and the backward sentence LSTM from the backward target LSTM's
+    state at position 0. Returns per-position [h_fwd; h_bwd] rows and the
+    target summary [h_fwd_last; h_bwd_first].
+    """
+    if not len(target_steps) or not len(sent_steps):
+        raise ValueError("reference_conditional_encode: empty target or sentence")
+    first = target_steps[0].value
+    init = zero_state_batch(first.shape[0], params.target_fwd.hidden_dim, first.dtype)
+    t_fwd = run_lstm_batch(target_steps, target_mask, init, params.target_fwd, drop=drop)
+    t_bwd = run_lstm_batch(target_steps, target_mask, init, params.target_bwd, reverse=True, drop=drop)
+    s_fwd = run_lstm_batch(sent_steps, sent_mask, t_fwd[-1], params.sent_fwd, drop=drop)
+    s_bwd = run_lstm_batch(sent_steps, sent_mask, t_bwd[0], params.sent_bwd, reverse=True, drop=drop)
+    hiddens = [concat_cols([f.h, b.h]) for f, b in zip(s_fwd, s_bwd)]
+    summary = concat_cols([t_fwd[-1].h, t_bwd[0].h])
+    return hiddens, summary
+
+
+def reference_bilstm_encode(
+    steps,
+    mask,
+    fwd,
+    bwd,
+    drop=None,
+):
+    """Unconditional BiLSTM encoding from zero initial states."""
+    init = zero_state_batch(steps[0].value.shape[0], fwd.hidden_dim, steps[0].value.dtype)
+    f = run_lstm_batch(steps, mask, init, fwd, drop=drop)
+    b = run_lstm_batch(steps, mask, init, bwd, reverse=True, drop=drop)
+    return [concat_cols([fj.h, bj.h]) for fj, bj in zip(f, b)]
+
+
+def _encode_with_gradients(encode, dtype, seed=41):
+    """Run `encode(t_steps, t_mask, s_steps, s_mask, enc, drop)` on a ragged
+    batch with dropout 0.3 and backpropagate a fixed contraction of every
+    output row. Returns the output values and the gradient of every
+    parameter and input step."""
+    rng = np.random.default_rng(seed)
+    enc = EncoderParams.init(3, 4, rng, dtype)
+    targets = [[rng.uniform(-1, 1, 3) for _ in range(m)] for m in (2, 1, 3)]
+    sents = [[rng.uniform(-1, 1, 3) for _ in range(n)] for n in (4, 1, 3)]
+    t_steps, t_mask = _pad_batch(targets, 3)
+    s_steps, s_mask = _pad_batch(sents, 3)
+    t_steps = [tensor(t.value, dtype) for t in t_steps]
+    s_steps = [tensor(t.value, dtype) for t in s_steps]
+    probe = tensor(np.random.default_rng(97).uniform(-1, 1, (3, 8)), dtype)
+    with Tape(np.dtype(dtype).name) as tape:
+        hiddens, summary = encode(t_steps, t_mask, s_steps, s_mask, enc, Dropout(0.3, np.random.default_rng(8)))
+        root = sum_all(mul(summary, probe))
+        for h in hiddens:
+            root = add(root, sum_all(mul(h, probe)))
+        tape.backward(root)
+    values = [h.value for h in hiddens] + [summary.value]
+    grads = [t.grad for _, t in enc.named("enc")] + [t.grad for t in t_steps + s_steps]
+    return values, grads
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conditional_encode_matches_the_two_routine_reference(dtype):
+    got_values, got_grads = _encode_with_gradients(conditional_encode, dtype)
+    ref_values, ref_grads = _encode_with_gradients(reference_conditional_encode, dtype)
+    assert all(v.dtype == dtype for v in got_values)
+    assert all(g is not None for g in got_grads)
+    assert len(got_values) == len(ref_values) and len(got_grads) == len(ref_grads)
+    for got, ref in zip(got_values + got_grads, ref_values + ref_grads):
+        assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_bilstm_encode_matches_the_two_routine_reference(dtype):
+    def plain(encode_pair):
+        # both pairs unconditional, as the max-pool branch runs them
+        def encode(t_steps, t_mask, s_steps, s_mask, enc, drop):
+            t_hidden = encode_pair(t_steps, t_mask, enc.target_fwd, enc.target_bwd, drop)
+            s_hidden = encode_pair(s_steps, s_mask, enc.sent_fwd, enc.sent_bwd, drop)
+            return s_hidden + t_hidden[1:], t_hidden[0]
+
+        return encode
+
+    got_values, got_grads = _encode_with_gradients(plain(bilstm_hiddens), dtype)
+    ref_values, ref_grads = _encode_with_gradients(plain(reference_bilstm_encode), dtype)
+    assert all(v.dtype == dtype for v in got_values)
+    assert all(g is not None for g in got_grads)
+    for got, ref in zip(got_values + got_grads, ref_values + ref_grads):
+        assert np.array_equal(got, ref)
 
 
 # -------------------------------------------------------- additive_attention
@@ -525,7 +644,7 @@ def test_conditional_encode_with_attention_gradients_match_finite_differences():
     params = [t for _, t in enc.named("e")] + [t for _, t in attn.named("a")] + t_steps + s_steps
 
     def f():
-        hiddens, summary = conditional_encode_batch(t_steps, t_mask, s_steps, s_mask, enc)
+        hiddens, summary = conditional_encode(t_steps, t_mask, s_steps, s_mask, enc)
         out = additive_attention_batch(summary, hiddens, attn, s_mask)
         return contract(out.s, probe)
 
@@ -625,16 +744,16 @@ def test_run_lstm_batch_reverse_matches_single():
         assert np.allclose(out[0].c.value[i], single[0].c.value[0], atol=1e-13)
 
 
-def test_conditional_encode_batch_matches_single():
+def test_conditional_encode_matches_single():
     rng = np.random.default_rng(25)
     enc = EncoderParams.init(3, 2, rng, F64)
     targets = [[rng.uniform(-1, 1, 3) for _ in range(m)] for m in (2, 1, 3)]
     sents = [[rng.uniform(-1, 1, 3) for _ in range(n)] for n in (3, 2, 1)]
     t_steps, t_mask = _pad_batch(targets, 3)
     s_steps, s_mask = _pad_batch(sents, 3)
-    hiddens, summary = conditional_encode_batch(t_steps, t_mask, s_steps, s_mask, enc)
+    hiddens, summary = conditional_encode(t_steps, t_mask, s_steps, s_mask, enc)
     for i in range(3):
-        hs, summ = conditional_encode_batch(*_pad_batch([targets[i]], 3), *_pad_batch([sents[i]], 3), enc)
+        hs, summ = conditional_encode(*_pad_batch([targets[i]], 3), *_pad_batch([sents[i]], 3), enc)
         assert np.allclose(summary.value[i], summ.value[0], atol=1e-13)
         for t in range(len(sents[i])):
             assert np.allclose(hiddens[t].value[i], hs[t].value[0], atol=1e-13)

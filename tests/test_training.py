@@ -11,7 +11,6 @@ from stancegen.models import ModelSpec, build_model
 from stancegen.tensor import Tape, Tensor, add, scale
 from stancegen.training import (
     AdamState,
-    EarlyStopper,
     Hyperparams,
     adam_step,
     clip_gradients,
@@ -235,38 +234,6 @@ def test_clip_skips_missing_gradients():
     assert abs(p.grad[0] - 5.0) < 1e-12
 
 
-# ------------------------------------------------------------ early stopping
-
-
-def test_early_stop_worked_example():
-    # dev scores 0.3, 0.4, then ten non-improving epochs: stop at 12, best 2
-    stopper = EarlyStopper(patience=10)
-    stopped_at = None
-    for epoch, score in enumerate([0.3, 0.4] + [0.4] * 10, start=1):
-        if stopper.update(epoch, score):
-            stopped_at = epoch
-            break
-    assert stopped_at == 12
-    assert stopper.best_epoch == 2
-    assert stopper.best_score == 0.4
-
-
-def test_early_stop_requires_strict_improvement():
-    stopper = EarlyStopper(patience=2)
-    assert not stopper.update(1, 0.5)
-    assert not stopper.update(2, 0.5)  # tie counts as stale
-    assert stopper.update(3, 0.5)
-
-
-def test_early_stop_counter_resets_on_improvement():
-    stopper = EarlyStopper(patience=2)
-    stopper.update(1, 0.1)
-    stopper.update(2, 0.1)
-    assert not stopper.update(3, 0.2)
-    assert stopper.stale == 0
-    assert stopper.best_epoch == 3
-
-
 # ------------------------------------------------------------- hyperparams
 
 
@@ -475,25 +442,53 @@ def test_epoch_log_format(tmp_path):
     assert log_path.read_text() == report.log_text()
 
 
-def test_scripted_early_stop_restores_best_params(monkeypatch):
+def scripted_train(monkeypatch, scores, patience):
+    """Train a toy BCA model whose dev macro-F1 after epoch e is scores[e - 1],
+    for at most len(scores) epochs. Returns the report, the model, and the
+    parameters scored after each epoch (0: the initial ones)."""
     train_c, dev_c, emb = toy_split()
     model = toy_model("BCA", emb)
-    scores = [0.3, 0.4] + [0.4] * 20
-    captured = {}
+    captured = {0: {k: p.value.copy() for k, p in model.params.items()}}
 
     def scripted(mdl, dev, batch_size=32):
-        epoch = len(captured) + 1
+        epoch = len(captured)
         captured[epoch] = {k: p.value.copy() for k, p in mdl.params.items()}
         return scores[epoch - 1]
 
     monkeypatch.setattr(TR, "dev_macro_f1", scripted)
-    report = train(model, train_c, dev_c, toy_hp(max_epochs=50, patience=10))
+    report = train(model, train_c, dev_c, toy_hp(max_epochs=len(scores), patience=patience))
+    return report, model, captured
+
+
+def test_scripted_early_stop_restores_best_params(monkeypatch):
+    # 0.3, 0.4, then ten non-improving epochs: stop at 12, best 2
+    report, model, captured = scripted_train(monkeypatch, [0.3, 0.4] + [0.4] * 20, patience=10)
     assert report.stop_epoch == 12
     assert report.best_epoch == 2
     assert report.best_dev_f1 == 0.4
     assert len(report.epochs) == 12
     for name, p in model.params.items():
         assert np.array_equal(p.value, captured[2][name]), name
+
+
+@pytest.mark.parametrize(
+    "scores, patience, stop_epoch, best_epoch",
+    [
+        pytest.param([0.5] * 5, 2, 3, 1, id="tie_counts_as_stale"),
+        pytest.param([0.1, 0.1, 0.2, 0.2, 0.2, 0.2], 2, 5, 3, id="stale_count_restarts_on_improvement"),
+        pytest.param([math.nan, 0.2, 0.1, 0.1, 0.1], 2, 4, 2, id="nan_never_improves"),
+        pytest.param([math.nan] * 3, 1, 1, 0, id="nan_first_epoch_stops_at_patience_1"),
+        pytest.param([0.1, 0.2, 0.3, 0.4, 0.5], 2, 5, 5, id="improving_runs_to_max_epochs"),
+    ],
+)
+def test_scripted_early_stop_score_sequences(monkeypatch, scores, patience, stop_epoch, best_epoch):
+    report, model, captured = scripted_train(monkeypatch, scores, patience)
+    assert report.stop_epoch == stop_epoch
+    assert report.best_epoch == best_epoch
+    assert report.best_dev_f1 == (scores[best_epoch - 1] if best_epoch else -math.inf)
+    assert len(report.epochs) == stop_epoch
+    for name, p in model.params.items():
+        assert np.array_equal(p.value, captured[best_epoch][name]), name
 
 
 def test_checkpoint_written_holds_best_params(tmp_path):

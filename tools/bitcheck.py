@@ -10,6 +10,9 @@ this file sits in) on seeded synthetic data from perfbench/corpus.py:
   with --parallel-seeds;
 - then, on each serially trained checkpoint, `eval`, `predict` and
   `dump-attention --html`;
+- then `train` ConcatInvar once more with patience 2 and at most 8 epochs,
+  a run that stops early (the manifest's `early_stop` entry gives each
+  seed's epoch count);
 - then `gradcheck`, and the criterion-7 held-out gaps from
   tests/domainshift.py.
 
@@ -67,6 +70,9 @@ CONFIG = {
     "count_check": "false",
     "seeds": ",".join(str(s) for s in SEEDS),
 }
+# on this data seed 0 stops at epoch 3 on tied dev scores, and seed 1 at
+# epoch 7, after improvements that follow a stale epoch
+EARLY_STOP = ("ConcatInvar", {"patience": 2, "max_epochs": 8})
 PREDICT = ("i love this great idea #SemST", "Donald Trump")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -104,6 +110,10 @@ def file_entries(root: Path) -> dict[str, str]:
     return entries
 
 
+def read_lines(path: Path) -> list[str]:
+    return path.read_text(encoding="utf-8").splitlines() if path.exists() else []
+
+
 def normalise(text: str, out: Path) -> str:
     text = text.replace(str(out), "<out>")
     return re.sub(r"\(\d+\.\d+s\)", "(<seconds>s)", text)
@@ -133,7 +143,7 @@ class Runner:
         return self.run(label, ["-m", "stancegen.cli", *args])
 
 
-def write_config(path: Path, paths: dict, variant: str) -> Path:
+def write_config(path: Path, paths: dict, variant: str, **overrides) -> Path:
     values = {
         "train_path": paths["train"],
         "dev_path": paths["dev"],
@@ -141,6 +151,7 @@ def write_config(path: Path, paths: dict, variant: str) -> Path:
         "embeddings_path": paths["embeddings"],
         "variant": variant,
         **CONFIG,
+        **overrides,
     }
     path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()), encoding="utf-8")
     return path
@@ -170,6 +181,14 @@ def run_all(tree: Path, out: Path) -> dict[str, str]:
                 f"dump-attention {tag}",
                 ["dump-attention", *common, *ckpt, "--out", str(dump) + ".jsonl", "--html", str(dump) + ".html"],
             )
+    variant, overrides = EARLY_STOP
+    config = write_config(out / "early_stop.cfg", paths, variant, **overrides)
+    run_dir = runs / variant / "early_stop"
+    runner.stancegen(f"train {variant} early_stop", ["train", "--config", str(config), "--out-dir", str(run_dir)])
+    runner.entries["early_stop"] = ", ".join(
+        f"seed {seed}: {len(read_lines(run_dir / f'train_seed{seed}.log'))} of {overrides['max_epochs']} epochs"
+        for seed in SEEDS
+    )
     runner.stancegen("gradcheck", ["gradcheck"])
     runner.entries["criterion7"] = runner.run("criterion7", ["-c", CRITERION_7]).strip()
     entries = {**file_entries(runs), **runner.entries}
