@@ -2,7 +2,9 @@
 dropout, and the gradient-reversal layer.
 
 Conditional encoding is two bilstm_encode_batch calls: the target pair from
-zero states, then the sentence pair from the target's final states.
+zero states, then the sentence pair from the target's final states. Each
+LSTM step is one tape node (the fused cell, lstm_step_batch, padding blend
+included), plus one recurrent-dropout node when dropout is on.
 
 Every layer is row-batched: a sequence is a list of (batch, dim) matrices,
 one per position, with trailing padding marked by a (batch, positions) mask
@@ -21,16 +23,12 @@ from .errors import ShapeError
 from .tensor import (
     Tensor,
     _record,
-    add,
-    add_rowvec,
     blend_rows,
     concat_cols,
     dropout,
     matmul_t,
     matvec,
     maximum,
-    mul,
-    sigmoid,
     softmax_rows,
     stack_cols,
     tanh,
@@ -147,16 +145,93 @@ def zero_state_batch(batch: int, hidden_dim: int, dtype) -> LSTMState:
     return LSTMState(tensor(np.zeros(shape), dtype), tensor(np.zeros(shape), dtype))
 
 
-def lstm_step_batch(x: Tensor, prev: LSTMState, params: LSTMParams) -> LSTMState:
-    """Batched LSTM step over (batch, dim) rows."""
-    z = concat_cols([x, prev.h])
-    i = sigmoid(add_rowvec(matmul_t(z, params.w_i), params.b_i))
-    f = sigmoid(add_rowvec(matmul_t(z, params.w_f), params.b_f))
-    o = sigmoid(add_rowvec(matmul_t(z, params.w_o), params.b_o))
-    g = tanh(add_rowvec(matmul_t(z, params.w_g), params.b_g))
-    c = add(mul(f, prev.c), mul(i, g))
-    h = mul(o, tanh(c))
-    return LSTMState(h, c)
+def lstm_step_batch(
+    x: Tensor,
+    prev: LSTMState,
+    params: LSTMParams,
+    h_in: Tensor | None = None,
+    keep: np.ndarray | None = None,
+) -> LSTMState:
+    """Batched LSTM step over (batch, dim) rows, recorded as one tape node
+    with outputs h and c.
+
+    The gates read [x; h_in], with h_in defaulting to prev.h (a recurrent
+    dropout passes the dropped h). Rows where the (batch,) mask `keep` is
+    False are padding: they carry prev through unchanged.
+
+    Forward and backward keep every expression, every sum and every
+    gradient accumulation into a tensor outside the cell in the order of
+    the per-op cell that tests/test_lstm_cell.py holds as its oracle, so the
+    two agree bit for bit: four per-gate products z @ w.T plus bias (one
+    stacked product changes bits on some BLAS builds), sigmoid as
+    0.5 * (1 + tanh(a / 2)), c = f*c_prev + i*g, h = o*tanh(c); backward
+    goes through the blends, h, c, then the gates in g, o, f, i order.
+    """
+    h_in = prev.h if h_in is None else h_in
+    hidden, width = params.w_i.value.shape
+    if x.value.ndim != 2 or x.value.shape[1] + hidden != width or any(
+        t.value.shape != (x.value.shape[0], hidden) for t in (prev.h, prev.c, h_in)
+    ):
+        raise ShapeError(
+            f"lstm_step_batch: x {x.value.shape}, h {h_in.value.shape}, c {prev.c.value.shape} "
+            f"for gates {params.w_i.value.shape}"
+        )
+    if keep is not None:
+        keep = np.asarray(keep, dtype=bool)
+        if keep.shape != (x.value.shape[0],):
+            raise ShapeError(f"lstm_step_batch: mask {keep.shape} for {x.value.shape[0]} rows")
+    blend = keep is not None and not keep.all()
+    col = keep[:, None] if blend else None
+    z = np.concatenate([x.value, h_in.value], axis=1)
+    i = 0.5 * (1.0 + np.tanh(0.5 * (z @ params.w_i.value.T + params.b_i.value)))
+    f = 0.5 * (1.0 + np.tanh(0.5 * (z @ params.w_f.value.T + params.b_f.value)))
+    o = 0.5 * (1.0 + np.tanh(0.5 * (z @ params.w_o.value.T + params.b_o.value)))
+    g = np.tanh(z @ params.w_g.value.T + params.b_g.value)
+    c_prev = prev.c.value
+    c = f * c_prev + i * g
+    tc = np.tanh(c)
+    h = o * tc
+    if blend:
+        h = np.where(col, h, prev.h.value)
+        c = np.where(col, c, c_prev)
+    out = LSTMState(Tensor(h), Tensor(c))
+
+    def gate(ga, w, b, gz):
+        # one gate's add_rowvec and matmul_t backward; z's gradient is the
+        # first gate's product, then a running in-place sum
+        b.accum(ga.sum(axis=0))
+        w.accum(ga.T @ z)
+        if gz is None:
+            return ga @ w.value
+        gz += ga @ w.value
+        return gz
+
+    def backward(gh, gc):
+        if blend:
+            if gc is not None:
+                prev.c.accum(gc * ~col)
+                gc = gc * col
+            if gh is not None:
+                prev.h.accum(gh * ~col)
+                gh = gh * col
+        go = None
+        if gh is not None:
+            go = gh * tc
+            dtc = (gh * o) * (1.0 - tc * tc)
+            gc = dtc if gc is None else gc + dtc
+        gi, gg, gf = gc * g, gc * i, gc * c_prev
+        prev.c.accum(gc * f)
+        gz = gate(gg * (1.0 - g * g), params.w_g, params.b_g, None)
+        if go is not None:
+            gz = gate(go * o * (1.0 - o), params.w_o, params.b_o, gz)
+        gz = gate(gf * f * (1.0 - f), params.w_f, params.b_f, gz)
+        gz = gate(gi * i * (1.0 - i), params.w_i, params.b_i, gz)
+        cols = x.value.shape[1]
+        x.accum(gz[:, :cols])
+        h_in.accum(gz[:, cols:])
+
+    _record((out.h, out.c), backward)
+    return out
 
 
 def run_lstm_batch(
@@ -173,7 +248,8 @@ def run_lstm_batch(
     state carries through unchanged, so the state at the last processed step
     equals each row's true final state, and in reverse each row's first
     processed position conditions on `init`. With `drop`, an independent
-    mask falls on h_prev entering each step.
+    mask falls on h_prev entering each step. Each step is one cell node on
+    the tape, plus the dropout node.
     """
     n = len(steps)
     if not n:
@@ -184,13 +260,8 @@ def run_lstm_batch(
     states: list[LSTMState | None] = [None] * n
     prev = init
     for t in range(n - 1, -1, -1) if reverse else range(n):
-        step_in = prev if drop is None else LSTMState(drop(prev.h), prev.c)
-        new = lstm_step_batch(steps[t], step_in, params)
-        keep = mask[:, t]
-        if keep.all():
-            prev = new
-        else:
-            prev = LSTMState(blend_rows(new.h, prev.h, keep), blend_rows(new.c, prev.c, keep))
+        h_in = None if drop is None else drop(prev.h)
+        prev = lstm_step_batch(steps[t], prev, params, h_in=h_in, keep=mask[:, t])
         states[t] = prev
     return states  # type: ignore[return-value]
 

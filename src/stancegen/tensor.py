@@ -3,8 +3,11 @@
 Tensors are thin wrappers around rank-0/1/2 numpy arrays. Running an
 operation while a Tape is active records a node with a backward closure;
 ``Tape.backward`` replays the nodes in reverse insertion order and
-accumulates gradients additively across fan-out. With no active tape,
-operations compute values only (cheap inference path).
+accumulates gradients additively across fan-out. A node may have several
+outputs (the fused LSTM cell records h and c as one node): it is replayed
+in its turn when any of its outputs has a gradient, and its closure gets
+one gradient per output, None for an output that has none. With no active
+tape, operations compute values only (cheap inference path).
 
 A tape and the tensors recorded on it belong to one thread; the active-tape
 stack is thread-local so independent tapes may run on separate threads.
@@ -78,7 +81,8 @@ class Tape:
             raise ValueError(f"unknown precision {precision!r}")
         self.precision = precision
         self.dtype = PRECISIONS[precision]
-        self._nodes: list[tuple[Tensor, Callable]] = []
+        # (out, backward); out is a tuple of tensors for a multi-output node
+        self._nodes: list[tuple[Tensor | tuple[Tensor, ...], Callable]] = []
 
     def __enter__(self) -> "Tape":
         stack = getattr(_TLS, "tapes", None)
@@ -93,11 +97,12 @@ class Tape:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def record(self, out: Tensor, backward: Callable) -> None:
-        if out.value.dtype != self.dtype:
-            raise ValueError(
-                f"tensor dtype {out.value.dtype} does not match tape precision {self.precision}"
-            )
+    def record(self, out: Tensor | tuple[Tensor, ...], backward: Callable) -> None:
+        for t in out if type(out) is tuple else (out,):
+            if t.value.dtype != self.dtype:
+                raise ValueError(
+                    f"tensor dtype {t.value.dtype} does not match tape precision {self.precision}"
+                )
         self._nodes.append((out, backward))
 
     def backward(self, root: Tensor) -> None:
@@ -106,12 +111,19 @@ class Tape:
             raise ValueError(f"backward root must be a scalar, got shape {root.value.shape}")
         root.accum(np.ones_like(root.value))
         for out, fn in reversed(self._nodes):
+            if type(out) is tuple:
+                grads = [t.grad for t in out]
+                if any(g is not None for g in grads):
+                    fn(*grads)
+                continue
             g = out.grad
             if g is not None:
                 fn(g)
 
 
-def _record(out: Tensor, backward: Callable) -> Tensor:
+def _record(out, backward: Callable):
+    """Record `out` (a tensor, or a tuple of tensors for a multi-output
+    node) on the active tape, if any, and return it."""
     tape = active_tape()
     if tape is not None:
         tape.record(out, backward)
@@ -123,16 +135,6 @@ def tanh(x: Tensor) -> Tensor:
 
     def backward(g):
         x.accum(g * (1.0 - out.value * out.value))
-
-    return _record(out, backward)
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    # tanh formulation avoids exp overflow for large |x|
-    out = Tensor(0.5 * (1.0 + np.tanh(0.5 * x.value)))
-
-    def backward(g):
-        x.accum(g * out.value * (1.0 - out.value))
 
     return _record(out, backward)
 

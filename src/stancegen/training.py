@@ -10,8 +10,9 @@ separately.
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -42,6 +43,11 @@ class Hyperparams:
     clip_norm: float = 5.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                key = "lambda" if f.name == "lam" else f.name
+                raise ConfigError(f"{key} must be finite, got {value!r}")
         for name in ("embed_dim", "hidden_dim", "batch_size", "patience", "max_epochs"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")

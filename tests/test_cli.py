@@ -578,6 +578,29 @@ def test_negative_seed_exits_2(workspace, capsys, config_seeds, flags):
 
 
 @pytest.mark.parametrize(
+    "key,value,flags",
+    [
+        ("learning_rate", "nan", []),
+        ("learning_rate", "inf", []),
+        ("l2", "inf", []),
+        ("dropout", "nan", []),
+        ("lambda", "nan", []),
+        ("lambda", None, ["--lambda", "nan"]),
+        ("lambda", None, ["--lambda", "inf"]),
+    ],
+    ids=["lr-nan", "lr-inf", "l2-inf", "dropout-nan", "lambda-nan", "lambda-flag-nan", "lambda-flag-inf"],
+)
+def test_non_finite_hyperparameter_exits_2(workspace, capsys, key, value, flags):
+    tmp_path, data_dir, out_dir, _ = workspace
+    overrides = {} if value is None else {key: value}
+    config = write_config(tmp_path / "nonfinite.cfg", data_dir, out_dir, **overrides)
+    assert main(["train", "--config", str(config), *flags]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{key} must be finite" in err and "Traceback" not in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
     "config_seeds,flags,repeated",
     [(0, ["--seeds", "0,0"], 0), ("1,2,1", [], 1)],
     ids=["seeds-flag", "config-seeds"],

@@ -121,6 +121,10 @@ def test_lstm_step_dimension_mismatch():
         lstm_step_batch(t64([[1.0]]), zero_state_batch(1, 3, F64), p)
     with pytest.raises(ShapeError):
         lstm_step_batch(t64([[1.0, 2.0]]), zero_state_batch(1, 2, F64), p)
+    with pytest.raises(ShapeError, match=r"h \(2, 3\)"):
+        lstm_step_batch(t64([[1.0, 2.0]]), zero_state_batch(1, 3, F64), p, h_in=t64(np.zeros((2, 3))))
+    with pytest.raises(ShapeError, match=r"mask \(2,\) for 1 rows"):
+        lstm_step_batch(t64([[1.0, 2.0]]), zero_state_batch(1, 3, F64), p, keep=np.array([True, False]))
 
 
 def test_lstm_params_init_invariants():

@@ -23,7 +23,6 @@ from stancegen.tensor import (
     nll_sum,
     relu,
     scale,
-    sigmoid,
     softmax_rows,
     stack_cols,
     sum_all,
@@ -46,10 +45,6 @@ def test_tanh_at_zero():
 
 def tanh_value(v):
     return list(T.tanh(t64(v)).value)
-
-
-def test_sigmoid_at_zero():
-    assert list(sigmoid(t64([0.0])).value) == [0.5]
 
 
 def test_relu_clips_negatives():
@@ -227,6 +222,46 @@ def test_backward_rejects_non_scalar_root():
             tape.backward(y)
 
 
+def _two_output_node(x, calls):
+    """A node with outputs 2x and 3x that logs the gradients it is given."""
+    a, b = Tensor(x.value * 2.0), Tensor(x.value * 3.0)
+
+    def backward(ga, gb):
+        calls.append((ga, gb))
+        for g, k in ((ga, 2.0), (gb, 3.0)):
+            if g is not None:
+                x.accum(g * k)
+
+    T._record((a, b), backward)
+    return a, b
+
+
+@pytest.mark.parametrize("used", ["first", "second", "both", "neither"])
+def test_multi_output_node_runs_when_any_output_has_a_gradient(used):
+    x = t64([1.0, -2.0])
+    calls = []
+    with Tape("float64") as tape:
+        a, b = _two_output_node(x, calls)
+        roots = {"first": [a], "second": [b], "both": [a, b], "neither": [x]}[used]
+        root = sum_all(roots[0]) if len(roots) == 1 else add(sum_all(roots[0]), sum_all(roots[1]))
+        tape.backward(root)
+    assert len(tape) == 2 * len(roots)  # one node for both outputs, then the sums
+    if used == "neither":
+        assert calls == []  # skipped: no output has a gradient
+        assert list(x.grad) == [1.0, 1.0]
+        return
+    (ga, gb), = calls
+    assert (ga is None, gb is None) == (used == "second", used == "first")
+    expected = {"first": 2.0, "second": 3.0, "both": 5.0}[used]
+    assert list(x.grad) == [expected, expected]
+
+
+def test_multi_output_node_checks_every_output_precision():
+    with Tape("float32"):
+        with pytest.raises(ValueError, match="precision"):
+            T._record((Tensor(np.zeros(1, np.float32)), Tensor(np.zeros(1))), lambda ga, gb: None)
+
+
 def test_fanout_gradient_is_sum_of_single_consumer_gradients():
     def consumer_a(x):
         return sum_all(mul(x, x))
@@ -386,7 +421,6 @@ def _op_catalog():
 
     cases = {
         "tanh": unary(T.tanh, _vec),
-        "sigmoid": unary(T.sigmoid, _vec),
         "scale": unary(lambda x: T.scale(x, 0.5), _vec),
         "relu": unary(T.relu, lambda rng: _away_from(rng, 3, 0.0)),
     }

@@ -261,6 +261,9 @@ def test_hyperparam_defaults():
         {"learning_rate": 0.0},
         {"max_epochs": 0},
         {"l2": -1.0},
+        {"learning_rate": float("nan")},
+        {"clip_norm": float("inf")},
+        {"clip_norm": float("nan")},
     ],
 )
 def test_hyperparam_validation(kwargs):
