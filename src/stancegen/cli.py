@@ -245,19 +245,25 @@ def load_datasets(cfg: RunConfig) -> Split:
     return make_split(full, check_counts=cfg.count_check)
 
 
-def load_vocab_and_embeddings(cfg: RunConfig, train: Corpus | None):
-    """Vocabulary from vocab_path if set; else `train` builds it when given
-    (the train command), and out_dir/vocab.tsv is read when not (every
-    command that loads a checkpoint)."""
+def load_saved_vocab(cfg: RunConfig) -> Vocabulary:
+    """The vocabulary a checkpoint was trained with: vocab_path if set, else
+    the out_dir/vocab.tsv that train saved; it is never rebuilt from a split."""
     if cfg.vocab_path:
-        vocab = Vocabulary.load(_resolve_data_path(cfg.vocab_path, "vocab.tsv", "vocab"))
-    elif train is not None:
-        vocab = build_vocab([train], min_count=cfg.hp.min_count)
+        return Vocabulary.load(_resolve_data_path(cfg.vocab_path, "vocab.tsv", "vocab"))
+    saved = Path(cfg.out_dir) / "vocab.tsv"
+    if not saved.exists():
+        raise ConfigError(f"no vocab_path configured and {saved} not found")
+    return Vocabulary.load(saved)
+
+
+def load_vocab_and_embeddings(cfg: RunConfig, train: Corpus):
+    """The train command's vocabulary, from vocab_path if set and else built
+    from `train`, and its frozen embedding matrix: the embeddings_path rows
+    of that vocabulary, or hash-seeded vectors without one."""
+    if cfg.vocab_path:
+        vocab = load_saved_vocab(cfg)
     else:
-        saved = Path(cfg.out_dir) / "vocab.tsv"
-        if not saved.exists():
-            raise ConfigError(f"no vocab_path configured and {saved} not found")
-        vocab = Vocabulary.load(saved)
+        vocab = build_vocab([train], min_count=cfg.hp.min_count)
     if cfg.embeddings_path:
         path = _resolve_data_path(cfg.embeddings_path, "embeddings.txt", "embeddings")
         emb = load_embeddings(path, vocab, cfg.hp.embed_dim)
@@ -352,9 +358,16 @@ def cmd_train(args) -> int:
 
 
 def _load_checkpoint_for(cfg: RunConfig, checkpoint_path):
-    vocab, emb = load_vocab_and_embeddings(cfg, None)
-    model, meta = load_checkpoint(checkpoint_path, emb, expected_vocab_hash=vocab.content_hash())
-    return model, meta, vocab
+    """The checkpoint carries its embedding matrix, so only the vocabulary
+    and the checkpoint are read; embeddings_path and embed_dim are not."""
+    vocab = load_saved_vocab(cfg)
+    model, _ = load_checkpoint(checkpoint_path, expected_vocab_hash=vocab.content_hash())
+    rows = model.embeddings.values.shape[0]
+    if rows != len(vocab):
+        raise CheckpointError(
+            f"{checkpoint_path}: embedding matrix has {rows} rows, but the vocabulary has {len(vocab)} tokens"
+        )
+    return model, vocab
 
 
 def _evaluation_corpus(cfg: RunConfig, args) -> Corpus:
@@ -370,7 +383,7 @@ def _evaluation_corpus(cfg: RunConfig, args) -> Corpus:
 def cmd_eval(args) -> int:
     cfg = build_run_config(args)
     corpus = _evaluation_corpus(cfg, args)
-    model, _, vocab = _load_checkpoint_for(cfg, args.checkpoint)
+    model, vocab = _load_checkpoint_for(cfg, args.checkpoint)
     encode_corpus(corpus, vocab)
     preds = predict_corpus(model, corpus, cfg.hp.batch_size)
     name = args.dataset if getattr(args, "dataset", None) else args.split
@@ -380,7 +393,7 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     cfg = build_run_config(args)
-    model, _, vocab = _load_checkpoint_for(cfg, args.checkpoint)
+    model, vocab = _load_checkpoint_for(cfg, args.checkpoint)
     sentence = tokenize(args.text)
     target = tokenize(args.target)
     ex = Example(
@@ -402,7 +415,7 @@ def cmd_predict(args) -> int:
 def cmd_dump_attention(args) -> int:
     cfg = build_run_config(args)
     corpus = _evaluation_corpus(cfg, args)
-    model, _, vocab = _load_checkpoint_for(cfg, args.checkpoint)
+    model, vocab = _load_checkpoint_for(cfg, args.checkpoint)
     encode_corpus(corpus, vocab)
     out_path = Path(args.out) if args.out else Path(cfg.out_dir) / "attention.jsonl"
     html_path = Path(args.html) if args.html else None

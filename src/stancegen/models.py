@@ -10,6 +10,13 @@ the adversarial path. Stance-path parameters are always created first so two
 variants sharing a seed draw identical stance-path initializations. The one
 forward pass runs a padded batch of examples; a single example is a batch of
 one.
+
+A version-2 checkpoint is one .npz that holds the whole model: `__meta__`
+(JSON: version, spec, vocab_hash, embed_hash, precision, adversarial), one
+array per registry parameter under its name, in the model's precision, and
+`__embeddings__`, the frozen vocabulary-aligned embedding matrix in float64
+exactly as EmbeddingMatrix holds it (embed_hash is its hash). Loading reads
+no embeddings file.
 """
 
 from __future__ import annotations
@@ -59,7 +66,8 @@ VARIANTS = tuple(ARCHITECTURES)
 INVAR_VARIANTS = tuple(v for v, a in ARCHITECTURES.items() if a.heads)
 ATTENTION_VARIANTS = tuple(v for v, a in ARCHITECTURES.items() if a.attention)
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+EMBEDDINGS_ARRAY = "__embeddings__"
 
 
 @dataclass(frozen=True)
@@ -305,8 +313,8 @@ def model_forward_batch(
 
 
 def save_checkpoint(model: Model, path, vocab_hash: str) -> None:
-    """Write all registry parameters plus spec and dataset hashes to one npz
-    at exactly `path`, with no suffix added."""
+    """Write all registry parameters, the embedding matrix, and the spec and
+    dataset hashes to one npz at exactly `path`, with no suffix added."""
     meta = {
         "version": CHECKPOINT_VERSION,
         "spec": model.spec.to_dict(),
@@ -316,17 +324,39 @@ def save_checkpoint(model: Model, path, vocab_hash: str) -> None:
         "adversarial": sorted(model.adversarial),
     }
     arrays = {name: t.value for name, t in model.params.items()}
+    arrays[EMBEDDINGS_ARRAY] = model.embeddings.values
     with atomic_write(path, "wb") as fh:
         np.savez(fh, __meta__=np.array(json.dumps(meta)), **arrays)
 
 
+def _check_finite(path, name: str, arr: np.ndarray) -> None:
+    if not np.isfinite(arr).all():
+        raise CheckpointError(f"{path}: {name} holds a NaN or infinite value")
+
+
+def _stored_embeddings(path, values: np.ndarray | None, spec: ModelSpec) -> EmbeddingMatrix:
+    if values is None:
+        raise CheckpointError(f"{path}: checkpoint lacks its embedding matrix {EMBEDDINGS_ARRAY}")
+    if values.dtype != np.float64:
+        raise CheckpointError(f"{path}: {EMBEDDINGS_ARRAY} is {values.dtype}, not float64")
+    if values.ndim != 2 or values.shape[1] != spec.embed_dim:
+        raise CheckpointError(
+            f"{path}: {EMBEDDINGS_ARRAY} has shape {values.shape}, but embed_dim is {spec.embed_dim}"
+        )
+    _check_finite(path, EMBEDDINGS_ARRAY, values)
+    return EmbeddingMatrix(values=values)
+
+
 def load_checkpoint(
     path,
-    embeddings: EmbeddingMatrix,
+    embeddings: EmbeddingMatrix | None = None,
     expected_vocab_hash: str | None = None,
 ) -> tuple[Model, dict]:
-    """Rebuild a Model with value-exact parameters; returns (model, meta).
-    Draws no random numbers: every parameter comes from the file."""
+    """Rebuild a Model with value-exact parameters and the stored embedding
+    matrix; returns (model, meta). Draws no random numbers: everything comes
+    from the file. A caller that passes `embeddings` gets a CheckpointError
+    unless they hash-equal the stored matrix. The row count is left to the
+    caller, who knows the vocabulary."""
     try:
         with np.load(path, allow_pickle=False) as archive:
             names = set(archive.files)
@@ -340,7 +370,11 @@ def load_checkpoint(
         raise CheckpointError(f"{path}: unreadable checkpoint ({exc})") from exc
     version = meta.get("version") if isinstance(meta, dict) else None
     if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+        # version 1 lacked the embedding matrix, and nothing can restore it
+        raise CheckpointError(
+            f"{path}: unsupported checkpoint version {version}; "
+            f"retrain to write a version {CHECKPOINT_VERSION} checkpoint"
+        )
     for key, kind in (("spec", dict), ("vocab_hash", str), ("embed_hash", str), ("precision", str)):
         if not isinstance(meta.get(key), kind):
             raise CheckpointError(f"{path}: checkpoint metadata lacks a {kind.__name__} {key!r}")
@@ -351,13 +385,14 @@ def load_checkpoint(
             f"{path}: vocabulary hash mismatch (checkpoint {meta['vocab_hash'][:12]}..., "
             f"current {expected_vocab_hash[:12]}...)"
         )
-    if meta["embed_hash"] != embeddings.content_hash():
-        raise CheckpointError(f"{path}: embedding matrix differs from the one used at training time")
     try:
         spec = ModelSpec(**meta["spec"])
     except (TypeError, ConfigError) as exc:
         raise CheckpointError(f"{path}: invalid model spec in checkpoint metadata ({exc})") from exc
-    model = build_model(spec, seed=None, embeddings=embeddings, dtype=PRECISIONS[meta["precision"]])
+    stored = _stored_embeddings(path, arrays.pop(EMBEDDINGS_ARRAY, None), spec)
+    if embeddings is not None and embeddings.content_hash() != stored.content_hash():
+        raise CheckpointError(f"{path}: embedding matrix differs from the one stored at training time")
+    model = build_model(spec, seed=None, embeddings=stored, dtype=PRECISIONS[meta["precision"]])
     saved = set(arrays)
     expected = set(model.params)
     if saved != expected:
@@ -374,5 +409,6 @@ def load_checkpoint(
             raise CheckpointError(
                 f"{path}: {name} is {arr.dtype}, but the checkpoint precision is {meta['precision']}"
             )
+        _check_finite(path, name, arr)
         t.value = arr
     return model, meta

@@ -105,13 +105,15 @@ def accuracy(model, corpus):
     return sum(p == ex.stance for p, ex in zip(preds, corpus)) / len(corpus)
 
 
-def run_experiment(seed, variant, emb, train_c, dev_c, held_c, lam=2.0, epochs=30, lr=0.02):
+def run_experiment(
+    seed, variant, emb, train_c, dev_c, held_c, lam=2.0, epochs=30, lr=0.02, dtype=np.float32
+):
     """Train one variant on the synthetic corpus; return held-out accuracy."""
     spec = ModelSpec(
         variant=variant, embed_dim=EMBED_DIM, hidden_dim=HIDDEN_DIM,
         attn_dim=ATTN_DIM, num_domains=4,
     )
-    model = build_model(spec, seed, emb)
+    model = build_model(spec, seed, emb, dtype=dtype)
     hp = Hyperparams(
         embed_dim=EMBED_DIM, hidden_dim=HIDDEN_DIM, attn_dim=ATTN_DIM,
         dropout=0.0, batch_size=8, learning_rate=lr, l2=0.0,

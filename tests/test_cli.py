@@ -20,6 +20,7 @@ from stancegen.cli import (
 )
 from stancegen.data import DEV_TARGET, TEST_TARGET, TRAIN_TARGETS
 from stancegen.errors import ConfigError
+from stancegen.models import EMBEDDINGS_ARRAY
 
 HEADER = "ID\tTarget\tTweet\tStance"
 CUE = {"FAVOR": "love", "AGAINST": "hate", "NONE": "weather"}
@@ -440,12 +441,32 @@ def test_eval_vocab_with_duplicate_ids_exits_3(workspace, capsys):
     assert "Traceback" not in err
 
 
-def _rewrite_meta(path, edit):
+def _rewrite_arrays(path, edit):
     with np.load(path, allow_pickle=False) as archive:
         arrays = {name: archive[name] for name in archive.files}
-    meta = json.loads(str(arrays.pop("__meta__")))
-    edit(meta)
-    np.savez(path, __meta__=np.array(json.dumps(meta)), **arrays)
+    edit(arrays)
+    np.savez(path, **arrays)
+
+
+def _rewrite_meta(path, edit):
+    def edit_meta(arrays):
+        meta = json.loads(str(arrays["__meta__"]))
+        edit(meta)
+        arrays["__meta__"] = np.array(json.dumps(meta))
+
+    _rewrite_arrays(path, edit_meta)
+
+
+def _eval_exits_4(workspace, capsys, rewrite, edit, message):
+    out_dir, config = _trained(workspace)
+    checkpoint = out_dir / "model_seed0.npz"
+    rewrite(checkpoint, edit)
+    capsys.readouterr()
+    code = main(["eval", "--config", str(config), "--checkpoint", str(checkpoint)])
+    assert code == EXIT_CHECKPOINT
+    err = capsys.readouterr().err
+    assert err.startswith("checkpoint error: ") and message in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -464,15 +485,43 @@ def _rewrite_meta(path, edit):
          "list-precision", "unknown-spec-key", "bad-variant"],
 )
 def test_eval_malformed_checkpoint_metadata_exits_4(workspace, capsys, edit, message):
-    out_dir, config = _trained(workspace)
-    checkpoint = out_dir / "model_seed0.npz"
-    _rewrite_meta(checkpoint, edit)
-    capsys.readouterr()
-    code = main(["eval", "--config", str(config), "--checkpoint", str(checkpoint)])
-    assert code == EXIT_CHECKPOINT
-    err = capsys.readouterr().err
-    assert err.startswith("checkpoint error: ") and message in err
-    assert "Traceback" not in err
+    _eval_exits_4(workspace, capsys, _rewrite_meta, edit, message)
+
+
+def _poison(name, value):
+    def edit(arrays):
+        arrays[name] = arrays[name].copy()
+        arrays[name].flat[1] = value
+    return edit
+
+
+def _as_version_1(arrays):
+    # the version-1 layout: parameters only, no embedding matrix
+    del arrays[EMBEDDINGS_ARRAY]
+    meta = json.loads(str(arrays["__meta__"]))
+    arrays["__meta__"] = np.array(json.dumps({**meta, "version": 1}))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_as_version_1, "unsupported checkpoint version 1; retrain to write a version 2 checkpoint"),
+        (lambda a: a.pop(EMBEDDINGS_ARRAY), "lacks its embedding matrix __embeddings__"),
+        (lambda a: a.update(__embeddings__=a[EMBEDDINGS_ARRAY].astype(np.float32)),
+         "__embeddings__ is float32, not float64"),
+        (lambda a: a.update(__embeddings__=a[EMBEDDINGS_ARRAY][:, :-1]), "but embed_dim is 5"),
+        (lambda a: a.update(__embeddings__=a[EMBEDDINGS_ARRAY][0]), "shape (5,), but embed_dim is 5"),
+        (lambda a: a.update(__embeddings__=a[EMBEDDINGS_ARRAY][:-1]),
+         "embedding matrix has 20 rows, but the vocabulary has 21 tokens"),
+        (_poison(EMBEDDINGS_ARRAY, np.inf), "__embeddings__ holds a NaN or infinite value"),
+        (_poison("stance.w_mlp", np.nan), "stance.w_mlp holds a NaN or infinite value"),
+        (_poison("attention.v", -np.inf), "attention.v holds a NaN or infinite value"),
+    ],
+    ids=["version-1", "no-embeddings", "float32-embeddings", "narrow-embeddings", "1d-embeddings",
+         "short-embeddings", "inf-embedding", "nan-parameter", "inf-parameter"],
+)
+def test_eval_malformed_checkpoint_arrays_exit_4(workspace, capsys, edit, message):
+    _eval_exits_4(workspace, capsys, _rewrite_arrays, edit, message)
 
 
 def test_eval_empty_dataset_exits_3(workspace, tmp_path):
@@ -660,6 +709,40 @@ def test_checkpoint_commands_read_vocab_path(workspace):
     (out_dir / "vocab.tsv").rename(moved)
     with_path = write_config(tmp_path / "vp.cfg", data_dir, out_dir, vocab_path=moved)
     assert main(_eval(with_path, out_dir)) == EXIT_OK
+
+
+def _checkpoint_outputs(config, out_dir, capsys):
+    """stdout of eval, predict and dump-attention, and the dumped records."""
+    checkpoint = ["--config", str(config), "--checkpoint", str(out_dir / "model_seed0.npz")]
+    dump = out_dir / "att.jsonl"
+    outputs = []
+    for argv in (
+        ["eval", *checkpoint],
+        ["predict", *checkpoint, "--text", "love it one times", "--target", "Donald Trump"],
+        ["dump-attention", *checkpoint, "--out", str(dump)],
+    ):
+        capsys.readouterr()
+        assert main(argv) == EXIT_OK
+        outputs.append(capsys.readouterr().out)
+    return outputs + [dump.read_bytes()]
+
+
+@pytest.mark.parametrize("spoil", ["deleted", "not-utf8"])
+def test_checkpoint_commands_do_not_read_the_embeddings_file(workspace, capsys, spoil):
+    tmp_path, data_dir, out_dir, _ = workspace
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text(
+        "love 0.4 -0.1 0.2 0.3 0.1\nhate -0.4 0.1 -0.2 0.3 0.2\nit 0.05 0.0 0.1 -0.1 0.2\n",
+        encoding="utf-8",
+    )
+    config = write_config(tmp_path / "emb.cfg", data_dir, out_dir, embeddings_path=vectors)
+    assert main(["train", "--config", str(config)]) == EXIT_OK
+    before = _checkpoint_outputs(config, out_dir, capsys)
+    if spoil == "deleted":
+        vectors.unlink()
+    else:
+        vectors.write_bytes(NOT_UTF8)
+    assert _checkpoint_outputs(config, out_dir, capsys) == before
 
 
 # ----------------------------------------------------------------- predict

@@ -333,12 +333,14 @@ def test_checkpoint_round_trip_value_exact(tmp_path, monkeypatch, variant):
     def no_draws(*args, **kwargs):
         raise AssertionError("load_checkpoint created a random generator")
 
-    # every parameter comes from the file, so loading draws nothing
-    emb = embeddings()
+    # every parameter and the embedding matrix come from the file, so
+    # loading draws nothing and needs no embeddings
     with monkeypatch.context() as patched:
         patched.setattr(np.random, "default_rng", no_draws)
-        loaded, meta = load_checkpoint(path, embeddings=emb, expected_vocab_hash="abc123")
+        loaded, meta = load_checkpoint(path, expected_vocab_hash="abc123")
     assert meta["spec"]["variant"] == variant
+    assert meta["embed_hash"] == m.embeddings.content_hash()
+    assert np.array_equal(loaded.embeddings.values, m.embeddings.values)
     assert set(loaded.params) == set(m.params)
     for name in m.params:
         assert np.array_equal(loaded.params[name].value, m.params[name].value), name
@@ -347,12 +349,33 @@ def test_checkpoint_round_trip_value_exact(tmp_path, monkeypatch, variant):
     assert np.array_equal(out_orig.stance_probs.value, out_loaded.stance_probs.value)
 
 
+def test_checkpoint_stores_embeddings_next_to_the_parameters(tmp_path):
+    m = trained_like_model()
+    path = tmp_path / "model.npz"
+    save_checkpoint(m, path, vocab_hash="abc123")
+    with np.load(path, allow_pickle=False) as archive:
+        names = set(archive.files)
+        stored = archive[M.EMBEDDINGS_ARRAY]
+    assert names == set(m.params) | {"__meta__", M.EMBEDDINGS_ARRAY}
+    assert stored.dtype == np.float64
+    assert stored.tobytes() == m.embeddings.values.tobytes()
+
+
 def test_checkpoint_vocab_hash_mismatch(tmp_path):
     m = trained_like_model()
     path = tmp_path / "model.npz"
     save_checkpoint(m, path, vocab_hash="abc123")
     with pytest.raises(CheckpointError, match="hash"):
-        load_checkpoint(path, embeddings=embeddings(), expected_vocab_hash="zzz")
+        load_checkpoint(path, expected_vocab_hash="zzz")
+
+
+def test_checkpoint_accepts_the_stored_embeddings_positionally(tmp_path):
+    # the second positional parameter stays the optional embedding matrix
+    m = trained_like_model()
+    path = tmp_path / "model.npz"
+    save_checkpoint(m, path, vocab_hash="abc123")
+    loaded, _ = load_checkpoint(path, embeddings(), "abc123")
+    assert np.array_equal(loaded.embeddings.values, m.embeddings.values)
 
 
 def test_checkpoint_embedding_mismatch(tmp_path):
@@ -369,57 +392,42 @@ def test_checkpoint_corrupted_file(tmp_path):
     path = tmp_path / "model.npz"
     path.write_bytes(b"not a checkpoint at all")
     with pytest.raises(CheckpointError):
-        load_checkpoint(path, embeddings=embeddings())
+        load_checkpoint(path)
+
+
+def _saved_arrays(tmp_path):
+    m = trained_like_model()
+    path = tmp_path / "model.npz"
+    save_checkpoint(m, path, vocab_hash="x")
+    with np.load(path, allow_pickle=False) as archive:
+        return path, {name: archive[name] for name in archive.files}
 
 
 def test_checkpoint_version_gate(tmp_path):
     import json
 
-    m = trained_like_model()
-    path = tmp_path / "model.npz"
-    meta = {
-        "version": 999,
-        "spec": m.spec.to_dict(),
-        "vocab_hash": "x",
-        "embed_hash": m.embeddings.content_hash(),
-        "precision": "float32",
-        "adversarial": [],
-    }
-    np.savez(path, __meta__=np.array(json.dumps(meta)), **{k: t.value for k, t in m.params.items()})
-    with pytest.raises(CheckpointError, match="version"):
-        load_checkpoint(path, embeddings=embeddings())
+    path, arrays = _saved_arrays(tmp_path)
+    meta = json.loads(str(arrays["__meta__"]))
+    arrays["__meta__"] = np.array(json.dumps({**meta, "version": 999}))
+    np.savez(path, **arrays)
+    with pytest.raises(CheckpointError, match="unsupported checkpoint version 999"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_missing_parameter_detected(tmp_path):
-    import json
-
-    m = trained_like_model()
-    path = tmp_path / "model.npz"
-    arrays = {k: t.value for k, t in m.params.items()}
+    path, arrays = _saved_arrays(tmp_path)
     arrays.pop("stance.w_mlp")
-    meta = {
-        "version": 1,
-        "spec": m.spec.to_dict(),
-        "vocab_hash": "x",
-        "embed_hash": m.embeddings.content_hash(),
-        "precision": "float32",
-        "adversarial": sorted(m.adversarial),
-    }
-    np.savez(path, __meta__=np.array(json.dumps(meta)), **arrays)
+    np.savez(path, **arrays)
     with pytest.raises(CheckpointError, match="w_mlp"):
-        load_checkpoint(path, embeddings=embeddings())
+        load_checkpoint(path)
 
 
 def test_checkpoint_dtype_mismatch_names_the_array(tmp_path):
-    m = trained_like_model()
-    path = tmp_path / "model.npz"
-    save_checkpoint(m, path, vocab_hash="x")
-    with np.load(path) as archive:
-        arrays = {name: archive[name] for name in archive.files}
+    path, arrays = _saved_arrays(tmp_path)
     arrays["stance.w_mlp"] = arrays["stance.w_mlp"].astype(np.float64)
     np.savez(path, **arrays)
     with pytest.raises(CheckpointError, match=r"stance\.w_mlp is float64.*float32"):
-        load_checkpoint(path, embeddings=embeddings())
+        load_checkpoint(path)
 
 
 @pytest.mark.parametrize(
