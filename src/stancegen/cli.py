@@ -419,7 +419,7 @@ def cmd_dump_attention(args) -> int:
     encode_corpus(corpus, vocab)
     out_path = Path(args.out) if args.out else Path(cfg.out_dir) / "attention.jsonl"
     html_path = Path(args.html) if args.html else None
-    count = dump_attention(model, corpus, out_path, html_out=html_path)
+    count = dump_attention(model, corpus, out_path, html_out=html_path, batch_size=cfg.hp.batch_size)
     print(f"wrote {count} attention records to {out_path}")
     return EXIT_OK
 

@@ -13,7 +13,7 @@ import numpy as np
 from .data import STANCE_TO_INDEX, STANCES, Corpus
 from .errors import CapabilityError
 from .files import atomic_write
-from .models import ATTENTION_VARIANTS, Model, model_forward_batch
+from .models import ATTENTION_VARIANTS, Model, length_sorted_batches, model_forward_batch
 
 
 class ConfusionMatrix:
@@ -119,25 +119,29 @@ class AttentionRecord:
         )
 
 
-def attention_records(model: Model, corpus: Corpus) -> list[AttentionRecord]:
+def attention_records(model: Model, corpus: Corpus, batch_size: int = 32) -> list[AttentionRecord]:
+    """One record per example, in corpus order, from eval-mode forward passes
+    over length_sorted_batches, so memory grows with batch_size, not with
+    the corpus."""
     if model.spec.variant not in ATTENTION_VARIANTS:
         raise CapabilityError(f"variant {model.spec.variant} has no attention layer")
-    if not corpus.examples:
-        return []
-    # the whole corpus as one batch; each alpha row is cut at its sentence
-    out = model_forward_batch(model, corpus.examples)
-    alpha = out.attention.alpha.value
-    predicted = np.argmax(out.stance_probs.value, axis=1)
-    return [
-        AttentionRecord(
-            tokens=list(ex.sentence_tokens),
-            weights=[float(a) for a in alpha[i][out.sentence_mask[i]]],
-            target=ex.raw_target,
-            gold=ex.stance,
-            predicted=STANCES[predicted[i]],
-        )
-        for i, ex in enumerate(corpus.examples)
-    ]
+    examples = corpus.examples
+    records: list[AttentionRecord | None] = [None] * len(examples)
+    for idx in length_sorted_batches(examples, batch_size):
+        out = model_forward_batch(model, [examples[i] for i in idx])
+        alpha = out.attention.alpha.value
+        predicted = np.argmax(out.stance_probs.value, axis=1)
+        for row, i in enumerate(idx):
+            ex = examples[i]
+            # each alpha row is cut at its sentence
+            records[i] = AttentionRecord(
+                tokens=list(ex.sentence_tokens),
+                weights=[float(a) for a in alpha[row][out.sentence_mask[row]]],
+                target=ex.raw_target,
+                gold=ex.stance,
+                predicted=STANCES[predicted[row]],
+            )
+    return records
 
 
 def _heatmap_html(records: list[AttentionRecord]) -> str:
@@ -166,14 +170,14 @@ def _heatmap_html(records: list[AttentionRecord]) -> str:
     return "\n".join(parts) + "\n"
 
 
-def dump_attention(model: Model, corpus: Corpus, out, html_out=None) -> int:
+def dump_attention(model: Model, corpus: Corpus, out, html_out=None, batch_size: int = 32) -> int:
     """Write one JSON record per example to the path `out`; optionally an HTML heatmap.
 
     Returns the number of records written. Concat variants have no
     attention to dump and raise CapabilityError before any directory or
     file is created; otherwise missing parent directories are made.
     """
-    records = attention_records(model, corpus)
+    records = attention_records(model, corpus, batch_size)
     outputs = [(out, "".join(rec.to_json() + "\n" for rec in records))]
     if html_out is not None:
         outputs.append((html_out, _heatmap_html(records)))

@@ -229,6 +229,14 @@ def pad_id_batch(id_lists: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
     return out, mask
 
 
+def length_sorted_batches(examples: list[Example], batch_size: int) -> list[list[int]]:
+    """Index batches of at most batch_size over a stable sort of the examples
+    by sentence length, ties in corpus order. An example without ids sorts
+    first, so its batch's forward pass raises model_forward_batch's error."""
+    order = sorted(range(len(examples)), key=lambda i: len(examples[i].sentence_ids or ()))
+    return [order[lo : lo + batch_size] for lo in range(0, len(order), batch_size)]
+
+
 def _embed_steps(model: Model, ids: np.ndarray) -> list[Tensor]:
     return [Tensor(model.embeddings.values[ids[:, t]].astype(model.dtype)) for t in range(ids.shape[1])]
 
@@ -254,10 +262,14 @@ def model_forward_batch(
 ) -> ForwardOutput:
     """Forward pass over a batch of examples, padded to the longest target
     and sentence; padding never changes another position's output, so each
-    row equals the example's forward as a batch of one. In train mode one
-    Dropout(dropout, rng) applies after the embedding lookup, between
-    recurrent steps, and on the encoder outputs; eval mode consumes no
-    randomness. The stance head reads the branches' concatenated
+    row equals the example's forward as a batch of one up to rounding: a
+    1-row product takes numpy's vector path, and the attention softmax sums
+    over the padded width. At paper size in float32, 495 of 1,024 rows in
+    batches of 32 differed from a batch of one, by at most 9e-8.
+
+    In train mode one Dropout(dropout, rng) applies after the embedding
+    lookup, between recurrent steps, and on the encoder outputs; eval mode
+    consumes no randomness. The stance head reads the branches' concatenated
     representations; the domain heads and the reported attention weights
     come from the first branch."""
     if not examples:

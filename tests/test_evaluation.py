@@ -10,11 +10,12 @@ from stancegen.errors import CapabilityError
 from stancegen.evaluation import (
     AttentionRecord,
     ConfusionMatrix,
+    attention_records,
     compute_metrics,
     dump_attention,
     format_metrics,
 )
-from stancegen.models import ModelSpec, build_model
+from stancegen.models import ModelSpec, build_model, model_forward_batch
 
 F, A, N = "FAVOR", "AGAINST", "NONE"
 LABELS = [F, A, N]
@@ -199,6 +200,28 @@ def test_dump_record_contents(tmp_path):
         assert rec["gold"] == ex.stance
         assert rec["predicted"] in LABELS
         assert rec["target"] == "some target"
+
+
+def test_batched_records_match_one_padded_batch():
+    # sorted batches of 2 against the whole corpus as one padded batch, the
+    # way attention_records ran before it batched
+    rng = np.random.default_rng(2)
+    corpus = Corpus(
+        [
+            example([int(i) for i in rng.integers(1, 12, size=n)], [5, 6][: 1 + k % 2], stance=LABELS[k % 3])
+            for k, n in enumerate([4, 1, 6, 2, 4, 3, 6, 1, 5])
+        ]
+    )
+    model = bca_model()
+    out = model_forward_batch(model, corpus.examples)
+    records = attention_records(model, corpus, batch_size=2)
+    assert len(records) == len(corpus)
+    for i, (rec, ex) in enumerate(zip(records, corpus)):
+        assert rec.tokens == ex.sentence_tokens
+        assert rec.gold == ex.stance
+        assert rec.predicted == LABELS[int(np.argmax(out.stance_probs.value[i]))]
+        expected = out.attention.alpha.value[i][out.sentence_mask[i]]
+        assert np.abs(np.array(rec.weights) - expected).max() <= 1e-6
 
 
 def test_single_token_sentence_gets_unit_weight(tmp_path):

@@ -5,7 +5,15 @@ import pytest
 
 import stancegen.models as M
 import stancegen.training as TR
-from stancegen.data import STANCE_TO_INDEX, Corpus, Example, build_vocab, encode_corpus, random_embeddings
+from stancegen.data import (
+    STANCE_TO_INDEX,
+    Corpus,
+    EmbeddingMatrix,
+    Example,
+    build_vocab,
+    encode_corpus,
+    random_embeddings,
+)
 from stancegen.errors import ConfigError, NonFiniteLossError
 from stancegen.models import ModelSpec, build_model
 from stancegen.tensor import Tape, Tensor, add, scale
@@ -556,6 +564,96 @@ def test_predict_corpus_batch_size_independent():
     train_c, dev_c, emb = toy_split()
     model = toy_model("BCA", emb, dtype=np.float64)
     assert predict_corpus(model, dev_c, batch_size=2) == predict_corpus(model, dev_c, batch_size=32)
+
+
+# ------------------------------------------------ length-sorted eval batches
+
+
+def ragged_corpus(n=23, seed=8):
+    """Sentences of 1-9 tokens in shuffled order, so lengths repeat and the
+    sorted batches differ from file order; targets of 1-3 tokens."""
+    rng = np.random.default_rng(seed)
+    lengths = rng.permutation(np.arange(n) % 9 + 1)
+    examples = []
+    for k, length in enumerate(lengths):
+        sent = [int(i) for i in rng.integers(1, 12, size=length)]
+        tgt = [int(i) for i in rng.integers(1, 12, size=1 + k % 3)]
+        examples.append(
+            Example(
+                sentence_tokens=[f"s{i}" for i in sent], target_tokens=[f"t{i}" for i in tgt],
+                stance=("FAVOR", "AGAINST", "NONE")[k % 3], raw_text="raw", raw_target="target",
+                domain_index=k % 4, sentence_ids=sent, target_ids=tgt,
+            )
+        )
+    return Corpus(examples)
+
+
+def ragged_model(variant, dtype):
+    emb = EmbeddingMatrix(values=np.random.default_rng(3).uniform(-0.5, 0.5, (12, 5)))
+    return toy_model(variant, emb, dtype=dtype)
+
+
+def record_forwards(monkeypatch):
+    """Replace training.model_forward_batch, as perfbench's probe does, and
+    record each call's examples with its stance rows."""
+    calls = []
+    forward = TR.model_forward_batch
+
+    def recording(model, examples, *args, **kwargs):
+        out = forward(model, examples, *args, **kwargs)
+        calls.append((list(examples), out.stance_probs.value.copy()))
+        return out
+
+    monkeypatch.setattr(TR, "model_forward_batch", recording)
+    return calls
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+@pytest.mark.parametrize("variant", M.VARIANTS)
+def test_predict_corpus_sorted_matches_file_order(monkeypatch, variant, dtype, tol):
+    corpus = ragged_corpus()
+    model = ragged_model(variant, dtype)
+    batch = 4
+    file_rows = np.concatenate(
+        [
+            M.model_forward_batch(model, corpus.examples[lo : lo + batch]).stance_probs.value
+            for lo in range(0, len(corpus), batch)
+        ]
+    )
+    calls = record_forwards(monkeypatch)
+    labels = predict_corpus(model, corpus, batch)
+    assert labels == [TR.STANCES[i] for i in file_rows.argmax(axis=1)]
+    position = {id(ex): i for i, ex in enumerate(corpus.examples)}
+    sorted_rows = np.zeros_like(file_rows)
+    for examples, rows in calls:
+        sorted_rows[[position[id(ex)] for ex in examples]] = rows
+    assert np.abs(sorted_rows - file_rows).max() <= tol
+
+
+def test_predict_corpus_batches_as_the_probe_sees_them(monkeypatch):
+    corpus = ragged_corpus()
+    model = ragged_model("BCAInvar", np.float32)
+    calls = record_forwards(monkeypatch)
+    predict_corpus(model, corpus, batch_size=4)
+    position = {id(ex): i for i, ex in enumerate(corpus.examples)}
+    seen = [position[id(ex)] for examples, _ in calls for ex in examples]
+    assert sorted(seen) == list(range(len(corpus)))  # each example exactly once
+    lengths = [len(corpus.examples[i].sentence_ids) for i in seen]
+    assert lengths == sorted(lengths)  # never decreasing across calls
+    assert [len(examples) for examples, _ in calls] == [4] * 5 + [3]
+    keys = list(zip(lengths, seen))
+    assert keys == sorted(keys)  # ties keep corpus order
+    for examples, rows in calls:
+        assert rows.shape == (len(examples), 3)
+
+
+def test_predict_corpus_unencoded_example_keeps_forward_error():
+    corpus = ragged_corpus()
+    ex = corpus.examples[5]
+    ex.sentence_ids = ex.target_ids = None
+    model = ragged_model("BCA", np.float32)
+    with pytest.raises(ValueError, match="model_forward_batch: empty"):
+        predict_corpus(model, corpus, batch_size=4)
 
 
 # ----------------------------------------------- saddle-point gradient shape

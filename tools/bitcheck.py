@@ -14,7 +14,11 @@ this file sits in) on seeded synthetic data from perfbench/corpus.py:
   a run that stops early (the manifest's `early_stop` entry gives each
   seed's epoch count);
 - then `gradcheck`, and the criterion-7 held-out gaps from
-  tests/domainshift.py.
+  tests/domainshift.py;
+- then a paper-size float32 BCAInvar (embed 100, hidden 200, attention
+  400): on ragged batches of 1-6 rows and one of 32, an eval forward and one
+  training step, hashing the stance probabilities, `alpha`, every parameter
+  gradient and every updated parameter.
 
 It writes DIR/manifest.json: the SHA-256 of every output file, of every
 checkpoint array with its dtype and shape, and of each checkpoint's
@@ -85,6 +89,57 @@ for seed in range(5):
     invar = domainshift.run_experiment(seed, "BCAInvar", emb, train_c, dev_c, held_c)
     gaps.append(invar - plain)
 print(" ".join(f"{g:+.3f}" for g in gaps))
+"""
+
+# paper-size BCAInvar at float32: per batch of 1-6 rows and one of 32, an
+# eval forward, then one training step; the small dims above hide products
+# whose bits depend on the row count or the shapes
+PAPER_SIZE = """
+import hashlib
+import numpy as np
+from stancegen.data import Corpus, Example, build_vocab, encode_corpus, random_embeddings
+from stancegen.models import ModelSpec, build_model, model_forward_batch
+from stancegen.tensor import Tape, zero_grads
+from stancegen.training import AdamState, adam_step, clip_gradients, objective_batch
+
+def sha(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+rng = np.random.default_rng(14)
+words = [f"w{i}" for i in range(300)]
+
+def example(k):
+    return Example(
+        sentence_tokens=[str(w) for w in rng.choice(words, int(rng.integers(8, 31)))],
+        target_tokens=[str(w) for w in rng.choice(words, 1 + k % 3)],
+        stance=("FAVOR", "AGAINST", "NONE")[k % 3], raw_text="", raw_target="", domain_index=k % 4,
+    )
+
+batches = [[example(k) for k in range(n)] for n in (1, 2, 3, 4, 5, 6, 32)]
+corpus = Corpus([ex for batch in batches for ex in batch])
+vocab = build_vocab([corpus])
+encode_corpus(corpus, vocab)
+model = build_model(ModelSpec("BCAInvar", 100, 200, 400, 4), 0, random_embeddings(vocab, 100), np.float32)
+adam = AdamState.init(model.params)
+dropout_rng = np.random.default_rng([0, 1])
+for batch in batches:
+    tag = f"rows {len(batch)}"
+    out = model_forward_batch(model, batch)
+    print(tag, "eval stance_probs", sha(out.stance_probs.value))
+    print(tag, "eval alpha", sha(out.attention.alpha.value))
+    with Tape("float32") as tape:
+        out = model_forward_batch(model, batch, train_mode=True, rng=dropout_rng, dropout=0.1)
+        objective, _, _ = objective_batch(out, batch, 0.1)
+        tape.backward(objective)
+    print(tag, "train stance_probs", sha(out.stance_probs.value))
+    print(tag, "train alpha", sha(out.attention.alpha.value))
+    for name, p in model.params.items():
+        print(tag, "grad", name, sha(p.grad) if p.grad is not None else None)
+    clip_gradients(model.params, 5.0)
+    adam_step(model.params, adam, 0.003, 0.01)
+    zero_grads(model.params.values())
+    for name, p in model.params.items():
+        print(tag, "updated", name, sha(p.value))
 """
 
 
@@ -191,6 +246,7 @@ def run_all(tree: Path, out: Path) -> dict[str, str]:
     )
     runner.stancegen("gradcheck", ["gradcheck"])
     runner.entries["criterion7"] = runner.run("criterion7", ["-c", CRITERION_7]).strip()
+    runner.run("paper_size", ["-c", PAPER_SIZE])
     entries = {**file_entries(runs), **runner.entries}
     (out / "manifest.json").write_text(json.dumps(entries, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     return entries
