@@ -55,7 +55,6 @@ from .layers import (
     LSTMState,
     additive_attention_batch,
     bilstm_encode_batch,
-    lstm_step_batch,
     max_pool_encode_batch,
     run_lstm_batch,
     zero_state_batch,
@@ -173,6 +172,10 @@ def build_run_config(args) -> RunConfig:
     values: dict[str, str] = {}
     if getattr(args, "config", None):
         values = parse_config_file(args.config)
+    if "seed" in values and "seeds" in values:
+        raise ConfigError("the config file sets both seed and seeds; keep one")
+    if getattr(args, "seeds", None) and getattr(args, "seed", None) is not None:
+        raise ConfigError("both --seed and --seeds were given; keep one")
     cfg = RunConfig()
     hp_kwargs: dict = {}
     for key, raw in values.items():
@@ -487,7 +490,7 @@ def _gradcheck_components():
         x, h, c = mat(rng, 2, 3), mat(rng, 2, 2), mat(rng, 2, 2)
         tensors = [x, h, c] + [t for _, t in params.named("p")]
         def f():
-            state = lstm_step_batch(x, LSTMState(h, c), params)
+            state = run_lstm_batch([x], np.ones((2, 1), dtype=bool), LSTMState(h, c), params)[0]
             return add(reduce_with(state.h), reduce_with(state.c))
         return finite_difference_check(f, tensors)
 

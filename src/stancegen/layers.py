@@ -2,9 +2,9 @@
 dropout, and the gradient-reversal layer.
 
 Conditional encoding is two bilstm_encode_batch calls: the target pair from
-zero states, then the sentence pair from the target's final states. Each
-LSTM step is one tape node (the fused cell, lstm_step_batch, padding blend
-included), plus one recurrent-dropout node when dropout is on.
+zero states, then the sentence pair from the target's final states. An LSTM
+run (padding and recurrent dropout included) and an attention pool are one
+tape node each, with a hand-written backward.
 
 Every layer is row-batched: a sequence is a list of (batch, dim) matrices,
 one per position, with trailing padding marked by a (batch, positions) mask
@@ -23,17 +23,15 @@ from .errors import ShapeError
 from .tensor import (
     Tensor,
     _record,
+    active_tape,
     blend_rows,
-    concat_cols,
     dropout,
-    matmul_t,
-    matvec,
+    dropout_factor,
+    matmul_t,  # unused here: perfbench's tracer counts products through layers.matmul_t
     maximum,
-    softmax_rows,
-    stack_cols,
-    tanh,
+    softmax_input_grad,
+    softmax_values,
     tensor,
-    weighted_sum,
 )
 
 
@@ -145,44 +143,11 @@ def zero_state_batch(batch: int, hidden_dim: int, dtype) -> LSTMState:
     return LSTMState(tensor(np.zeros(shape), dtype), tensor(np.zeros(shape), dtype))
 
 
-def lstm_step_batch(
-    x: Tensor,
-    prev: LSTMState,
-    params: LSTMParams,
-    h_in: Tensor | None = None,
-    keep: np.ndarray | None = None,
-) -> LSTMState:
-    """Batched LSTM step over (batch, dim) rows, recorded as one tape node
-    with outputs h and c.
-
-    The gates read [x; h_in], with h_in defaulting to prev.h (a recurrent
-    dropout passes the dropped h). Rows where the (batch,) mask `keep` is
-    False are padding: they carry prev through unchanged.
-
-    Forward and backward keep every expression, every sum and every
-    gradient accumulation into a tensor outside the cell in the order of
-    the per-op cell that tests/test_lstm_cell.py holds as its oracle, so the
-    two agree bit for bit: four per-gate products z @ w.T plus bias (one
-    stacked product changes bits on some BLAS builds), sigmoid as
-    0.5 * (1 + tanh(a / 2)), c = f*c_prev + i*g, h = o*tanh(c); backward
-    goes through the blends, h, c, then the gates in g, o, f, i order.
-    """
-    h_in = prev.h if h_in is None else h_in
-    hidden, width = params.w_i.value.shape
-    if x.value.ndim != 2 or x.value.shape[1] + hidden != width or any(
-        t.value.shape != (x.value.shape[0], hidden) for t in (prev.h, prev.c, h_in)
-    ):
-        raise ShapeError(
-            f"lstm_step_batch: x {x.value.shape}, h {h_in.value.shape}, c {prev.c.value.shape} "
-            f"for gates {params.w_i.value.shape}"
-        )
-    if keep is not None:
-        keep = np.asarray(keep, dtype=bool)
-        if keep.shape != (x.value.shape[0],):
-            raise ShapeError(f"lstm_step_batch: mask {keep.shape} for {x.value.shape[0]} rows")
-    blend = keep is not None and not keep.all()
-    col = keep[:, None] if blend else None
-    z = np.concatenate([x.value, h_in.value], axis=1)
+def _lstm_cell(x: Tensor, prev: LSTMState, h_in: np.ndarray, params: LSTMParams, keep: np.ndarray):
+    """One run_lstm_batch step over [x; h_in]; rows where `keep` is False
+    carry prev. Returns the state and backward(gh, gc) -> h_in's gradient."""
+    col = None if keep.all() else keep[:, None]  # None: no padded row
+    z = np.concatenate([x.value, h_in], axis=1)
     i = 0.5 * (1.0 + np.tanh(0.5 * (z @ params.w_i.value.T + params.b_i.value)))
     f = 0.5 * (1.0 + np.tanh(0.5 * (z @ params.w_f.value.T + params.b_f.value)))
     o = 0.5 * (1.0 + np.tanh(0.5 * (z @ params.w_o.value.T + params.b_o.value)))
@@ -191,10 +156,9 @@ def lstm_step_batch(
     c = f * c_prev + i * g
     tc = np.tanh(c)
     h = o * tc
-    if blend:
+    if col is not None:
         h = np.where(col, h, prev.h.value)
         c = np.where(col, c, c_prev)
-    out = LSTMState(Tensor(h), Tensor(c))
 
     def gate(ga, w, b, gz):
         # one gate's add_rowvec and matmul_t backward; z's gradient is the
@@ -207,7 +171,7 @@ def lstm_step_batch(
         return gz
 
     def backward(gh, gc):
-        if blend:
+        if col is not None:
             if gc is not None:
                 prev.c.accum(gc * ~col)
                 gc = gc * col
@@ -228,10 +192,9 @@ def lstm_step_batch(
         gz = gate(gi * i * (1.0 - i), params.w_i, params.b_i, gz)
         cols = x.value.shape[1]
         x.accum(gz[:, :cols])
-        h_in.accum(gz[:, cols:])
+        return gz[:, cols:]
 
-    _record((out.h, out.c), backward)
-    return out
+    return LSTMState(Tensor(h), Tensor(c)), backward
 
 
 def run_lstm_batch(
@@ -248,8 +211,16 @@ def run_lstm_batch(
     state carries through unchanged, so the state at the last processed step
     equals each row's true final state, and in reverse each row's first
     processed position conditions on `init`. With `drop`, an independent
-    mask falls on h_prev entering each step. Each step is one cell node on
-    the tape, plus the dropout node.
+    mask, drawn just before its step, falls on h_prev entering each step.
+
+    The run is one tape node with every step's h and c as outputs. It keeps
+    every expression, sum and accumulation of the per-op steps that
+    tests/test_lstm_cell.py holds as its oracle, in order, so the two agree
+    bit for bit: four per-gate products z @ w.T plus bias (one stacked
+    product changes bits on some BLAS builds), sigmoid as 0.5*(1 + tanh(a/2)),
+    c = f*c_prev + i*g, h = o*tanh(c). Backward walks the steps in reverse,
+    each through the blends, h, c, the gates in g, o, f, i order, then the
+    recurrent dropout into h_prev.
     """
     n = len(steps)
     if not n:
@@ -257,13 +228,33 @@ def run_lstm_batch(
     rows = steps[0].value.shape[0]
     if mask.shape != (rows, n):
         raise ShapeError(f"run_lstm_batch: mask {mask.shape} for {rows} rows of {n} steps")
-    states: list[LSTMState | None] = [None] * n
-    prev = init
+    hidden, width = params.w_i.value.shape
+    shapes, state = {x.value.shape for x in steps}, {init.h.value.shape, init.c.value.shape}
+    if shapes != {(rows, width - hidden)} or state != {(rows, hidden)}:
+        raise ShapeError(
+            f"run_lstm_batch: steps {sorted(shapes)}, states {sorted(state)} for gates {(hidden, width)}"
+        )
+    tape, rate = active_tape(), 0.0 if drop is None else drop.rate
+    states, prev = [init] * n, init
+    taped = []  # (prev, out, backward, dropout factor) per step, only on a tape
     for t in range(n - 1, -1, -1) if reverse else range(n):
-        h_in = None if drop is None else drop(prev.h)
-        prev = lstm_step_batch(steps[t], prev, params, h_in=h_in, keep=mask[:, t])
-        states[t] = prev
-    return states  # type: ignore[return-value]
+        factor = dropout_factor(prev.h.shape, prev.h.value.dtype, rate, drop.rng) if rate else None
+        h_in = prev.h.value if factor is None else prev.h.value * factor
+        out, backward = _lstm_cell(steps[t], prev, h_in, params, np.asarray(mask[:, t], dtype=bool))
+        if tape is not None:
+            taped.append((prev, out, backward, factor))
+        states[t] = prev = out
+
+    def run_backward(*_):
+        # a step's gradients are read in its turn, once the next step has added to them
+        for prev, out, backward, factor in reversed(taped):
+            if out.h.grad is not None or out.c.grad is not None:
+                g_in = backward(out.h.grad, out.c.grad)
+                prev.h.accum(g_in if factor is None else g_in * factor)
+
+    if tape is not None:
+        tape.record(tuple(t for s in states for t in (s.h, s.c)), run_backward)
+    return states
 
 
 @dataclass
@@ -321,13 +312,51 @@ def additive_attention_batch(
     """Score positions with v . tanh(w [summary; h_j]), softmax, weighted sum.
 
     mask is (batch, positions) with trailing padding; masked positions get
-    weight exactly 0.
+    weight exactly 0. The pool is one tape node with outputs s and alpha that
+    keeps the products, operands and accumulation order of the per-op pool in
+    tests/test_attention.py, so the two agree bit for bit. Backward: s's share
+    into each h_j and alpha in increasing j, softmax, score path in decreasing j.
     """
-    scores = [
-        matvec(tanh(matmul_t(concat_cols([target_summary, h]), params.w)), params.v) for h in hiddens
-    ]
-    alpha = softmax_rows(stack_cols(scores), mask=mask)
-    return AttentionOutput(s=weighted_sum(alpha, hiddens), alpha=alpha)
+    summary, w, v = target_summary.value, params.w.value, params.v.value
+    rows, k = summary.shape if summary.ndim == 2 else (None, 0)
+    shapes = {h.value.shape for h in hiddens}
+    if shapes != {(rows, w.shape[1] - k)} or v.shape != (w.shape[0],):
+        raise ShapeError(
+            f"additive_attention_batch: summary {summary.shape}, hiddens {sorted(shapes)}, w {w.shape}"
+        )
+    tape = active_tape()
+    kept, scores = [], []  # each position's z and tanh, only on a tape
+    for h in hiddens:
+        z = np.concatenate([summary, h.value], axis=1)
+        t = np.tanh(z @ w.T)
+        scores.append(t @ v)
+        if tape is not None:
+            kept.append((z, t))
+    p = softmax_values(np.stack(scores, axis=1), mask)
+    total = hiddens[0].value * p[:, 0, None]
+    for j in range(1, len(hiddens)):
+        total = total + hiddens[j].value * p[:, j, None]
+    out = AttentionOutput(s=Tensor(total), alpha=Tensor(p))
+
+    def backward(gs, galpha):
+        if gs is not None:
+            galpha = np.zeros_like(p) if galpha is None else galpha
+            for j, h in enumerate(hiddens):
+                h.accum(gs * p[:, j, None])
+                galpha[:, j] += (gs * h.value).sum(axis=1)
+        gscore = softmax_input_grad(p, galpha)
+        for j, (z, t) in reversed(list(enumerate(kept))):
+            g = np.array(gscore[:, j])  # a copy, as the per-op column's accum made
+            params.v.accum(t.T @ g)
+            ga = np.outer(g, v) * (1.0 - t * t)
+            gz = ga @ w
+            params.w.accum(ga.T @ z)
+            target_summary.accum(gz[:, :k])
+            hiddens[j].accum(gz[:, k:])
+
+    if tape is not None:
+        tape.record((out.s, out.alpha), backward)
+    return out
 
 
 def max_pool_encode_batch(hiddens: Sequence[Tensor], mask: np.ndarray) -> Tensor:

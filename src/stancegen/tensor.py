@@ -4,8 +4,8 @@ Tensors are thin wrappers around rank-0/1/2 numpy arrays. Running an
 operation while a Tape is active records a node with a backward closure;
 ``Tape.backward`` replays the nodes in reverse insertion order and
 accumulates gradients additively across fan-out. A node may have several
-outputs (the fused LSTM cell records h and c as one node): it is replayed
-in its turn when any of its outputs has a gradient, and its closure gets
+outputs (an LSTM run's every h and c, attention's s and alpha): it is
+replayed in its turn when any output has a gradient, and its closure gets
 one gradient per output, None for an output that has none. With no active
 tape, operations compute values only (cheap inference path).
 
@@ -244,24 +244,6 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     return _record(out, backward)
 
 
-def stack_cols(parts: Sequence[Tensor]) -> Tensor:
-    """Stack rank-1 tensors of equal length as the columns of a matrix."""
-    if not parts:
-        raise ValueError("stack_cols requires at least one part")
-    n = parts[0].value.shape[0]
-    for p in parts:
-        if p.value.ndim != 1 or p.value.shape[0] != n:
-            raise ShapeError(f"stack_cols: incompatible shape {p.value.shape}")
-    parts = list(parts)
-    out = Tensor(np.stack([p.value for p in parts], axis=1))
-
-    def backward(g):
-        for j, p in enumerate(parts):
-            p.accum(g[:, j])
-
-    return _record(out, backward)
-
-
 def add_rowvec(m: Tensor, b: Tensor) -> Tensor:
     """Add a vector to every row of a matrix."""
     if m.value.ndim != 2 or b.value.ndim != 1 or m.value.shape[1] != b.value.shape[0]:
@@ -271,29 +253,6 @@ def add_rowvec(m: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         m.accum(g)
         b.accum(g.sum(axis=0))
-
-    return _record(out, backward)
-
-
-def weighted_sum(weights: Tensor, parts: Sequence[Tensor]) -> Tensor:
-    """Per-row weighted sum of equal rank-2 parts, added in j order:
-    sum_j parts[j] * weights[:, j], with weights (rows, len(parts))."""
-    parts = list(parts)
-    w = weights.value
-    shape = parts[0].value.shape if parts else ()
-    if len(shape) != 2 or w.shape != (shape[0], len(parts)) or any(p.value.shape != shape for p in parts):
-        raise ShapeError(f"weighted_sum: weights {w.shape} for {len(parts)} parts of {shape}")
-    total = parts[0].value * w[:, 0, None]
-    for j in range(1, len(parts)):
-        total = total + parts[j].value * w[:, j, None]
-    out = Tensor(total)
-
-    def backward(g):
-        if weights.grad is None:
-            weights.grad = np.zeros_like(w)
-        for j, p in enumerate(parts):
-            p.accum(g * w[:, j, None])
-            weights.grad[:, j] += (g * p.value).sum(axis=1)
 
     return _record(out, backward)
 
@@ -315,31 +274,36 @@ def blend_rows(new: Tensor, old: Tensor, keep_new: np.ndarray) -> Tensor:
     return _record(out, backward)
 
 
-def softmax_rows(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Max-subtracted softmax over each row; masked positions are exactly 0."""
-    if x.value.ndim != 2:
-        raise ShapeError(f"softmax_rows expects rank-2, got {x.value.shape}")
-    v = x.value
+def softmax_values(v: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+    """The array math of softmax_rows, shared with the attention node."""
+    if v.ndim != 2:
+        raise ShapeError(f"softmax_rows expects rank-2, got {v.shape}")
     if mask is None:
-        shifted = v - v.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
+        e = np.exp(v - v.max(axis=1, keepdims=True))
     else:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != v.shape:
             raise ShapeError(f"softmax_rows: mask {mask.shape} vs {v.shape}")
         if not mask.any(axis=1).all():
             raise ValueError("softmax_rows: some row has all positions masked")
-        masked = np.where(mask, v, -np.inf)
-        rowmax = masked.max(axis=1, keepdims=True)
+        rowmax = np.where(mask, v, -np.inf).max(axis=1, keepdims=True)
         e = np.exp(np.where(mask, v - rowmax, -np.inf))
-    p = e / e.sum(axis=1, keepdims=True)
-    out = Tensor(p)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def softmax_input_grad(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The gradient reaching softmax_rows' input from its output's g."""
+    return p * (g - (g * p).sum(axis=1, keepdims=True))
+
+
+def softmax_rows(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
+    """Max-subtracted softmax over each row; masked positions are exactly 0."""
+    p = softmax_values(x.value, mask)
 
     def backward(g):
-        inner = (g * p).sum(axis=1, keepdims=True)
-        x.accum(p * (g - inner))
+        x.accum(softmax_input_grad(p, g))
 
-    return _record(out, backward)
+    return _record(Tensor(p), backward)
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -375,10 +339,14 @@ def nll_sum(probs: Tensor, idx: np.ndarray, floor: float) -> Tensor:
     return _record(out, backward)
 
 
+def dropout_factor(shape, dtype, rate: float, rng: np.random.Generator) -> np.ndarray:
+    """One inverted-dropout mask: 0 with probability `rate`, else 1 / (1 - rate)."""
+    return (rng.random(shape) >= rate).astype(dtype) / (1.0 - rate)
+
+
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout: zero with probability `rate`, scale survivors."""
-    keep = (rng.random(x.value.shape) >= rate).astype(x.value.dtype)
-    factor = keep / (1.0 - rate)
+    factor = dropout_factor(x.value.shape, x.value.dtype, rate, rng)
     out = Tensor(x.value * factor)
 
     def backward(g):

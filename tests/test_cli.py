@@ -663,6 +663,32 @@ def test_repeated_seed_exits_2(workspace, capsys, config_seeds, flags, repeated)
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "overrides,flags,named",
+    [
+        ({"seed": 3, "seeds": "0,1"}, [], "sets both seed and seeds"),
+        ({}, ["--seed", "1", "--seeds", "2,3"], "both --seed and --seeds"),
+    ],
+    ids=["config-file", "flags"],
+)
+def test_seed_and_seeds_together_exit_2(workspace, capsys, overrides, flags, named):
+    # neither setting may silently drop the other's seeds
+    tmp_path, data_dir, out_dir, _ = workspace
+    config = write_config(tmp_path / "seeds.cfg", data_dir, out_dir, **overrides)
+    assert main(["train", "--config", str(config), *flags]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+    assert not out_dir.exists()
+
+
+def test_seed_flag_overrides_the_files_seeds(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("seeds=0,1\n")
+    assert build_run_config(_args(["train", "--config", str(cfg), "--seed", "3"])).seeds == [3]
+    cfg.write_text("seed=3\n")
+    assert build_run_config(_args(["train", "--config", str(cfg), "--seeds", "0,1"])).seeds == [0, 1]
+
+
 # ------------------------------------------------------------- vocabulary
 
 
@@ -886,9 +912,11 @@ def test_gradcheck_negative_control(capsys, monkeypatch):
         # 1% gradient error
         return T._record(out, lambda g: x.accum(g * (1.0 - out.value * out.value) * 1.01))
 
-    # every module that calls tanh gets the planted one
+    # every module that calls tanh gets the planted one; the layers compute
+    # their tanh inside their own nodes
     original = T.tanh
-    for module in (T, L, C):
+    assert not hasattr(L, "tanh")
+    for module in (T, C):
         assert module.tanh is original
         monkeypatch.setattr(module, "tanh", broken)
     assert main(["gradcheck"]) == 1

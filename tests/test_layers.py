@@ -10,7 +10,6 @@ from stancegen.layers import (
     additive_attention_batch,
     bilstm_encode_batch,
     grl,
-    lstm_step_batch,
     max_pool_encode_batch,
     run_lstm_batch,
     zero_state_batch,
@@ -88,12 +87,17 @@ def conditional_encode(t_steps, t_mask, s_steps, s_mask, enc, drop=None):
     return hiddens, concat_cols([t_fwd[-1].h, t_bwd[0].h])
 
 
+def lstm_step(x, prev, p):
+    """One LSTM step: a one-step run over rows with no padding."""
+    return run_lstm_batch([x], np.ones((x.value.shape[0], 1), dtype=bool), prev, p)[0]
+
+
 # --------------------------------------------------------------- lstm_step
 
 
 def test_lstm_step_zero_params_zero_state():
     p = zero_lstm_params(2, 3)
-    out = lstm_step_batch(t64([[5.0, -1.0], [0.5, 2.0]]), zero_state_batch(2, 3, F64), p)
+    out = lstm_step(t64([[5.0, -1.0], [0.5, 2.0]]), zero_state_batch(2, 3, F64), p)
     assert np.array_equal(out.h.value, np.zeros((2, 3)))
     assert np.array_equal(out.c.value, np.zeros((2, 3)))
 
@@ -102,7 +106,7 @@ def test_lstm_step_zero_params_cell_carry():
     # gates sigmoid(0) = 0.5 and candidate tanh(0) = 0, so c = 0.5 * c_prev
     p = zero_lstm_params(1, 1)
     prev = LSTMState(t64([[0.0]]), t64([[1.0]]))
-    out = lstm_step_batch(t64([[0.0]]), prev, p)
+    out = lstm_step(t64([[0.0]]), prev, p)
     assert np.allclose(out.c.value, [[0.5]], atol=1e-12)
     assert np.allclose(out.h.value, [[0.5 * np.tanh(0.5)]], atol=1e-12)
     assert abs(out.h.value[0, 0] - 0.23106) < 1e-5
@@ -111,20 +115,19 @@ def test_lstm_step_zero_params_cell_carry():
 def test_lstm_step_saturated_forget_gate_preserves_cell():
     p = zero_lstm_params(1, 1, forget_bias=50.0)
     prev = LSTMState(t64([[0.0], [0.0]]), t64([[2.0], [-3.0]]))
-    out = lstm_step_batch(t64([[0.0], [0.0]]), prev, p)
+    out = lstm_step(t64([[0.0], [0.0]]), prev, p)
     assert np.allclose(out.c.value, [[2.0], [-3.0]], atol=1e-6)
 
 
 def test_lstm_step_dimension_mismatch():
     p = zero_lstm_params(2, 3)
-    with pytest.raises(ShapeError):
-        lstm_step_batch(t64([[1.0]]), zero_state_batch(1, 3, F64), p)
-    with pytest.raises(ShapeError):
-        lstm_step_batch(t64([[1.0, 2.0]]), zero_state_batch(1, 2, F64), p)
-    with pytest.raises(ShapeError, match=r"h \(2, 3\)"):
-        lstm_step_batch(t64([[1.0, 2.0]]), zero_state_batch(1, 3, F64), p, h_in=t64(np.zeros((2, 3))))
-    with pytest.raises(ShapeError, match=r"mask \(2,\) for 1 rows"):
-        lstm_step_batch(t64([[1.0, 2.0]]), zero_state_batch(1, 3, F64), p, keep=np.array([True, False]))
+    # a wrong mask shape is test_run_lstm_rejects_time_by_batch_mask's
+    with pytest.raises(ShapeError, match=r"steps \[\(1, 1\)\]"):
+        lstm_step(t64([[1.0]]), zero_state_batch(1, 3, F64), p)
+    with pytest.raises(ShapeError, match=r"states \[\(1, 2\)\]"):
+        lstm_step(t64([[1.0, 2.0]]), zero_state_batch(1, 2, F64), p)
+    with pytest.raises(ShapeError, match=r"states \[\(1, 3\), \(2, 3\)\]"):
+        lstm_step(t64([[1.0, 2.0]]), LSTMState(t64(np.zeros((1, 3))), t64(np.zeros((2, 3)))), p)
 
 
 def test_lstm_params_init_invariants():
@@ -150,9 +153,18 @@ def test_run_lstm_single_step_equals_lstm_step():
     x = t64(rng.uniform(-1, 1, (2, 2)))
     init = LSTMState(t64(rng.uniform(-1, 1, (2, 3))), t64(rng.uniform(-1, 1, (2, 3))))
     states = run_lstm_batch([x], np.ones((2, 1), dtype=bool), init, p)
-    direct = lstm_step_batch(x, init, p)
-    assert np.array_equal(states[0].h.value, direct.h.value)
-    assert np.array_equal(states[0].c.value, direct.c.value)
+    z = np.concatenate([x.value, init.h.value], axis=1)
+
+    def gate(name, act):
+        return act(z @ getattr(p, "w_" + name).value.T + getattr(p, "b_" + name).value)
+
+    def sigmoid(a):
+        return 1.0 / (1.0 + np.exp(-a))
+
+    i, f, o, g = gate("i", sigmoid), gate("f", sigmoid), gate("o", sigmoid), gate("g", np.tanh)
+    c = f * init.c.value + i * g
+    assert np.allclose(states[0].c.value, c, atol=1e-14)
+    assert np.allclose(states[0].h.value, o * np.tanh(c), atol=1e-14)
 
 
 def test_run_lstm_reverse_mirrors_forward_on_palindrome():
@@ -205,7 +217,7 @@ def test_run_lstm_reverse_first_processed_position_conditions_on_init():
     steps, mask = _pad_batch([[rng.uniform(-1, 1, 2) for _ in range(n)] for n in lengths], 2)
     rev = run_lstm_batch(steps, mask, init, p, reverse=True)
     for i, n in enumerate(lengths):
-        direct = lstm_step_batch(steps[n - 1], init, p)
+        direct = lstm_step(steps[n - 1], init, p)
         assert np.array_equal(rev[n - 1].h.value[i], direct.h.value[i])
         assert np.array_equal(rev[n - 1].c.value[i], direct.c.value[i])
 
@@ -247,7 +259,7 @@ def test_conditional_encode_single_target_token_seeds_exact_step():
     s_steps, s_mask = _pad_batch([[rng.uniform(-1, 1, 3) for _ in range(n)] for n in (2, 1)], 3)
     hiddens, summary = conditional_encode(target, np.ones((2, 1), dtype=bool), s_steps, s_mask, params)
 
-    t_state = lstm_step_batch(target[0], zero_state_batch(2, 2, F64), params.target_fwd)
+    t_state = lstm_step(target[0], zero_state_batch(2, 2, F64), params.target_fwd)
     assert np.array_equal(summary.value[:, :2], t_state.h.value)
     manual_fwd = run_lstm_batch(s_steps, s_mask, t_state, params.sent_fwd)
     assert np.array_equal(hiddens[0].value[:, :2], manual_fwd[0].h.value)
@@ -445,6 +457,64 @@ def test_attention_masked_positions_leak_no_gradient():
     assert hiddens[0].grad[0].any()
 
 
+def uniform_attention(in_dim, dtype=F64):
+    # v = 0 scores every position 0, so alpha is uniform over real positions
+    return AttentionParams(w=tensor(np.ones((3, in_dim)), dtype), v=tensor(np.zeros(3), dtype))
+
+
+def test_attention_weighted_sum_examples():
+    parts = [t64([[1.0, 2.0], [3.0, 4.0]]), t64([[10.0, 20.0], [30.0, 40.0]])]
+    summary = t64(np.zeros((2, 1)))
+    out = additive_attention_batch(summary, parts, uniform_attention(3), np.array([[True, False], [True, True]]))
+    assert out.s.value.tolist() == [[1.0, 2.0], [16.5, 22.0]]
+    one = additive_attention_batch(summary, parts[:1], uniform_attention(3), np.ones((2, 1), dtype=bool))
+    assert one.s.value.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+def test_attention_weighted_sum_adds_positions_in_order():
+    # float32 addition is not associative: with equal weights a,
+    # (3e8 a - 3e8 a) + 3a is 3a, but adding the positions in reverse,
+    # (3a - 3e8 a) + 3e8 a, is 0
+    parts = [tensor([[v]], np.float32) for v in (3e8, -3e8, 3.0)]
+    summary = tensor(np.zeros((1, 1)), np.float32)
+    out = additive_attention_batch(summary, parts, uniform_attention(2, np.float32), np.ones((1, 3), dtype=bool))
+    assert out.s.value[0, 0] == 3.0 * out.alpha.value[0, 2] != 0.0
+
+
+def test_attention_weighted_sum_gradients_by_hand():
+    # v = 0 gives alpha = [0.5, 0.5], so s's gradient reaches each part
+    # halved; alpha's gradient, each part's row sum [3, 2], reaches only v:
+    # v.grad = sum_j tanh(w [summary; h_j]) * alpha_j (g_j - sum_k alpha_k g_k)
+    parts = [t64([[1.0, 2.0]]), t64([[3.0, -1.0]])]
+    summary = t64([[0.5]])
+    params = AttentionParams(w=t64(np.arange(9.0).reshape(3, 3) / 10), v=t64(np.zeros(3)))
+    with Tape("float64") as tape:
+        tape.backward(sum_all(additive_attention_batch(summary, parts, params, np.ones((1, 2), dtype=bool)).s))
+    assert parts[0].grad.tolist() == [[0.5, 0.5]]
+    assert parts[1].grad.tolist() == [[0.5, 0.5]]
+    t = [np.tanh(params.w.value @ np.concatenate([[0.5], h.value[0]])) for h in parts]
+    assert np.allclose(params.v.grad, 0.25 * t[0] - 0.25 * t[1], atol=1e-15)
+    assert not params.w.grad.any() and not summary.grad.any()
+
+
+@pytest.mark.parametrize(
+    "summary_shape, hidden_shapes",
+    [
+        ((2, 3), [(2, 4), (2, 4)]),  # summary too wide for w's columns
+        ((3, 2), [(2, 4), (2, 4)]),  # summary rows differ from hidden rows
+        ((2, 2), [(2, 4), (2, 3)]),  # hiddens of different widths
+        ((2,), [(2, 4)]),  # rank-1 summary
+        ((2, 2), [(2,)]),  # rank-1 hidden
+        ((2, 2), []),  # no hiddens
+    ],
+)
+def test_attention_shape_mismatch(summary_shape, hidden_shapes):
+    params = AttentionParams(w=t64(np.ones((3, 6))), v=t64(np.ones(3)))
+    mask = np.ones((2, len(hidden_shapes)), dtype=bool)
+    with pytest.raises(ShapeError, match="additive_attention_batch"):
+        additive_attention_batch(t64(np.ones(summary_shape)), [t64(np.ones(s)) for s in hidden_shapes], params, mask)
+
+
 # ----------------------------------------------------------- max_pool_encode
 
 
@@ -604,7 +674,7 @@ def test_lstm_step_gradients_match_finite_differences():
     probe = np.random.default_rng(99).uniform(-1, 1, (2, 3))
 
     def f():
-        return contract(lstm_step_batch(x, LSTMState(h0, c0), p).h, probe)
+        return contract(lstm_step(x, LSTMState(h0, c0), p).h, probe)
 
     assert finite_difference_check(f, param_list(p) + [x, h0, c0]) < 1e-4
 
@@ -707,9 +777,9 @@ def test_lstm_step_batch_matches_single_rows():
     xs = rng.uniform(-1, 1, (4, 3))
     hs = rng.uniform(-1, 1, (4, 2))
     cs = rng.uniform(-1, 1, (4, 2))
-    batch = lstm_step_batch(t64(xs), LSTMState(t64(hs), t64(cs)), p)
+    batch = lstm_step(t64(xs), LSTMState(t64(hs), t64(cs)), p)
     for i in range(4):
-        single = lstm_step_batch(t64(xs[i : i + 1]), LSTMState(t64(hs[i : i + 1]), t64(cs[i : i + 1])), p)
+        single = lstm_step(t64(xs[i : i + 1]), LSTMState(t64(hs[i : i + 1]), t64(cs[i : i + 1])), p)
         assert np.allclose(batch.h.value[i], single.h.value[0], atol=1e-14)
         assert np.allclose(batch.c.value[i], single.c.value[0], atol=1e-14)
 

@@ -1,10 +1,11 @@
-"""The fused LSTM cell against the per-op cell it replaced, bit for bit.
+"""The fused LSTM run against the per-op steps it replaced, bit for bit.
 
 `reference_lstm_step_batch` and `reference_step` are the per-op LSTM step
-and the body of `run_lstm_batch`'s loop as they were before the cell became
+and the body of `run_lstm_batch`'s loop as they were before each step became
 one tape node, copied verbatim (with `reference_sigmoid`, the tensor op the
-old step called). Every value and every gradient the fused cell produces must
-have the same bytes.
+old step called). The run is now one tape node for all of its steps, so a
+single step is a one-step run. Every value and every gradient the run
+produces must have the same bytes.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import itertools
 import numpy as np
 import pytest
 
-from stancegen.layers import Dropout, LSTMParams, LSTMState, lstm_step_batch, run_lstm_batch
+from stancegen.layers import Dropout, LSTMParams, LSTMState, run_lstm_batch, zero_state_batch
 from stancegen.tensor import (
     PRECISIONS,
     Tape,
@@ -68,9 +69,8 @@ def reference_step(x, prev, params, drop, keep):
 
 
 def fused_step(x, prev, params, drop, keep):
-    h_in = None if drop is None else drop(prev.h)
-    out = lstm_step_batch(x, prev, params, h_in=h_in, keep=keep)
-    return out, prev.h if h_in is None else h_in
+    # the dropped h the gates read is internal to the run: no tensor holds it
+    return run_lstm_batch([x], keep[:, None], prev, params, drop=drop)[0], None
 
 
 # ------------------------------------------------------------------ helpers
@@ -119,7 +119,7 @@ def run_one(step, case, precision, drop_rate, keep, carry):
     x, prev, params = case.leaves()
     drop = None if drop_rate == 0.0 else Dropout(drop_rate, np.random.default_rng(9))
     with Tape(precision) as tape:
-        out, h_in = step(x, prev, params, drop, keep)
+        out, _ = step(x, prev, params, drop, keep)
         terms = []
         if "h" in carry:
             terms.append(weighted(out.h, case.coeffs[0]))
@@ -127,7 +127,7 @@ def run_one(step, case, precision, drop_rate, keep, carry):
             terms.append(weighted(out.c, case.coeffs[1]))
         root = terms[0] if len(terms) == 1 else add(*terms)
         tape.backward(root)
-    grads = {"x": x.grad, "h_in": h_in.grad, "prev.h": prev.h.grad, "prev.c": prev.c.grad}
+    grads = {"x": x.grad, "prev.h": prev.h.grad, "prev.c": prev.c.grad}
     grads.update({name: getattr(params, name).grad for name in PARAM_NAMES})
     return out, grads
 
@@ -193,32 +193,116 @@ def test_two_chained_steps_match_the_per_op_cell(precision, input_dim, hidden, f
         assert_same_bits(f"{name}.grad", fused[name], ref[name])
 
 
+# ---------------------------------------------------------------- whole runs
+
+
+def reference_run(steps, mask, init, params, reverse, drop):
+    """The old run_lstm_batch: one per-op step per position."""
+    states, prev = [None] * len(steps), init
+    for t in reversed(range(len(steps))) if reverse else range(len(steps)):
+        prev, _ = reference_step(steps[t], prev, params, drop, mask[:, t])
+        states[t] = prev
+    return states
+
+
+def ragged_mask(rows, n):
+    # trailing padding; row lengths cycle n, n-1, ..., 1
+    lengths = [n - i % n for i in range(rows)]
+    return np.arange(n)[None, :] < np.array(lengths)[:, None]
+
+
+def readout(states, coeffs, which, reverse):
+    """A scalar root over the run's outputs. "all" reads every h and the
+    final c, so each output has an outside gradient before the run's own;
+    "final" reads the last processed h; "first" reads only the first
+    processed h, so the later steps get no gradient at all."""
+    order = list(reversed(states)) if reverse else list(states)
+    if which == "first":
+        return weighted(order[0].h, coeffs[0])
+    root = weighted(order[-1].h, coeffs[0])
+    if which == "all":
+        root = add(root, weighted(order[-1].c, coeffs[1]))
+        for k, st in enumerate(states):
+            root = add(root, weighted(st.h, coeffs[2 + k % 2]))
+    return root
+
+
+def run_both(case, precision, n, reverse, drop_rate, which):
+    rng = np.random.default_rng(n)
+    rows, input_dim = case.x.shape
+    steps_values = [rng.uniform(-1, 1, (rows, input_dim)).astype(case.x.dtype) for _ in range(n)]
+    mask = ragged_mask(rows, n)
+    results = []
+    for run in (run_lstm_batch, reference_run):
+        _, init, params = case.leaves()
+        steps = [Tensor(v.copy()) for v in steps_values]
+        drop = None if drop_rate == 0.0 else Dropout(drop_rate, np.random.default_rng(3))
+        with Tape(precision) as tape:
+            states = run(steps, mask, init, params, reverse, drop)
+            tape.backward(readout(states, case.coeffs, which, reverse))
+        values = [v for st in states for v in (st.h.value, st.c.value)]
+        grads = [s.grad for s in steps] + [init.h.grad, init.c.grad]
+        grads += [getattr(params, name).grad for name in PARAM_NAMES]
+        results.append(values + grads)
+    return results
+
+
 def test_run_lstm_batch_matches_the_per_op_loop():
-    # a padded float32 batch at the encoder's 6-wide size, both directions,
-    # with recurrent dropout: the whole loop against chained per-op steps
-    rng = np.random.default_rng(4)
-    case = Case(rng, np.float32, 5, 8, 6)
-    steps_values = [rng.uniform(-1, 1, (5, 8)).astype(np.float32) for _ in range(4)]
-    mask = np.array([[True] * 4, [True] * 3 + [False], [True] * 2 + [False] * 2, [True] + [False] * 3, [True] * 4])
-    for reverse in (False, True):
-        results = []
-        for fused in (True, False):
-            _, init, params = case.leaves()
-            steps = [Tensor(v.copy()) for v in steps_values]
-            drop = Dropout(0.25, np.random.default_rng(3))
-            with Tape("float32") as tape:
-                if fused:
-                    states = run_lstm_batch(steps, mask, init, params, reverse=reverse, drop=drop)
-                else:
-                    states, prev = [None] * 4, init
-                    for t in (range(3, -1, -1) if reverse else range(4)):
-                        prev, _ = reference_step(steps[t], prev, params, drop, mask[:, t])
-                        states[t] = prev
-                root = weighted(states[0 if reverse else -1].h, case.coeffs[0])
-                tape.backward(root)
-            grads = [s.grad for s in steps] + [init.h.grad, init.c.grad]
-            grads += [getattr(params, name).grad for name in PARAM_NAMES]
-            results.append(([s.h.value for s in states], grads))
-        (fused_h, fused_g), (ref_h, ref_g) = results
-        for a, b in zip(fused_h + fused_g, ref_h + ref_g):
-            assert_same_bits(f"reverse={reverse}", a, b)
+    # from a non-zero initial state, both directions, dropout off and on,
+    # one step and several, every output read or only some
+    for precision, (input_dim, hidden), rows in itertools.product(PRECISIONS, DIMS[:2], (1, 5, 32)):
+        case = Case(np.random.default_rng([rows, hidden, 4]), PRECISIONS[precision], rows, input_dim, hidden)
+        for n, reverse, drop_rate, which in itertools.product(
+            (1, 4), (False, True), (0.0, 0.3), ("all", "final", "first")
+        ):
+            fused, ref = run_both(case, precision, n, reverse, drop_rate, which)
+            label = f"{precision} {input_dim}x{hidden} rows={rows} n={n} reverse={reverse} drop={drop_rate} {which}"
+            assert len(fused) == len(ref), label
+            for k, (a, b) in enumerate(zip(fused, ref)):
+                assert_same_bits(f"entry {k} {label}", a, b)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_paper_size_run_matches_the_per_op_loop(reverse):
+    case = Case(np.random.default_rng(5), np.float32, 32, 100, 200)
+    fused, ref = run_both(case, "float32", 5, reverse, 0.3, "all")
+    for k, (a, b) in enumerate(zip(fused, ref)):
+        assert_same_bits(f"entry {k}", a, b)
+
+
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+@pytest.mark.parametrize("drop_rate", [0.0, 0.3])
+def test_conditional_chain_matches_the_per_op_loop(precision, drop_rate):
+    # the model's conditional encoding: the target runs start from zero
+    # states and their final states seed the sentence runs, so the target
+    # runs' last outputs take gradients from the sentence runs and the root
+    dtype = PRECISIONS[precision]
+    rng = np.random.default_rng(6)
+    rows, input_dim, hidden = 5, 8, 6
+    cases = [Case(rng, dtype, rows, input_dim, hidden) for _ in range(4)]
+    t_values = [rng.uniform(-1, 1, (rows, input_dim)).astype(dtype) for _ in range(3)]
+    s_values = [rng.uniform(-1, 1, (rows, input_dim)).astype(dtype) for _ in range(4)]
+    t_mask, s_mask = ragged_mask(rows, 3), ragged_mask(rows, 4)
+    coeffs = [rng.uniform(-1.5, 1.5, (rows, hidden)).astype(dtype) for _ in range(4)]
+    results = []
+    for run in (run_lstm_batch, reference_run):
+        params = [case.leaves()[2] for case in cases]
+        t_steps = [Tensor(v.copy()) for v in t_values]
+        s_steps = [Tensor(v.copy()) for v in s_values]
+        drop = None if drop_rate == 0.0 else Dropout(drop_rate, np.random.default_rng(7))
+        with Tape(precision) as tape:
+            zero = zero_state_batch(rows, hidden, dtype)
+            t_fwd = run(t_steps, t_mask, zero, params[0], False, drop)
+            t_bwd = run(t_steps, t_mask, zero, params[1], True, drop)
+            s_fwd = run(s_steps, s_mask, t_fwd[-1], params[2], False, drop)
+            s_bwd = run(s_steps, s_mask, t_bwd[0], params[3], True, drop)
+            root = add(weighted(t_fwd[-1].h, coeffs[0]), weighted(t_bwd[0].h, coeffs[1]))
+            for k, (f, b) in enumerate(zip(s_fwd, s_bwd)):
+                root = add(root, add(weighted(f.h, coeffs[k % 2]), weighted(b.h, coeffs[2 + k % 2])))
+            tape.backward(root)
+        values = [st.h.value for st in t_fwd + t_bwd + s_fwd + s_bwd]
+        grads = [x.grad for x in t_steps + s_steps]
+        grads += [getattr(p, name).grad for p in params for name in PARAM_NAMES]
+        results.append(values + grads)
+    for k, (a, b) in enumerate(zip(*results)):
+        assert_same_bits(f"entry {k}", a, b)

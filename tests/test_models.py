@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from stancegen.models import (
     save_checkpoint,
 )
 from stancegen.tensor import Tape, zero_grads
-from stancegen.training import domain_loss_batch
+from stancegen.training import domain_loss_batch, objective_batch
 
 F64 = np.float64
 
@@ -274,6 +276,31 @@ def ragged_examples():
         example([7], [8, 9, 10]),
         example([3, 5], [2]),
     ]
+
+
+def tape_kinds(variant, examples):
+    """One training step's tape nodes by kind: the function whose closure
+    each node replays."""
+    m = build_model(spec_for(variant), seed=11, embeddings=embeddings(), dtype=np.float32)
+    with Tape("float32") as tape:
+        out = model_forward_batch(m, examples, train_mode=True, rng=np.random.default_rng(0), dropout=0.2)
+        objective_batch(out, examples, 0.3)
+    return collections.Counter(fn.__qualname__.split(".")[0] for _, fn in tape._nodes)
+
+
+def test_training_step_records_one_node_per_lstm_run_and_attention_pool():
+    exs = ragged_examples()
+    kinds = tape_kinds("BCAInvarSpec", exs)
+    # two branches, each with a target pair and a sentence pair of runs
+    assert kinds["run_lstm_batch"] == 2 * 4
+    assert kinds["additive_attention_batch"] == 2
+    k = 3
+    longer = [example(ex.sentence_ids + [4] * k, ex.target_ids) for ex in exs]
+    grown = tape_kinds("BCAInvarSpec", longer)
+    added = {kind: grown[kind] - kinds[kind] for kind in grown | kinds if grown[kind] != kinds[kind]}
+    # per added position: its embedding dropout, and in each branch its
+    # [h_fwd; h_bwd] concatenation and that row's dropout
+    assert added == {"dropout": k + 2 * k, "concat_cols": 2 * k}
 
 
 def test_pad_id_batch_layout():

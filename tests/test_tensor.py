@@ -7,6 +7,14 @@ from hypothesis import strategies as st
 
 import stancegen.tensor as T
 from stancegen.errors import ShapeError
+from stancegen.layers import (
+    AttentionParams,
+    Dropout,
+    LSTMParams,
+    LSTMState,
+    additive_attention_batch,
+    run_lstm_batch,
+)
 from stancegen.tensor import (
     Tape,
     Tensor,
@@ -24,10 +32,8 @@ from stancegen.tensor import (
     relu,
     scale,
     softmax_rows,
-    stack_cols,
     sum_all,
     tensor,
-    weighted_sum,
     zero_grads,
 )
 
@@ -103,50 +109,6 @@ def test_concat_examples():
         concat_cols([])
     with pytest.raises(ShapeError):
         concat_cols([t64([[1]]), t64([[1], [2]])])
-
-
-# ------------------------------------------------------------- weighted sum
-
-
-def test_weighted_sum_examples():
-    parts = [t64([[1.0, 2.0], [3.0, 4.0]]), t64([[10.0, 20.0], [30.0, 40.0]])]
-    w = t64([[1.0, 0.0], [0.5, 0.25]])
-    assert weighted_sum(w, parts).value.tolist() == [[1.0, 2.0], [9.0, 12.0]]
-    assert weighted_sum(t64([[2.0], [0.0]]), parts[:1]).value.tolist() == [[2.0, 4.0], [0.0, 0.0]]
-
-
-def test_weighted_sum_adds_in_part_order():
-    # float32 addition is not associative: (1e8 - 1e8) + 1 is 1, but adding
-    # the parts in reverse, (1 - 1e8) + 1e8, is 0
-    parts = [tensor([[v]], np.float32) for v in (1e8, -1e8, 1.0)]
-    w = tensor([[1.0, 1.0, 1.0]], np.float32)
-    assert weighted_sum(w, parts).value[0, 0] == 1.0
-
-
-def test_weighted_sum_gradients_by_hand():
-    parts = [t64([[1.0, 2.0]]), t64([[3.0, -1.0]])]
-    w = t64([[0.5, 2.0]])
-    with Tape("float64") as tape:
-        tape.backward(sum_all(weighted_sum(w, parts)))
-    assert parts[0].grad.tolist() == [[0.5, 0.5]]
-    assert parts[1].grad.tolist() == [[2.0, 2.0]]
-    assert w.grad.tolist() == [[3.0, 2.0]]
-
-
-@pytest.mark.parametrize(
-    "w_shape, part_shapes",
-    [
-        ((2, 3), [(2, 4), (2, 4)]),  # one weight column too many
-        ((3, 2), [(2, 4), (2, 4)]),  # weight rows differ from part rows
-        ((2, 2), [(2, 4), (2, 3)]),  # parts of different widths
-        ((2,), [(2, 4)]),  # rank-1 weights
-        ((2, 1), [(2,)]),  # rank-1 part
-        ((2, 0), []),  # no parts
-    ],
-)
-def test_weighted_sum_shape_mismatch(w_shape, part_shapes):
-    with pytest.raises(ShapeError, match="weighted_sum"):
-        weighted_sum(t64(np.ones(w_shape)), [t64(np.ones(s)) for s in part_shapes])
 
 
 # ----------------------------------------------------------------- softmax
@@ -460,23 +422,11 @@ def _op_catalog():
 
     cases["concat_cols"] = build_concat_cols
 
-    def build_stack_cols(rng):
-        a, b = _vec(rng), _vec(rng)
-        return lambda: _reduce(stack_cols([a, b]), rng), [a, b]
-
-    cases["stack_cols"] = build_stack_cols
-
     def build_add_rowvec(rng):
         m, b = _mat(rng), _vec(rng, 2)
         return lambda: _reduce(add_rowvec(m, b), rng), [m, b]
 
     cases["add_rowvec"] = build_add_rowvec
-
-    def build_weighted_sum(rng):
-        w, parts = _mat(rng, 3, 4), [_mat(rng) for _ in range(4)]
-        return lambda: _reduce(weighted_sum(w, parts), rng), [w] + parts
-
-    cases["weighted_sum"] = build_weighted_sum
 
     def build_blend_rows(rng):
         a, b = _mat(rng), _mat(rng)
@@ -526,6 +476,51 @@ def _op_catalog():
         return lambda: _reduce(sum_all(x), rng), [x]
 
     cases["sum_all"] = build_sum_all
+
+    # the two fused layer nodes, at random ragged shapes
+
+    def ragged_shape(rng, widths):
+        # rows and positions, 2 or 3 each, then `widths` widths of 1 to 3;
+        # the mask pads trailing positions, the first row full, the last shorter
+        rows, n = (int(v) for v in rng.integers(2, 4, 2))
+        lengths = rng.integers(1, n + 1, rows)
+        lengths[0], lengths[-1] = n, rng.integers(1, n)
+        mask = np.arange(n)[None, :] < lengths[:, None]
+        return (rows, n, mask, *(int(v) for v in rng.integers(1, 4, widths)))
+
+    def build_run_lstm_batch(rng):
+        rows, n, mask, width, hidden = ragged_shape(rng, 2)
+        params = LSTMParams(
+            **{f"w_{g}": _mat(rng, hidden, width + hidden, -1, 1) for g in "ifog"},
+            **{f"b_{g}": _vec(rng, hidden, -0.5, 0.5) for g in "ifog"},
+        )
+        steps = [_mat(rng, rows, width, -1, 1) for _ in range(n)]
+        init = LSTMState(_mat(rng, rows, hidden, -1, 1), _mat(rng, rows, hidden, -1, 1))
+        reverse, rate = bool(rng.integers(2)), float(rng.choice([0.0, 0.3]))
+
+        def f():
+            # re-seeded, so every evaluation draws the same dropout masks
+            drop = Dropout(rate, np.random.default_rng(5)) if rate else None
+            states = run_lstm_batch(steps, mask, init, params, reverse, drop)
+            return _reduce(concat_cols([t for st in states for t in (st.h, st.c)]), rng)
+
+        return f, steps + [init.h, init.c] + [t for _, t in params.named("p")]
+
+    cases["run_lstm_batch"] = build_run_lstm_batch
+
+    def build_additive_attention_batch(rng):
+        rows, n, mask, k, d, attn = ragged_shape(rng, 3)
+        params = AttentionParams(w=_mat(rng, attn, k + d, -1, 1), v=_vec(rng, attn, -1, 1))
+        summary = _mat(rng, rows, k, -1, 1)
+        hiddens = [_mat(rng, rows, d, -1, 1) for _ in range(n)]
+
+        def f():
+            out = additive_attention_batch(summary, hiddens, params, mask)
+            return _reduce(concat_cols([out.s, out.alpha]), rng)
+
+        return f, [summary, params.w, params.v] + hiddens
+
+    cases["additive_attention_batch"] = build_additive_attention_batch
 
     return cases
 
