@@ -267,6 +267,12 @@ def model_forward_batch(
     over the padded width. At paper size in float32, 495 of 1,024 rows in
     batches of 32 differed from a batch of one, by at most 9e-8.
 
+    In eval mode on more than one row, the LSTM gate and attention products
+    read contiguous copies of the weights' transposes; training and a batch
+    of one read the views (layers._forward_weights). At paper size in
+    float32 on OpenBLAS 0.3.31 that moves eval batches of 2-16 rows by about
+    one ulp against the views and leaves batches of 17 or more rows alone.
+
     In train mode one Dropout(dropout, rng) applies after the embedding
     lookup, between recurrent steps, and on the encoder outputs; eval mode
     consumes no randomness. The stance head reads the branches' concatenated

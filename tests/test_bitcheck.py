@@ -1,5 +1,6 @@
 """tools/bitcheck.py --compare on hand-made run directories (no training)."""
 
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -63,3 +64,10 @@ def test_normalise_hides_the_output_directory_and_elapsed_seconds(tmp_path):
     assert bitcheck.normalise(text, tmp_path) == (
         "wrote 3 attention records to <out>/a.jsonl\ngradcheck passed: 16 components (<seconds>s)\n"
     )
+
+
+def test_paper_size_script_text_is_fixed():
+    # its manifest entry is only comparable with older trees' while the
+    # script stays the same; a new case gets a new script and entry
+    digest = hashlib.sha256(bitcheck.PAPER_SIZE.encode()).hexdigest()
+    assert digest == "c34e712dc8dd399055d84d72dd0ac5fb396bd1004f33aefb187c44e071ff8cf3"

@@ -1,0 +1,140 @@
+"""Eval-mode LSTM runs and attention pools against the taped ones.
+
+With no tape active and more than one row, run_lstm_batch and
+additive_attention_batch multiply against contiguous copies of their
+weights' transposes; on a tape, and at one row, they read the view w.T. The
+two layouts can round differently, and where they do depends on the BLAS
+build, so past one row the untaped outputs are held to a few ulp of the
+taped ones. At one row both read the view and must share every byte.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from stancegen.data import Corpus, Example, build_vocab, encode_corpus, random_embeddings
+from stancegen.layers import (
+    AttentionParams,
+    LSTMParams,
+    LSTMState,
+    _forward_weights,
+    additive_attention_batch,
+    run_lstm_batch,
+)
+from stancegen.models import ModelSpec, build_model, model_forward_batch
+from stancegen.tensor import PRECISIONS, Tape, Tensor
+
+DIMS = [(6, 4, 5), (8, 6, 10), (100, 200, 400)]  # (input, hidden, attention)
+ROWS = [1, 2, 5, 16, 17, 32]
+POSITIONS = 6
+ULPS = 8  # of max(1, |value|); the largest gap seen was 4.6 (float32, (100,200), 2 rows)
+
+
+def padded_mask(rows):
+    # the last row stops two positions early; with one row, that row is padded
+    mask = np.ones((rows, POSITIONS), dtype=bool)
+    mask[-1, POSITIONS - 2 :] = False
+    return mask
+
+
+def uniform(rng, shape, dtype):
+    return rng.uniform(-1.0, 1.0, shape).astype(dtype)
+
+
+def assert_agree(name, eval_value, taped_value, rows):
+    assert eval_value.dtype == taped_value.dtype and eval_value.shape == taped_value.shape, name
+    if rows == 1:
+        assert eval_value.tobytes() == taped_value.tobytes(), f"{name}: one row reads the view"
+        return
+    eps = np.finfo(eval_value.dtype).eps
+    bound = ULPS * eps * np.maximum(1.0, np.abs(taped_value))
+    gap = np.abs(eval_value - taped_value)
+    assert (gap <= bound).all(), f"{name}: {gap.max() / eps:.1f} eps apart"
+
+
+def test_forward_weights_copy_only_untaped_past_one_row():
+    w = np.arange(12.0).reshape(3, 4)
+    (copy,) = _forward_weights(2, w)
+    assert copy.flags.c_contiguous and not np.shares_memory(copy, w)
+    assert copy.tobytes() == np.ascontiguousarray(w.T).tobytes()
+    assert np.shares_memory(_forward_weights(1, w)[0], w)
+    with Tape("float64"):
+        assert all(np.shares_memory(view, w) for view in _forward_weights(5, w, w))
+
+
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+@pytest.mark.parametrize("input_dim,hidden,attn", DIMS)
+@pytest.mark.parametrize("rows", ROWS)
+@pytest.mark.parametrize("reverse", [False, True])
+def test_untaped_lstm_run_agrees_with_the_taped_run(precision, input_dim, hidden, attn, rows, reverse):
+    dtype = PRECISIONS[precision]
+    rng = np.random.default_rng([rows, input_dim, hidden, reverse])
+    params = LSTMParams.init(input_dim, hidden, rng, dtype)
+    steps = [Tensor(uniform(rng, (rows, input_dim), dtype)) for _ in range(POSITIONS)]
+    init = LSTMState(Tensor(uniform(rng, (rows, hidden), dtype)), Tensor(uniform(rng, (rows, hidden), dtype)))
+    mask = padded_mask(rows)
+    with Tape(precision):
+        taped = run_lstm_batch(steps, mask, init, params, reverse=reverse)
+    untaped = run_lstm_batch(steps, mask, init, params, reverse=reverse)
+    for t, (a, b) in enumerate(zip(untaped, taped)):
+        assert_agree(f"h[{t}]", a.h.value, b.h.value, rows)
+        assert_agree(f"c[{t}]", a.c.value, b.c.value, rows)
+
+
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+@pytest.mark.parametrize("input_dim,hidden,attn", DIMS)
+@pytest.mark.parametrize("rows", ROWS)
+def test_untaped_attention_agrees_with_the_taped_pool(precision, input_dim, hidden, attn, rows):
+    dtype = PRECISIONS[precision]
+    rng = np.random.default_rng([rows, hidden, attn])
+    params = AttentionParams.init(attn, 4 * hidden, rng, dtype)
+    summary = Tensor(uniform(rng, (rows, 2 * hidden), dtype))
+    hiddens = [Tensor(uniform(rng, (rows, 2 * hidden), dtype)) for _ in range(POSITIONS)]
+    mask = padded_mask(rows)
+    with Tape(precision):
+        taped = additive_attention_batch(summary, hiddens, params, mask)
+    untaped = additive_attention_batch(summary, hiddens, params, mask)
+    assert_agree("s", untaped.s.value, taped.s.value, rows)
+    assert_agree("alpha", untaped.alpha.value, taped.alpha.value, rows)
+
+
+def _bca_model_and_batch(seed):
+    rng = np.random.default_rng(7)
+    words = [f"w{i}" for i in range(30)]
+    batch = [
+        Example(
+            sentence_tokens=[str(w) for w in rng.choice(words, int(rng.integers(3, 9)))],
+            target_tokens=[str(w) for w in rng.choice(words, 1 + k % 2)],
+            stance=("FAVOR", "AGAINST", "NONE")[k % 3],
+            raw_text="",
+            raw_target="",
+        )
+        for k in range(5)
+    ]
+    corpus = Corpus(batch)
+    vocab = build_vocab([corpus])
+    encode_corpus(corpus, vocab)
+    model = build_model(ModelSpec("BCA", 6, 4, 5, 0), seed, random_embeddings(vocab, 6), np.float32)
+    return model, batch
+
+
+def test_eval_forward_reads_the_weights_as_they_are_now():
+    # a weight updated in place between two eval forwards, as adam_step
+    # updates it, must reach the second forward: no transposed copy survives
+    # a call
+    model, batch = _bca_model_and_batch(3)
+    before = model_forward_batch(model, batch)
+    nudge = np.random.default_rng(11)
+    for name in ("encoder.sent_fwd.w_i", "encoder.target_bwd.w_g", "attention.w"):
+        w = model.params[name].value
+        w -= np.float32(0.05) * nudge.uniform(-1.0, 1.0, w.shape).astype(np.float32)
+    after = model_forward_batch(model, batch)
+    assert after.stance_probs.value.tobytes() != before.stance_probs.value.tobytes()
+
+    fresh, _ = _bca_model_and_batch(3)
+    for name, p in fresh.params.items():
+        p.value = model.params[name].value.copy()
+    expected = model_forward_batch(fresh, batch)
+    assert after.stance_probs.value.tobytes() == expected.stance_probs.value.tobytes()
+    assert after.attention.alpha.value.tobytes() == expected.attention.alpha.value.tobytes()

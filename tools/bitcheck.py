@@ -18,7 +18,10 @@ this file sits in) on seeded synthetic data from perfbench/corpus.py:
 - then a paper-size float32 BCAInvar (embed 100, hidden 200, attention
   400): on ragged batches of 1-6 rows and one of 32, an eval forward and one
   training step, hashing the stance probabilities, `alpha`, every parameter
-  gradient and every updated parameter.
+  gradient and every updated parameter;
+- then, on a model built the same way over its own examples, an eval
+  forward on batches of 16 and 17 rows, hashing the stance probabilities
+  and `alpha` (`paper_size_eval`).
 
 It writes DIR/manifest.json: the SHA-256 of every output file, of every
 checkpoint array with its dtype and shape, and of each checkpoint's
@@ -91,10 +94,10 @@ for seed in range(5):
 print(" ".join(f"{g:+.3f}" for g in gaps))
 """
 
-# paper-size BCAInvar at float32: per batch of 1-6 rows and one of 32, an
-# eval forward, then one training step; the small dims above hide products
-# whose bits depend on the row count or the shapes
-PAPER_SIZE = """
+# the paper-size cases build a float32 BCAInvar (embed 100, hidden 200,
+# attention 400) on seeded batches of the given row counts; the small dims
+# above hide products whose bits depend on the row count or the shapes
+PAPER_PRELUDE = """
 import hashlib
 import numpy as np
 from stancegen.data import Corpus, Example, build_vocab, encode_corpus, random_embeddings
@@ -105,7 +108,8 @@ from stancegen.training import AdamState, adam_step, clip_gradients, objective_b
 def sha(a):
     return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
 
-rng = np.random.default_rng(14)
+"""
+PAPER_EXAMPLES = """
 words = [f"w{i}" for i in range(300)]
 
 def example(k):
@@ -115,12 +119,27 @@ def example(k):
         stance=("FAVOR", "AGAINST", "NONE")[k % 3], raw_text="", raw_target="", domain_index=k % 4,
     )
 
-batches = [[example(k) for k in range(n)] for n in (1, 2, 3, 4, 5, 6, 32)]
+"""
+PAPER_MODEL = """
 corpus = Corpus([ex for batch in batches for ex in batch])
 vocab = build_vocab([corpus])
 encode_corpus(corpus, vocab)
 model = build_model(ModelSpec("BCAInvar", 100, 200, 400, 4), 0, random_embeddings(vocab, 100), np.float32)
-adam = AdamState.init(model.params)
+"""
+
+
+def paper_size_setup(seed: int, rows: tuple[int, ...]) -> str:
+    """The script lines that draw the examples from generator `seed`, one
+    batch per row count, and build the model."""
+    return (
+        f"{PAPER_PRELUDE}rng = np.random.default_rng({seed})"
+        f"{PAPER_EXAMPLES}batches = [[example(k) for k in range(n)] for n in {rows}]{PAPER_MODEL}"
+    )
+
+
+# per batch of 1-6 rows and one of 32, an eval forward, then one training
+# step; the script's text is fixed, so its entry stays comparable across trees
+PAPER_SIZE = paper_size_setup(14, (1, 2, 3, 4, 5, 6, 32)) + """adam = AdamState.init(model.params)
 dropout_rng = np.random.default_rng([0, 1])
 for batch in batches:
     tag = f"rows {len(batch)}"
@@ -140,6 +159,16 @@ for batch in batches:
     zero_grads(model.params.values())
     for name, p in model.params.items():
         print(tag, "updated", name, sha(p.value))
+"""
+
+# eval forwards on batches of 16 and 17 rows: on OpenBLAS 0.3.31, gate
+# products against the transposed copy that eval reads round differently
+# from the view's up to 16 rows and alike from 17
+PAPER_SIZE_EVAL = paper_size_setup(16, (16, 17)) + """for batch in batches:
+    tag = f"rows {len(batch)}"
+    out = model_forward_batch(model, batch)
+    print(tag, "eval stance_probs", sha(out.stance_probs.value))
+    print(tag, "eval alpha", sha(out.attention.alpha.value))
 """
 
 
@@ -247,6 +276,7 @@ def run_all(tree: Path, out: Path) -> dict[str, str]:
     runner.stancegen("gradcheck", ["gradcheck"])
     runner.entries["criterion7"] = runner.run("criterion7", ["-c", CRITERION_7]).strip()
     runner.run("paper_size", ["-c", PAPER_SIZE])
+    runner.run("paper_size_eval", ["-c", PAPER_SIZE_EVAL])
     entries = {**file_entries(runs), **runner.entries}
     (out / "manifest.json").write_text(json.dumps(entries, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     return entries
