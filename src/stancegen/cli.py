@@ -73,8 +73,9 @@ from .tensor import (
     softmax_rows,
     sum_all,
     tanh,
+    usable_cpus,
 )
-from . import training
+from . import tensor, training
 from .training import Hyperparams, predict_corpus, train
 
 EXIT_OK = 0
@@ -307,6 +308,11 @@ def _train_one_seed(cfg: RunConfig, spec: ModelSpec, split: Split, vocab, emb, s
     return seed, report.best_epoch, dev_metrics.macro_f1, test_metrics.macro_f1
 
 
+def _seed_worker_init() -> None:
+    # the --parallel-seeds pool already fills the cores
+    tensor.HELPER = False
+
+
 def cmd_train(args) -> int:
     cfg = build_run_config(args)
     # the spec is checked before any data is read; make_split always gives
@@ -332,8 +338,8 @@ def cmd_train(args) -> int:
         # imported here: the process machinery costs every other command memory
         from concurrent.futures import ProcessPoolExecutor
 
-        workers = min(len(cfg.seeds), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        workers = min(len(cfg.seeds), usable_cpus())
+        with ProcessPoolExecutor(max_workers=workers, initializer=_seed_worker_init) as pool:
             rows = list(pool.map(run_seed, cfg.seeds))
     else:
         rows = [run_seed(seed) for seed in cfg.seeds]

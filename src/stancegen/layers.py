@@ -25,6 +25,7 @@ from .errors import ShapeError
 from .tensor import (
     Tensor,
     _record,
+    accum_product,
     active_tape,
     blend_rows,
     dropout,
@@ -191,7 +192,7 @@ def _lstm_cell(
         # one gate's add_rowvec and matmul_t backward; z's gradient is the
         # first gate's product, then a running in-place sum
         b.accum(ga.sum(axis=0))
-        w.accum(ga.T @ z)
+        accum_product(w, ga, z)
         if gz is None:
             return ga @ w.value
         gz += ga @ w.value
@@ -247,7 +248,9 @@ def run_lstm_batch(
     product changes bits on some BLAS builds), sigmoid as 0.5*(1 + tanh(a/2)),
     c = f*c_prev + i*g, h = o*tanh(c). Backward walks the steps in reverse,
     each through the blends, h, c, the gates in g, o, f, i order, then the
-    recurrent dropout into h_prev.
+    recurrent dropout into h_prev. Each gate's weight gradient ga.T @ z goes
+    through tensor.accum_product, which runs a large one (the paper's 32-row
+    batches) on the helper thread in queue order while this walk goes on.
 
     With no tape active and more than one row, the four gate products read
     contiguous copies of the w.T made once before the step loop
@@ -348,7 +351,9 @@ def additive_attention_batch(
     weight exactly 0. The pool is one tape node with outputs s and alpha that
     keeps the products, operands and accumulation order of the per-op pool in
     tests/test_attention.py, so the two agree bit for bit. Backward: s's share
-    into each h_j and alpha in increasing j, softmax, score path in decreasing j.
+    into each h_j and alpha in increasing j, softmax, score path in decreasing j;
+    each position's w gradient goes through tensor.accum_product, so a large
+    one runs on the helper thread, as in run_lstm_batch.
 
     With no tape active and more than one row, every position's product reads
     one contiguous copy of w.T made per pool (_forward_weights), so eval s
@@ -389,7 +394,7 @@ def additive_attention_batch(
             params.v.accum(t.T @ g)
             ga = np.outer(g, v) * (1.0 - t * t)
             gz = ga @ w
-            params.w.accum(ga.T @ z)
+            accum_product(params.w, ga, z)
             target_summary.accum(gz[:, :k])
             hiddens[j].accum(gz[:, k:])
 

@@ -9,12 +9,18 @@ replayed in its turn when any output has a gradient, and its closure gets
 one gradient per output, None for an output that has none. With no active
 tape, operations compute values only (cheap inference path).
 
-A tape and the tensors recorded on it belong to one thread; the active-tape
-stack is thread-local so independent tapes may run on separate threads.
+A tape and the tensors recorded on it belong to the thread that recorded
+them; the active-tape stack is thread-local so independent tapes may run on
+separate threads. One exception: during Tape.backward, accum_product may
+hand a weight's gradient products to a single helper thread, which runs them
+in the order they were queued. Such a weight's grad is then written only by
+the helper, and backward waits for every queued job before it returns.
 """
 
 from __future__ import annotations
 
+import os
+import queue
 import threading
 from typing import Callable, Sequence
 
@@ -69,6 +75,83 @@ def zero_grads(tensors) -> None:
         t.grad = None
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _helper_wanted() -> bool:
+    """One BLAS thread per call (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, is
+    1; more would oversubscribe the cores) and a second CPU for the helper."""
+    threads = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
+    return (threads or "").strip() == "1" and usable_cpus() >= 2
+
+
+# accum_product's helper: one FIFO thread, started on first use. HELPER is
+# read at import; --parallel-seeds workers switch it off. In a float32 LSTM
+# backward (one BLAS thread, 2-core x86-64) it lost up to 1.5x at 0.24-0.48 M
+# multiply-adds per product, broke even at 0.72 M and won 1.2-1.4x from
+# 0.96 M (paper: 1.92 M).
+HELPER = _helper_wanted()
+HELPER_MIN_MACS = 1_000_000
+_JOBS: queue.SimpleQueue = queue.SimpleQueue()
+_ERRORS: list[BaseException] = []
+_WORKER: threading.Thread | None = None
+_STARTING = threading.Lock()
+
+
+def _forget_helper() -> None:
+    """A forked child has no helper thread: start its own on first use."""
+    global _JOBS, _WORKER, _STARTING
+    _JOBS, _WORKER, _STARTING = queue.SimpleQueue(), None, threading.Lock()
+    _ERRORS.clear()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _work() -> None:
+    while True:
+        job = _JOBS.get()
+        if type(job) is queue.SimpleQueue:  # _drain's marker: every earlier job has run
+            job.put(None)
+            continue
+        w, a, b = job
+        try:
+            w.accum(a.T @ b)
+        except BaseException as exc:  # _drain re-raises it on the backward's thread
+            _ERRORS.append(exc)
+        job = w = a = b = None  # no tape array outlives its job
+
+
+def accum_product(w: Tensor, a: np.ndarray, b: np.ndarray) -> None:
+    """w.accum(a.T @ b); on the helper thread if HELPER is on and the product
+    has HELPER_MIN_MACS multiply-adds. A weight's products in one backward
+    share a shape, so they take one route and are added in queue order."""
+    global _WORKER
+    if not HELPER or a.shape[0] * a.shape[1] * b.shape[1] < HELPER_MIN_MACS:
+        w.accum(a.T @ b)
+        return
+    with _STARTING:  # two tapes' backwards on two threads must not start two workers
+        if _WORKER is None:
+            _WORKER = threading.Thread(target=_work, name="stancegen-dw", daemon=True)
+            _WORKER.start()
+    _JOBS.put((w, a, b))
+
+
+def _drain() -> None:
+    """Wait for every queued job, then raise the first helper error, if any."""
+    if _WORKER is not None:
+        done = queue.SimpleQueue()
+        _JOBS.put(done)
+        done.get()
+    if _ERRORS:
+        first = _ERRORS[0]
+        _ERRORS.clear()
+        raise first
+
+
 class Tape:
     """Ordered record of operations for one forward/backward pass.
 
@@ -110,15 +193,18 @@ class Tape:
         if root.value.size != 1:
             raise ValueError(f"backward root must be a scalar, got shape {root.value.shape}")
         root.accum(np.ones_like(root.value))
-        for out, fn in reversed(self._nodes):
-            if type(out) is tuple:
-                grads = [t.grad for t in out]
-                if any(g is not None for g in grads):
-                    fn(*grads)
-                continue
-            g = out.grad
-            if g is not None:
-                fn(g)
+        try:
+            for out, fn in reversed(self._nodes):
+                if type(out) is tuple:
+                    grads = [t.grad for t in out]
+                    if any(g is not None for g in grads):
+                        fn(*grads)
+                    continue
+                g = out.grad
+                if g is not None:
+                    fn(g)
+        finally:
+            _drain()  # no helper job outlives its backward
 
 
 def _record(out, backward: Callable):

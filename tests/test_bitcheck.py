@@ -1,4 +1,5 @@
-"""tools/bitcheck.py --compare on hand-made run directories (no training)."""
+"""tools/bitcheck.py --compare on hand-made run directories, and its
+--blas-threads setting (no training)."""
 
 import hashlib
 import importlib.util
@@ -6,6 +7,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bitcheck.py"
 spec = importlib.util.spec_from_file_location("bitcheck", TOOL)
@@ -71,3 +73,16 @@ def test_paper_size_script_text_is_fixed():
     # script stays the same; a new case gets a new script and entry
     digest = hashlib.sha256(bitcheck.PAPER_SIZE.encode()).hexdigest()
     assert digest == "c34e712dc8dd399055d84d72dd0ac5fb396bd1004f33aefb187c44e071ff8cf3"
+
+
+def test_blas_threads_sets_every_thread_variable(tmp_path):
+    env = bitcheck.Runner(tmp_path, tmp_path, blas_threads=2).env
+    assert [env[var] for var in bitcheck.THREAD_VARS] == ["2", "2", "2"]
+    assert [bitcheck.Runner(tmp_path, tmp_path).env[var] for var in bitcheck.THREAD_VARS] == ["1", "1", "1"]
+
+
+def test_blas_threads_below_one_is_a_usage_error(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        bitcheck.main(["--out", str(tmp_path / "out"), "--blas-threads", "0"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()

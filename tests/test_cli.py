@@ -304,13 +304,14 @@ def test_parallel_seeds_produce_artifacts(workspace, tmp_path):
 def test_parallel_seeds_worker_count_capped_by_cpus(workspace, monkeypatch, cpus, seeds, expected):
     import concurrent.futures
 
-    created = []
+    created, initializers = [], []
 
     class InProcessPool:
         """Stands in for ProcessPoolExecutor: records max_workers, starts no process."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer):
             created.append(max_workers)
+            initializers.append(initializer.__name__)
 
         def __enter__(self):
             return self
@@ -322,11 +323,27 @@ def test_parallel_seeds_worker_count_capped_by_cpus(workspace, monkeypatch, cpus
             return map(fn, items)
 
     _, _, out_dir, config = workspace
-    monkeypatch.setattr("os.cpu_count", lambda: cpus)
+    # the pool is sized from the process's CPU affinity where the OS has one
+    # (cpus None: neither an affinity set nor a CPU count)
+    if cpus is None:
+        monkeypatch.delattr("os.sched_getaffinity", raising=False)
+        monkeypatch.setattr("os.cpu_count", lambda: None)
+    else:
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr("os.cpu_count", lambda: 64)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     assert main(["train", "--config", str(config), "--seeds", seeds, "--parallel-seeds"]) == EXIT_OK
-    assert created == [expected]
+    assert created == [expected] and initializers == ["_seed_worker_init"]
     assert len(list(out_dir.glob("model_seed*.npz"))) == len(seeds.split(","))
+
+
+def test_parallel_seed_workers_run_no_gradient_helper(monkeypatch):
+    # each pool worker already has a core of its own
+    from stancegen import cli
+
+    monkeypatch.setattr(T, "HELPER", True)
+    cli._seed_worker_init()
+    assert T.HELPER is False
 
 
 def test_train_non_finite_loss_exits_1(workspace, capsys):

@@ -1,6 +1,6 @@
 """Hash every output of a fixed set of stancegen runs, or compare two such sets.
 
-    python3 tools/bitcheck.py --out DIR [--tree ROOT]
+    python3 tools/bitcheck.py --out DIR [--tree ROOT] [--blas-threads N]
     python3 tools/bitcheck.py --compare DIR_A DIR_B
 
 The first form runs the stancegen source tree at ROOT (default: the tree
@@ -35,8 +35,12 @@ and DIR_B/manifest.json, or that only one of them has, and exits 1 if there
 is any. To check that a change moves no bit, run the first form on a copy of
 the parent commit and on the change, then compare.
 
-Commands run with BLAS on one thread, so the products do not depend on the
-host's core count. Uses only the standard library and numpy.
+Commands run with BLAS on --blas-threads threads (default 1), so the
+products do not depend on the host's core count. At 1 thread on a machine
+with two CPUs, training's weight-gradient products run on stancegen's
+helper thread; at 2 they run inline with two-thread BLAS calls. Comparing
+both settings against a parent tree covers both paths. Uses only the
+standard library and numpy.
 """
 
 from __future__ import annotations
@@ -206,10 +210,10 @@ def normalise(text: str, out: Path) -> str:
 class Runner:
     """Runs commands against one source tree and records what they print."""
 
-    def __init__(self, tree: Path, out: Path):
+    def __init__(self, tree: Path, out: Path, blas_threads: int = 1):
         self.out = out
         self.env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tree / "src"), str(tree / "tests")]))
-        self.env.update({var: "1" for var in THREAD_VARS})
+        self.env.update({var: str(blas_threads) for var in THREAD_VARS})
         self.entries: dict[str, str] = {}
 
     def run(self, label: str, args: list[str]) -> str:
@@ -241,11 +245,11 @@ def write_config(path: Path, paths: dict, variant: str, **overrides) -> Path:
     return path
 
 
-def run_all(tree: Path, out: Path) -> dict[str, str]:
+def run_all(tree: Path, out: Path, blas_threads: int = 1) -> dict[str, str]:
     out.mkdir(parents=True, exist_ok=True)
     runs = out / "runs"
     paths = corpus.write_inputs(out / "data", seed=0, shape=SHAPE)
-    runner = Runner(tree, out)
+    runner = Runner(tree, out, blas_threads)
     for variant in VARIANTS:
         config = write_config(out / f"{variant}.cfg", paths, variant)
         common = ["--config", str(config)]
@@ -310,6 +314,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, help="directory for the runs and manifest.json")
     parser.add_argument("--tree", type=Path, default=REPO, help="source tree to run (default: this one)")
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"), help="two run directories or manifests")
+    parser.add_argument("--blas-threads", type=int, default=1, metavar="N", help="BLAS threads per command (default 1)")
     args = parser.parse_args(argv)
     if args.compare:
         a, b = (load_manifest(p) for p in args.compare)
@@ -320,7 +325,9 @@ def main(argv=None) -> int:
         return 1 if diffs else 0
     if args.out is None:
         parser.error("give --out DIR to run, or --compare A B")
-    entries = run_all(args.tree.resolve(), args.out.resolve())
+    if args.blas_threads < 1:
+        parser.error("--blas-threads must be at least 1")
+    entries = run_all(args.tree.resolve(), args.out.resolve(), args.blas_threads)
     print(f"wrote {len(entries)} entries to {args.out / 'manifest.json'}")
     return 0
 
