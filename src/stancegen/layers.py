@@ -4,9 +4,12 @@ dropout, and the gradient-reversal layer.
 Conditional encoding is two bilstm_encode_batch calls: the target pair from
 zero states, then the sentence pair from the target's final states. An LSTM
 run (padding and recurrent dropout included) and an attention pool are one
-tape node each, with a hand-written backward. In eval mode on more than one
-row, their forward products read a contiguous copy of each weight's
-transpose (see _forward_weights); training and 1-row batches read the view.
+tape node each, with a hand-written backward. In eval mode (no tape) on more
+than one row, LSTM gate products read a contiguous copy of each weight's
+transpose (see _forward_weights), attention splits its weight at the
+summary's width and stacks the positions (_eval_scores), and a large enough
+BiLSTM runs its forward direction on tensor's helper thread. Training and
+1-row batches keep the taped forward's products and bits.
 
 Every layer is row-batched: a sequence is a list of (batch, dim) matrices,
 one per position, with trailing padding marked by a (batch, positions) mask
@@ -30,8 +33,10 @@ from .tensor import (
     blend_rows,
     dropout,
     dropout_factor,
+    helper_takes,
     matmul_t,  # unused here: perfbench's tracer counts products through layers.matmul_t
     maximum,
+    on_helper,
     softmax_input_grad,
     softmax_values,
     tensor,
@@ -151,15 +156,15 @@ def _forward_weights(rows: int, *weights: np.ndarray) -> tuple[np.ndarray, ...]:
     copy of each w.T when no tape is active and the batch has more than one
     row, else the view w.T.
 
-    BLAS multiplies faster against the contiguous copy. In float32 on one
-    OpenBLAS 0.3.31 thread (x86_64, Haswell kernels), a (32x300)(300x200)
-    gate product takes 51 us against the view's 78, and a (32x800)(800x400)
-    attention product 267 us against 407; a copy costs 23 and 233 us, made
-    once per LSTM run or attention pool. The copy's bits can differ from the
-    view's, so every taped forward (training, gradcheck) reads the view and
-    training bits stay as they were. A 1-row product, as in predict, saves
-    nothing, so it reads the view too. The copy is never cached: Adam updates
-    each w in place and load_checkpoint reassigns it.
+    run_lstm_batch's gate products use it. BLAS multiplies faster against
+    the contiguous copy: in float32 on one OpenBLAS 0.3.31 thread (x86_64,
+    Haswell kernels), a (32x300)(300x200) gate product takes 51 us against
+    the view's 78, and a copy costs 23 us, made once per LSTM run. The copy's
+    bits can differ from the view's, so every taped forward (training,
+    gradcheck) reads the view and training bits stay as they were. A 1-row
+    product, as in predict, saves nothing, so it reads the view too. The
+    copy is never cached: Adam updates each w in place and load_checkpoint
+    reassigns it.
     """
     if rows > 1 and active_tape() is None:
         return tuple(np.ascontiguousarray(w.T) for w in weights)
@@ -330,10 +335,29 @@ def bilstm_encode_batch(
     position order. The forward LSTM starts from init[0] and the backward one
     from init[1]; with init None both start from zero states. Conditional
     encoding passes a target's (forward[-1], backward[0]) as a sentence's
-    init."""
+    init.
+
+    With no tape, no dropout and more than one row, when tensor.helper_takes
+    a gate product of rows x hidden x (input + hidden) multiply-adds (17 rows
+    or more at the paper's 100/200 with one BLAS thread on two CPUs), the
+    forward run goes to the helper thread while this thread runs the
+    backward one. Each run is the same call with the same operands as
+    inline, so every state keeps its bits; an error in the helper's run is
+    raised here. A taped or dropout encoding runs both directions here, in
+    order, so the dropout masks are drawn as before, and so does a batch of
+    one, as predict's.
+    """
+    rows, (hidden, width) = mask.shape[0], fwd.w_i.value.shape
     if init is None:
-        zero = zero_state_batch(mask.shape[0], fwd.hidden_dim, fwd.w_i.value.dtype)
+        zero = zero_state_batch(rows, hidden, fwd.w_i.value.dtype)
         init = (zero, zero)
+    if rows > 1 and active_tape() is None and drop is None and helper_takes(rows * hidden * width):
+        forward = on_helper(run_lstm_batch, steps, mask, init[0], fwd)
+        try:
+            b = run_lstm_batch(steps, mask, init[1], bwd, reverse=True)
+        finally:
+            f = forward()  # the helper is done with this call even if the main run raised
+        return f, b
     f = run_lstm_batch(steps, mask, init[0], fwd, drop=drop)
     b = run_lstm_batch(steps, mask, init[1], bwd, reverse=True, drop=drop)
     return f, b
@@ -355,10 +379,11 @@ def additive_attention_batch(
     each position's w gradient goes through tensor.accum_product, so a large
     one runs on the helper thread, as in run_lstm_batch.
 
-    With no tape active and more than one row, every position's product reads
-    one contiguous copy of w.T made per pool (_forward_weights), so eval s
-    and alpha can differ from the taped pool's by rounding; training and
-    1-row pools read the view and keep their bits.
+    With no tape active and more than one row, the scores come from
+    _eval_scores: the summary's share of the product once per pool, then the
+    positions' shares stacked, so eval s and alpha can differ from the taped
+    pool's by rounding; training and 1-row pools keep the per-position
+    products and their bits.
     """
     summary, w, v = target_summary.value, params.w.value, params.v.value
     rows, k = summary.shape if summary.ndim == 2 else (None, 0)
@@ -368,15 +393,19 @@ def additive_attention_batch(
             f"additive_attention_batch: summary {summary.shape}, hiddens {sorted(shapes)}, w {w.shape}"
         )
     tape = active_tape()
-    (wt,) = _forward_weights(rows, w)
-    kept, scores = [], []  # each position's z and tanh, only on a tape
-    for h in hiddens:
-        z = np.concatenate([summary, h.value], axis=1)
-        t = np.tanh(z @ wt)
-        scores.append(t @ v)
-        if tape is not None:
-            kept.append((z, t))
-    p = softmax_values(np.stack(scores, axis=1), mask)
+    kept = []  # each position's z and tanh, only on a tape
+    if tape is None and rows > 1:
+        scores = _eval_scores(summary, [h.value for h in hiddens], w, v)
+    else:
+        columns = []
+        for h in hiddens:
+            z = np.concatenate([summary, h.value], axis=1)
+            t = np.tanh(z @ w.T)
+            columns.append(t @ v)
+            if tape is not None:
+                kept.append((z, t))
+        scores = np.stack(columns, axis=1)
+    p = softmax_values(scores, mask)
     total = hiddens[0].value * p[:, 0, None]
     for j in range(1, len(hiddens)):
         total = total + hiddens[j].value * p[:, j, None]
@@ -401,6 +430,35 @@ def additive_attention_batch(
     if tape is not None:
         tape.record((out.s, out.alpha), backward)
     return out
+
+
+EVAL_POSITIONS_PER_PRODUCT = 8
+
+
+def _eval_scores(summary: np.ndarray, hiddens: list[np.ndarray], w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """additive_attention_batch's (rows, positions) scores with no tape:
+    v . tanh(q + h_j @ w_h.T), where w = [w_s w_h] splits at the summary's
+    width and q = summary @ w_s.T is computed once. The positions' products
+    are stacked, EVAL_POSITIONS_PER_PRODUCT at a time, which bounds the
+    scratch arrays at that many rows per batch row.
+
+    Both products read views of w: in float32 on one OpenBLAS 0.3.31 thread
+    (x86_64, Haswell kernels), a paper-size pool of 32 rows and 20 positions
+    took 2.7-3.3 ms this way against 3.1-3.5 ms with contiguous copies of the
+    two transposes, whose making costs more than it saves, and 7-8 ms with
+    one [summary; h_j] product per position against a contiguous w.T.
+    """
+    rows, k = summary.shape
+    q = summary @ w[:, :k].T
+    wt_h = w[:, k:].T
+    scores = np.empty((rows, len(hiddens)), dtype=summary.dtype)
+    for lo in range(0, len(hiddens), EVAL_POSITIONS_PER_PRODUCT):
+        chunk = hiddens[lo : lo + EVAL_POSITIONS_PER_PRODUCT]
+        a = (np.concatenate(chunk) @ wt_h).reshape(len(chunk), rows, -1)  # position-major
+        a += q
+        np.tanh(a, out=a)
+        scores[:, lo : lo + len(chunk)] = (a @ v).T
+    return scores
 
 
 def max_pool_encode_batch(hiddens: Sequence[Tensor], mask: np.ndarray) -> Tensor:

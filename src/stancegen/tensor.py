@@ -14,7 +14,9 @@ them; the active-tape stack is thread-local so independent tapes may run on
 separate threads. One exception: during Tape.backward, accum_product may
 hand a weight's gradient products to a single helper thread, which runs them
 in the order they were queued. Such a weight's grad is then written only by
-the helper, and backward waits for every queued job before it returns.
+the helper, and backward waits for every queued job before it returns. The
+same thread takes untaped calls through on_helper (an eval BiLSTM's forward
+direction), whose caller waits for the result or the exception.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import os
 import queue
 import threading
+import time
 from typing import Callable, Sequence
 
 import numpy as np
@@ -87,14 +90,17 @@ def _helper_wanted() -> bool:
     return (threads or "").strip() == "1" and usable_cpus() >= 2
 
 
-# accum_product's helper: one FIFO thread, started on first use. HELPER is
-# read at import; --parallel-seeds workers switch it off. In a float32 LSTM
-# backward (one BLAS thread, 2-core x86-64) it lost up to 1.5x at 0.24-0.48 M
-# multiply-adds per product, broke even at 0.72 M and won 1.2-1.4x from
-# 0.96 M (paper: 1.92 M).
+# The helper: one FIFO thread, started on first use, that runs accum_product's
+# weight-gradient products and on_helper's calls. HELPER is read at import;
+# --parallel-seeds workers switch it off. HELPER_MIN_MACS bounds both from
+# below: a dW product's multiply-adds, or an LSTM gate product's
+# (rows x hidden x (input + hidden)) for an eval BiLSTM. In a float32 LSTM
+# backward (one BLAS thread, 2-core x86-64) the helper lost up to 1.5x at
+# 0.24-0.48 M multiply-adds per product, broke even at 0.72 M and won
+# 1.2-1.4x from 0.96 M (paper: 1.92 M at 32 rows, 1.02 M at 17).
 HELPER = _helper_wanted()
 HELPER_MIN_MACS = 1_000_000
-_JOBS: queue.SimpleQueue = queue.SimpleQueue()
+_JOBS: queue.SimpleQueue = queue.SimpleQueue()  # (fn, args, reply queue or None)
 _ERRORS: list[BaseException] = []
 _WORKER: threading.Thread | None = None
 _STARTING = threading.Lock()
@@ -113,39 +119,81 @@ if hasattr(os, "register_at_fork"):
 
 def _work() -> None:
     while True:
-        job = _JOBS.get()
-        if type(job) is queue.SimpleQueue:  # _drain's marker: every earlier job has run
-            job.put(None)
-            continue
-        w, a, b = job
+        fn, args, reply = _JOBS.get()
         try:
-            w.accum(a.T @ b)
-        except BaseException as exc:  # _drain re-raises it on the backward's thread
-            _ERRORS.append(exc)
-        job = w = a = b = None  # no tape array outlives its job
+            result = fn(*args)
+        except BaseException as exc:  # re-raised on the caller's thread
+            if reply is None:
+                _ERRORS.append(exc)  # by _drain
+            else:
+                reply.put((None, exc))
+        else:
+            if reply is not None:
+                reply.put((result, None))
+        fn = args = reply = result = None  # no tape array outlives its job
 
 
-def accum_product(w: Tensor, a: np.ndarray, b: np.ndarray) -> None:
-    """w.accum(a.T @ b); on the helper thread if HELPER is on and the product
-    has HELPER_MIN_MACS multiply-adds. A weight's products in one backward
-    share a shape, so they take one route and are added in queue order."""
+def _submit(fn: Callable, args: tuple, reply: queue.SimpleQueue | None) -> None:
     global _WORKER
-    if not HELPER or a.shape[0] * a.shape[1] * b.shape[1] < HELPER_MIN_MACS:
-        w.accum(a.T @ b)
-        return
-    with _STARTING:  # two tapes' backwards on two threads must not start two workers
+    with _STARTING:  # two threads' first jobs must not start two workers
         if _WORKER is None:
             _WORKER = threading.Thread(target=_work, name="stancegen-dw", daemon=True)
             _WORKER.start()
-    _JOBS.put((w, a, b))
+    _JOBS.put((fn, args, reply))
+
+
+def _accum_product(w: Tensor, a: np.ndarray, b: np.ndarray) -> None:
+    w.accum(a.T @ b)
+
+
+def helper_takes(macs: int) -> bool:
+    """Whether work whose products have `macs` multiply-adds each goes to the
+    helper thread."""
+    return HELPER and macs >= HELPER_MIN_MACS
+
+
+def accum_product(w: Tensor, a: np.ndarray, b: np.ndarray) -> None:
+    """w.accum(a.T @ b); on the helper thread if helper_takes the product. A
+    weight's products in one backward share a shape, so they take one route
+    and are added in queue order."""
+    if helper_takes(a.shape[0] * a.shape[1] * b.shape[1]):
+        _submit(_accum_product, (w, a, b), None)
+    else:
+        _accum_product(w, a, b)
+
+
+def on_helper(fn: Callable, *args) -> Callable[[], object]:
+    """Queue fn(*args) on the helper thread and return a wait() that returns
+    its result, or raises its exception, once it has run. The caller checks
+    helper_takes; fn runs with no tape active, whatever the caller's.
+
+    wait() polls, releasing the GIL between looks, instead of blocking, so
+    the caller's CPU does not go idle while the helper finishes. With a
+    blocking wait, perfbench's infer_bca predict commands, which run in the
+    process after its eval passes, slowed from a median of about 18 to 25 ms
+    on a 2-vCPU x86-64 VM (one BLAS thread); polling kept them within 4% of
+    the unthreaded code (BENCH_pr18.json).
+    """
+    reply: queue.SimpleQueue = queue.SimpleQueue()
+    _submit(fn, args, reply)
+
+    def wait():
+        while reply.empty():
+            time.sleep(0)
+        result, exc = reply.get()
+        if exc is not None:
+            raise exc
+        return result
+
+    return wait
 
 
 def _drain() -> None:
     """Wait for every queued job, then raise the first helper error, if any."""
     if _WORKER is not None:
-        done = queue.SimpleQueue()
-        _JOBS.put(done)
-        done.get()
+        done: queue.SimpleQueue = queue.SimpleQueue()
+        _submit(done.put, (None,), None)
+        done.get()  # FIFO: every earlier job has run
     if _ERRORS:
         first = _ERRORS[0]
         _ERRORS.clear()

@@ -181,10 +181,11 @@ def predict_corpus(model: Model, corpus: Corpus, batch_size: int = 32) -> list[s
     stance probability can move by about one float32 ulp, because the
     attention softmax sums over the padded width; only an exact tie could
     flip a label. No tape is active here, so every batch of more than one
-    row multiplies against contiguous copies of the LSTM and attention
-    weights' transposes (layers._forward_weights), which can move a
-    probability by about one ulp against a taped forward; a 1-row batch,
-    like predict, reads the views.
+    row takes the eval products of model_forward_batch (transposed LSTM
+    weight copies, the split attention product, and from 17 rows at paper
+    size the BiLSTM directions on two threads), which can move a probability
+    by about one ulp against a taped forward; a 1-row batch, like predict,
+    makes the taped products.
     """
     examples = corpus.examples
     labels = [""] * len(examples)

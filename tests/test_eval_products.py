@@ -1,11 +1,14 @@
 """Eval-mode LSTM runs and attention pools against the taped ones.
 
-With no tape active and more than one row, run_lstm_batch and
-additive_attention_batch multiply against contiguous copies of their
-weights' transposes; on a tape, and at one row, they read the view w.T. The
-two layouts can round differently, and where they do depends on the BLAS
-build, so past one row the untaped outputs are held to a few ulp of the
-taped ones. At one row both read the view and must share every byte.
+With no tape active and more than one row, run_lstm_batch multiplies
+against contiguous copies of its weights' transposes, and
+additive_attention_batch adds the summary's share of its product, taken
+once, to the positions' shares, taken a stack of positions at a time; on a
+tape, and at one row, both make the per-step [x; h] @ w.T products against
+the view. The two can round differently, and where they do depends on the
+BLAS build, so past one row the untaped outputs are held to a few ulp of the
+taped ones. At one row both make the same products and must share every
+byte.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import pytest
 
 from stancegen.data import Corpus, Example, build_vocab, encode_corpus, random_embeddings
 from stancegen.layers import (
+    EVAL_POSITIONS_PER_PRODUCT,
     AttentionParams,
     LSTMParams,
     LSTMState,
@@ -31,11 +35,15 @@ POSITIONS = 6
 ULPS = 8  # of max(1, |value|); the largest gap seen was 4.6 (float32, (100,200), 2 rows)
 
 
-def padded_mask(rows):
-    # the last row stops two positions early; with one row, that row is padded
-    mask = np.ones((rows, POSITIONS), dtype=bool)
-    mask[-1, POSITIONS - 2 :] = False
-    return mask
+def padded_mask(rows, positions=POSITIONS):
+    # the last row stops two positions early (with one row, that row is
+    # padded); past one stacked attention product's positions, the other rows
+    # end at every length from the full one down
+    lengths = np.full(rows, positions)
+    lengths[-1] -= 2
+    if positions > EVAL_POSITIONS_PER_PRODUCT:
+        lengths[:-1] = positions - np.arange(rows - 1) % positions
+    return np.arange(positions)[None, :] < lengths[:, None]
 
 
 def uniform(rng, shape, dtype):
@@ -82,21 +90,33 @@ def test_untaped_lstm_run_agrees_with_the_taped_run(precision, input_dim, hidden
         assert_agree(f"c[{t}]", a.c.value, b.c.value, rows)
 
 
-@pytest.mark.parametrize("precision", ["float32", "float64"])
-@pytest.mark.parametrize("input_dim,hidden,attn", DIMS)
-@pytest.mark.parametrize("rows", ROWS)
-def test_untaped_attention_agrees_with_the_taped_pool(precision, input_dim, hidden, attn, rows):
+def check_attention(precision, hidden, attn, rows, positions, seed):
     dtype = PRECISIONS[precision]
-    rng = np.random.default_rng([rows, hidden, attn])
+    rng = np.random.default_rng(seed)
     params = AttentionParams.init(attn, 4 * hidden, rng, dtype)
     summary = Tensor(uniform(rng, (rows, 2 * hidden), dtype))
-    hiddens = [Tensor(uniform(rng, (rows, 2 * hidden), dtype)) for _ in range(POSITIONS)]
-    mask = padded_mask(rows)
+    hiddens = [Tensor(uniform(rng, (rows, 2 * hidden), dtype)) for _ in range(positions)]
+    mask = padded_mask(rows, positions)
     with Tape(precision):
         taped = additive_attention_batch(summary, hiddens, params, mask)
     untaped = additive_attention_batch(summary, hiddens, params, mask)
     assert_agree("s", untaped.s.value, taped.s.value, rows)
     assert_agree("alpha", untaped.alpha.value, taped.alpha.value, rows)
+
+
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+@pytest.mark.parametrize("input_dim,hidden,attn", DIMS)
+@pytest.mark.parametrize("rows", ROWS)
+def test_untaped_attention_agrees_with_the_taped_pool(precision, input_dim, hidden, attn, rows):
+    check_attention(precision, hidden, attn, rows, POSITIONS, [rows, hidden, attn])
+
+
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+@pytest.mark.parametrize("input_dim,hidden,attn", DIMS)
+@pytest.mark.parametrize("rows", ROWS)
+def test_untaped_attention_agrees_across_stacked_position_products(precision, input_dim, hidden, attn, rows):
+    # 20 ragged positions: three stacked products, the last one partial
+    check_attention(precision, hidden, attn, rows, 20, [rows, hidden, attn, 20])
 
 
 def _bca_model_and_batch(seed):
@@ -121,20 +141,30 @@ def _bca_model_and_batch(seed):
 
 def test_eval_forward_reads_the_weights_as_they_are_now():
     # a weight updated in place between two eval forwards, as adam_step
-    # updates it, must reach the second forward: no transposed copy survives
-    # a call
+    # updates it, must reach the second forward: no transposed copy or split
+    # of a weight survives a call. Attention's w is nudged once in its
+    # summary columns and once in its position columns, the two halves that
+    # an eval pool multiplies separately
     model, batch = _bca_model_and_batch(3)
-    before = model_forward_batch(model, batch)
+    summary_width = 2 * model.spec.hidden_dim
+    nudges = [
+        ("encoder.sent_fwd.w_i", slice(None)),
+        ("encoder.target_bwd.w_g", slice(None)),
+        ("attention.w", slice(None, summary_width)),
+        ("attention.w", slice(summary_width, None)),
+    ]
     nudge = np.random.default_rng(11)
-    for name in ("encoder.sent_fwd.w_i", "encoder.target_bwd.w_g", "attention.w"):
-        w = model.params[name].value
+    before = model_forward_batch(model, batch)
+    for name, columns in nudges:
+        w = model.params[name].value[:, columns]
         w -= np.float32(0.05) * nudge.uniform(-1.0, 1.0, w.shape).astype(np.float32)
-    after = model_forward_batch(model, batch)
-    assert after.stance_probs.value.tobytes() != before.stance_probs.value.tobytes()
+        after = model_forward_batch(model, batch)
+        assert after.stance_probs.value.tobytes() != before.stance_probs.value.tobytes(), (name, columns)
 
-    fresh, _ = _bca_model_and_batch(3)
-    for name, p in fresh.params.items():
-        p.value = model.params[name].value.copy()
-    expected = model_forward_batch(fresh, batch)
-    assert after.stance_probs.value.tobytes() == expected.stance_probs.value.tobytes()
-    assert after.attention.alpha.value.tobytes() == expected.attention.alpha.value.tobytes()
+        fresh, _ = _bca_model_and_batch(3)
+        for key, p in fresh.params.items():
+            p.value = model.params[key].value.copy()
+        expected = model_forward_batch(fresh, batch)
+        assert after.stance_probs.value.tobytes() == expected.stance_probs.value.tobytes()
+        assert after.attention.alpha.value.tobytes() == expected.attention.alpha.value.tobytes()
+        before = after

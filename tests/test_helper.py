@@ -1,11 +1,12 @@
-"""The weight-gradient helper thread behind tensor.accum_product.
+"""The helper thread behind tensor.accum_product and tensor.on_helper.
 
 With the helper on, the LSTM gate and attention weight-gradient products of
 a backward run on one FIFO thread while the main thread walks the rest of
-the tape. These tests force it on at tiny dims and compare every gradient
-and every Adam-updated parameter with the inline path byte for byte, check
-its guard (one BLAS thread, two CPUs), and check that no job outlives the
-backward that queued it.
+the tape, and an eval BiLSTM runs its forward direction there while the
+main thread runs the backward one. These tests force it on at tiny dims and
+compare every gradient, every Adam-updated parameter and every eval output
+with the inline path byte for byte, check its guard (one BLAS thread, two
+CPUs), and check that no job outlives the call that queued it.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import stancegen.layers as L
 import stancegen.tensor as T
 from stancegen.data import Corpus, Example, build_vocab, encode_corpus, random_embeddings
 from stancegen.layers import (
@@ -32,6 +34,7 @@ from stancegen.layers import (
     LSTMParams,
     LSTMState,
     additive_attention_batch,
+    bilstm_encode_batch,
     run_lstm_batch,
 )
 from stancegen.models import ModelSpec, build_model, model_forward_batch
@@ -408,3 +411,132 @@ def test_the_worker_drops_each_job_once_it_has_run(forced):
     del a, b
     assert [r() for r in refs] == [None, None]
     assert w.grad is not None
+
+
+# -------------------------------------------------------- eval BiLSTM runs
+
+
+@pytest.fixture
+def runs(monkeypatch):
+    """Record each run_lstm_batch call's direction and whether it ran on the
+    main thread."""
+    seen = []
+    real = L.run_lstm_batch
+
+    def spy(*args, reverse=False, **kwargs):
+        seen.append(("reverse" if reverse else "forward", threading.current_thread() is threading.main_thread()))
+        return real(*args, reverse=reverse, **kwargs)
+
+    monkeypatch.setattr(L, "run_lstm_batch", spy)
+    return seen
+
+
+def encode_case(precision, from_target, rows=5):
+    """Every h and c of an untaped BiLSTM over ragged steps, from zero states
+    or from a ragged target pair's final states."""
+    dtype = PRECISIONS[precision]
+    rng = np.random.default_rng(9)
+    fwd, bwd, t_fwd, t_bwd = (LSTMParams.init(7, 4, rng, dtype) for _ in range(4))
+    steps = [Tensor(rng.uniform(-1, 1, (rows, 7)).astype(dtype)) for _ in range(6)]
+    init = None
+    if from_target:
+        target = [Tensor(rng.uniform(-1, 1, (rows, 7)).astype(dtype)) for _ in range(3)]
+        tf, tb = bilstm_encode_batch(target, ragged_mask(rows, 3), t_fwd, t_bwd)
+        init = (tf[-1], tb[0])
+    f, b = bilstm_encode_batch(steps, ragged_mask(rows, 6), fwd, bwd, init=init)
+    return [t.value.tobytes() for s in f + b for t in (s.h, s.c)]
+
+
+def eval_case(precision):
+    """The outputs of a BCAInvarSpec eval forward: two branches, so two
+    conditional encodings per branch."""
+    dtype = PRECISIONS[precision]
+    batch, vocab = tiny_batch(6, (3, 9))
+    model = build_model(ModelSpec("BCAInvarSpec", 6, 4, 5, 4), 0, random_embeddings(vocab, 6), dtype)
+    out = model_forward_batch(model, batch)
+    return [t.value.tobytes() for t in [out.stance_probs, out.attention.alpha, *out.domain_probs]]
+
+
+EVAL_CASES = {
+    "encoder from zero states": lambda p: encode_case(p, from_target=False),
+    "encoder from a target's states": lambda p: encode_case(p, from_target=True),
+    "BCAInvarSpec eval forward": eval_case,
+}
+
+
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+@pytest.mark.parametrize("case", list(EVAL_CASES))
+def test_eval_bilstm_forward_runs_on_the_helper_byte_for_byte(monkeypatch, forced, runs, precision, case):
+    helped = EVAL_CASES[case](precision)
+    assert ("forward", False) in runs, "no forward run went to the helper"
+    assert ("forward", True) not in runs and ("reverse", False) not in runs
+    monkeypatch.setattr(T, "HELPER", False)
+    runs.clear()
+    inline = EVAL_CASES[case](precision)
+    assert runs and all(on_main for _, on_main in runs)
+    assert helped == inline
+
+
+def test_threaded_eval_keeps_bits_under_frequent_thread_switches(monkeypatch, forced, runs):
+    monkeypatch.setattr(T, "HELPER", False)
+    inline = [EVAL_CASES[case]("float32") for case in EVAL_CASES]
+    monkeypatch.setattr(T, "HELPER", True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            assert [EVAL_CASES[case]("float32") for case in EVAL_CASES] == inline
+    finally:
+        sys.setswitchinterval(interval)
+    assert ("forward", False) in runs
+
+
+def test_a_taped_dropout_or_one_row_forward_queues_nothing(forced, runs, no_thread):
+    batch, vocab = tiny_batch(6, (3, 9))
+    model = build_model(ModelSpec("BCAInvarSpec", 6, 4, 5, 4), 0, random_embeddings(vocab, 6), np.float32)
+    with Tape("float32"):
+        model_forward_batch(model, batch)  # eval mode on a tape, as gradcheck runs it
+        model_forward_batch(model, batch, train_mode=True, rng=np.random.default_rng(1), dropout=0.2)
+    # untaped with dropout: both directions draw their masks here, in order
+    model_forward_batch(model, batch, train_mode=True, rng=np.random.default_rng(1), dropout=0.2)
+    model_forward_batch(model, batch[:1])  # predict's batch of one
+    assert len(runs) == 4 * 4 * 2 and all(on_main for _, on_main in runs)
+    assert T._WORKER is None
+
+
+def test_a_helper_error_surfaces_from_the_encoder_and_the_helper_serves_the_next(monkeypatch, forced):
+    monkeypatch.setattr(T, "HELPER", False)
+    expected = encode_case("float32", from_target=True)
+    monkeypatch.setattr(T, "HELPER", True)
+    real, failed_on = L.run_lstm_batch, []
+
+    def fail_forward(*args, reverse=False, **kwargs):
+        if not reverse:
+            failed_on.append(threading.current_thread().name)
+            raise RuntimeError("planted")
+        return real(*args, reverse=reverse, **kwargs)
+
+    monkeypatch.setattr(L, "run_lstm_batch", fail_forward)
+    with pytest.raises(RuntimeError, match="planted"):
+        encode_case("float32", from_target=False)
+    assert failed_on == ["stancegen-dw"]
+    monkeypatch.setattr(L, "run_lstm_batch", real)
+    assert T._JOBS.empty() and not T._ERRORS
+    assert encode_case("float32", from_target=True) == expected
+
+
+def test_a_main_thread_error_in_the_encoder_waits_for_the_helpers_run(monkeypatch, forced, runs):
+    real, finished = L.run_lstm_batch, []
+
+    def fail_reverse(*args, reverse=False, **kwargs):
+        if reverse:
+            raise RuntimeError("planted")
+        out = real(*args, reverse=reverse, **kwargs)
+        finished.append(threading.current_thread().name)
+        return out
+
+    monkeypatch.setattr(L, "run_lstm_batch", fail_reverse)
+    with pytest.raises(RuntimeError, match="planted"):
+        encode_case("float64", from_target=False)
+    assert finished == ["stancegen-dw"]  # done before the error left the encoder
+    assert T._JOBS.empty() and not T._ERRORS

@@ -21,7 +21,9 @@ this file sits in) on seeded synthetic data from perfbench/corpus.py:
   gradient and every updated parameter;
 - then, on a model built the same way over its own examples, an eval
   forward on batches of 16 and 17 rows, hashing the stance probabilities
-  and `alpha` (`paper_size_eval`).
+  and `alpha` (`paper_size_eval`). At 1 BLAS thread these two batches sit
+  on either side of the rule that runs an eval BiLSTM's forward direction
+  on the helper thread (from 17 rows at paper size).
 
 It writes DIR/manifest.json: the SHA-256 of every output file, of every
 checkpoint array with its dtype and shape, and of each checkpoint's
@@ -167,7 +169,8 @@ for batch in batches:
 
 # eval forwards on batches of 16 and 17 rows: on OpenBLAS 0.3.31, gate
 # products against the transposed copy that eval reads round differently
-# from the view's up to 16 rows and alike from 17
+# from the view's up to 16 rows and alike from 17; at 1 BLAS thread on two
+# CPUs the 17-row batch runs each BiLSTM's forward direction on the helper
 PAPER_SIZE_EVAL = paper_size_setup(16, (16, 17)) + """for batch in batches:
     tag = f"rows {len(batch)}"
     out = model_forward_batch(model, batch)
