@@ -493,50 +493,48 @@ def _gradcheck_components():
 
     def lstm_step_check(rng):
         params = lstm_params(3, 2)
-        x, h, c = mat(rng, 2, 3), mat(rng, 2, 2), mat(rng, 2, 2)
+        x, h, c = mat(rng, 1, 2, 3), mat(rng, 2, 2), mat(rng, 2, 2)
         tensors = [x, h, c] + [t for _, t in params.named("p")]
         def f():
-            state = run_lstm_batch([x], np.ones((2, 1), dtype=bool), LSTMState(h, c), params)[0]
+            _, state = run_lstm_batch(x, np.ones((2, 1), dtype=bool), LSTMState(h, c), params)
             return add(reduce_with(state.h), reduce_with(state.c))
         return finite_difference_check(f, tensors)
 
     def lstm_sequence_check(rng):
         params = lstm_params(2, 2)
-        steps = [mat(rng, 2, 2) for _ in range(3)]
-        tensors = steps + [t for _, t in params.named("p")]
+        steps = mat(rng, 3, 2, 2)
+        tensors = [steps] + [t for _, t in params.named("p")]
         def f():
             # re-seeded, so every evaluation draws the same dropout masks; the
             # second row's final state reaches the last position through padding
-            states = run_lstm_batch(
+            _, final = run_lstm_batch(
                 steps, mask, zero_state_batch(2, 2, np.float64), params,
                 drop=Dropout(0.3, np.random.default_rng(5)),
             )
-            return reduce_with(states[-1].h)
+            return reduce_with(final.h)
         return finite_difference_check(f, tensors)
 
     def encoder_check(rng):
         params = EncoderParams.init(2, 2, np.random.default_rng(22), np.float64)
-        target = [mat(rng, 2, 2) for _ in range(2)]
-        sentence = [mat(rng, 2, 2) for _ in range(3)]
+        target, sentence = mat(rng, 2, 2, 2), mat(rng, 3, 2, 2)
         target_mask = np.array([[True, False], [True, True]])
-        tensors = target + sentence + [t for _, t in params.named("enc")]
+        tensors = [target, sentence] + [t for _, t in params.named("enc")]
         def f():
             # the model's conditional encoding: the sentence pair starts
             # from the target pair's final states
-            t_fwd, t_bwd = bilstm_encode_batch(target, target_mask, params.target_fwd, params.target_bwd)
-            s_fwd, s_bwd = bilstm_encode_batch(
-                sentence, mask, params.sent_fwd, params.sent_bwd, init=(t_fwd[-1], t_bwd[0])
+            (_, t_fwd), (_, t_bwd) = bilstm_encode_batch(target, target_mask, params.target_fwd, params.target_bwd)
+            (s_fwd, _), (s_bwd, _) = bilstm_encode_batch(
+                sentence, mask, params.sent_fwd, params.sent_bwd, init=(t_fwd, t_bwd)
             )
-            hidden = concat_cols([s_fwd[1].h, s_bwd[1].h])
-            summary = concat_cols([t_fwd[-1].h, t_bwd[0].h])
+            hidden = concat_cols([s_fwd, s_bwd])  # every position's [h_fwd; h_bwd]
+            summary = concat_cols([t_fwd.h, t_bwd.h])
             return add(reduce_with(summary), reduce_with(hidden))
         return finite_difference_check(f, tensors)
 
     def attention_check(rng):
         params = AttentionParams.init(3, 8, np.random.default_rng(23), np.float64)
-        summary = mat(rng, 2, 4)
-        hiddens = [mat(rng, 2, 4) for _ in range(3)]
-        tensors = [summary] + hiddens + [t for _, t in params.named("att")]
+        summary, hiddens = mat(rng, 2, 4), mat(rng, 3, 2, 4)
+        tensors = [summary, hiddens] + [t for _, t in params.named("att")]
         def f():
             return reduce_with(additive_attention_batch(summary, hiddens, params, mask).s)
         return finite_difference_check(f, tensors)
@@ -545,9 +543,9 @@ def _gradcheck_components():
         # distinct ranks 4 apart per coordinate, so eps perturbations cannot
         # flip any argmax and the maxima fall on different positions
         ranks = np.argsort(rng.random((3, 2, 3)), axis=0)
-        hiddens = [Tensor(4.0 * ranks[j] + rng.uniform(-1.0, 1.0, (2, 3))) for j in range(3)]
+        hiddens = Tensor(4.0 * ranks + rng.uniform(-1.0, 1.0, (3, 2, 3)))
         return finite_difference_check(
-            lambda: reduce_with(max_pool_encode_batch(hiddens, mask)), hiddens
+            lambda: reduce_with(max_pool_encode_batch(hiddens, mask)), [hiddens]
         )
 
     def _tiny_invar_setup():

@@ -3,16 +3,16 @@ dropout, and the gradient-reversal layer.
 
 Conditional encoding is two bilstm_encode_batch calls: the target pair from
 zero states, then the sentence pair from the target's final states. An LSTM
-run (padding and recurrent dropout included) and an attention pool are one
-tape node each, with a hand-written backward. In eval mode (no tape) on more
+run (padding and recurrent dropout included), an attention pool and a max
+pool are one tape node each, with a hand-written backward. In eval mode (no tape) on more
 than one row, LSTM gate products read a contiguous copy of each weight's
 transpose (see _forward_weights), attention splits its weight at the
 summary's width and stacks the positions (_eval_scores), and a large enough
 BiLSTM runs its forward direction on tensor's helper thread. Training and
 1-row batches keep the taped forward's products and bits.
 
-Every layer is row-batched: a sequence is a list of (batch, dim) matrices,
-one per position, with trailing padding marked by a (batch, positions) mask
+Every layer is row-batched: a sequence is one C-contiguous (positions,
+batch, dim) tensor with trailing padding marked by a (batch, positions) mask
 that is True on real tokens. A single example is a batch of one. A layer
 that drops units takes one optional Dropout value; None means eval mode.
 """
@@ -20,7 +20,7 @@ that drops units takes one optional Dropout value; None means eval mode.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -30,12 +30,10 @@ from .tensor import (
     _record,
     accum_product,
     active_tape,
-    blend_rows,
     dropout,
     dropout_factor,
     helper_takes,
     matmul_t,  # unused here: perfbench's tracer counts products through layers.matmul_t
-    maximum,
     on_helper,
     softmax_input_grad,
     softmax_values,
@@ -171,26 +169,24 @@ def _forward_weights(rows: int, *weights: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(w.T for w in weights)
 
 
-def _lstm_cell(
-    x: Tensor, prev: LSTMState, h_in: np.ndarray, params: LSTMParams, wt: tuple, keep: np.ndarray
-):
+def _lstm_cell(x, h_prev, c_prev, h_in, params: LSTMParams, wt: tuple, keep: np.ndarray):
     """One run_lstm_batch step over [x; h_in]; rows where `keep` is False
-    carry prev. wt holds the i, f, o, g gate weights' transposes from
-    _forward_weights. Returns the state and backward(gh, gc) -> h_in's
-    gradient."""
+    carry (h_prev, c_prev). wt holds the i, f, o, g gate weights' transposes
+    from _forward_weights. Returns h, c and backward(gh, gc) -> (h_prev's and
+    c_prev's padding shares, None if no row is padded, c_prev's f*gc, z's
+    gradient)."""
     col = None if keep.all() else keep[:, None]  # None: no padded row
-    z = np.concatenate([x.value, h_in], axis=1)
+    z = np.concatenate([x, h_in], axis=1)
     wt_i, wt_f, wt_o, wt_g = wt
     i = 0.5 * (1.0 + np.tanh(0.5 * (z @ wt_i + params.b_i.value)))
     f = 0.5 * (1.0 + np.tanh(0.5 * (z @ wt_f + params.b_f.value)))
     o = 0.5 * (1.0 + np.tanh(0.5 * (z @ wt_o + params.b_o.value)))
     g = np.tanh(z @ wt_g + params.b_g.value)
-    c_prev = prev.c.value
     c = f * c_prev + i * g
     tc = np.tanh(c)
     h = o * tc
     if col is not None:
-        h = np.where(col, h, prev.h.value)
+        h = np.where(col, h, h_prev)
         c = np.where(col, c, c_prev)
 
     def gate(ga, w, b, gz):
@@ -204,12 +200,13 @@ def _lstm_cell(
         return gz
 
     def backward(gh, gc):
+        h_pad = c_pad = None
         if col is not None:
             if gc is not None:
-                prev.c.accum(gc * ~col)
+                c_pad = gc * ~col
                 gc = gc * col
             if gh is not None:
-                prev.h.accum(gh * ~col)
+                h_pad = gh * ~col
                 gh = gh * col
         go = None
         if gh is not None:
@@ -217,85 +214,103 @@ def _lstm_cell(
             dtc = (gh * o) * (1.0 - tc * tc)
             gc = dtc if gc is None else gc + dtc
         gi, gg, gf = gc * g, gc * i, gc * c_prev
-        prev.c.accum(gc * f)
+        c_f = gc * f
         gz = gate(gg * (1.0 - g * g), params.w_g, params.b_g, None)
         if go is not None:
             gz = gate(go * o * (1.0 - o), params.w_o, params.b_o, gz)
         gz = gate(gf * f * (1.0 - f), params.w_f, params.b_f, gz)
         gz = gate(gi * i * (1.0 - i), params.w_i, params.b_i, gz)
-        cols = x.value.shape[1]
-        x.accum(gz[:, :cols])
-        return gz[:, cols:]
+        return h_pad, c_pad, c_f, gz
 
-    return LSTMState(Tensor(h), Tensor(c)), backward
+    return h, c, backward
+
+
+def _plus(total: np.ndarray | None, g: np.ndarray | None) -> np.ndarray | None:
+    """A local gradient sum in Tensor.accum's order: the first term as it is
+    (a zero-filled start would turn -0.0 into +0.0), each later one added."""
+    if g is None:
+        return total
+    return g if total is None else total + g
 
 
 def run_lstm_batch(
-    steps: Sequence[Tensor],
+    steps: Tensor,
     mask: np.ndarray,
     init: LSTMState,
     params: LSTMParams,
     reverse: bool = False,
     drop: Dropout | None = None,
-) -> list[LSTMState]:
-    """Run an LSTM over padded steps; states returned in position order.
+) -> tuple[Tensor, LSTMState]:
+    """Run an LSTM over the padded (positions, batch, input) sequence steps.
+    Returns (hs, final): every position's h as one (positions, batch, hidden)
+    tensor, and the state after the last processed step, position T-1 going
+    forward and position 0 in reverse.
 
     mask is (batch, positions) with trailing padding. At padded positions the
-    state carries through unchanged, so the state at the last processed step
-    equals each row's true final state, and in reverse each row's first
-    processed position conditions on `init`. With `drop`, an independent
-    mask, drawn just before its step, falls on h_prev entering each step.
+    state carries through unchanged, so final is each row's true final state,
+    and in reverse each row's first processed position conditions on init.
+    With drop, an independent (batch, hidden) mask, drawn just before its
+    step, falls on h_prev entering each step.
 
-    The run is one tape node with every step's h and c as outputs. It keeps
+    The run is one tape node with outputs hs, final.h and final.c. It keeps
     every expression, sum and accumulation of the per-op steps that
     tests/test_lstm_cell.py holds as its oracle, in order, so the two agree
     bit for bit: four per-gate products z @ w.T plus bias (one stacked
     product changes bits on some BLAS builds), sigmoid as 0.5*(1 + tanh(a/2)),
     c = f*c_prev + i*g, h = o*tanh(c). Backward walks the steps in reverse,
     each through the blends, h, c, the gates in g, o, f, i order, then the
-    recurrent dropout into h_prev. Each gate's weight gradient ga.T @ z goes
-    through tensor.accum_product, which runs a large one (the paper's 32-row
-    batches) on the helper thread in queue order while this walk goes on.
+    recurrent dropout into h_prev; a state's gradient is a local sum in the
+    per-op order: its consumers', the next step's padding share, then f*gc
+    or the recurrent input's. Each gate's ga.T @ z goes through
+    tensor.accum_product, which runs a large one on the helper thread.
 
-    With no tape active and more than one row, the four gate products read
-    contiguous copies of the w.T made once before the step loop
-    (_forward_weights), so eval h and c can differ from the taped run's by
-    rounding; training and 1-row runs read the view and keep their bits.
+    With no tape active and more than one row, the gate products read
+    contiguous copies of the w.T (_forward_weights), so eval h and c can
+    differ from the taped run's by rounding.
     """
-    n = len(steps)
-    if not n:
-        raise ValueError("run_lstm_batch: empty sequence")
-    rows = steps[0].value.shape[0]
+    x = steps.value
+    if x.ndim != 3 or not x.shape[0]:
+        raise ValueError(f"run_lstm_batch: empty sequence or not (positions, batch, input): {x.shape}")
+    n, rows, cols = x.shape
     if mask.shape != (rows, n):
         raise ShapeError(f"run_lstm_batch: mask {mask.shape} for {rows} rows of {n} steps")
     hidden, width = params.w_i.value.shape
-    shapes, state = {x.value.shape for x in steps}, {init.h.value.shape, init.c.value.shape}
-    if shapes != {(rows, width - hidden)} or state != {(rows, hidden)}:
-        raise ShapeError(
-            f"run_lstm_batch: steps {sorted(shapes)}, states {sorted(state)} for gates {(hidden, width)}"
-        )
+    state = {init.h.value.shape, init.c.value.shape}
+    if cols != width - hidden or state != {(rows, hidden)}:
+        raise ShapeError(f"run_lstm_batch: steps {x.shape}, states {sorted(state)} for gates {(hidden, width)}")
     tape, rate = active_tape(), 0.0 if drop is None else drop.rate
     wt = _forward_weights(rows, params.w_i.value, params.w_f.value, params.w_o.value, params.w_g.value)
-    states, prev = [init] * n, init
-    taped = []  # (prev, out, backward, dropout factor) per step, only on a tape
+    hs = np.empty((n, rows, hidden), dtype=np.result_type(x, init.h.value))
+    h, c = init.h.value, init.c.value
+    taped = []  # (position, backward, dropout factor) per step, only on a tape
     for t in range(n - 1, -1, -1) if reverse else range(n):
-        factor = dropout_factor(prev.h.shape, prev.h.value.dtype, rate, drop.rng) if rate else None
-        h_in = prev.h.value if factor is None else prev.h.value * factor
-        out, backward = _lstm_cell(steps[t], prev, h_in, params, wt, np.asarray(mask[:, t], dtype=bool))
+        factor = dropout_factor(h.shape, h.dtype, rate, drop.rng) if rate else None
+        h_in = h if factor is None else h * factor
+        h, c, backward = _lstm_cell(x[t], h, c, h_in, params, wt, np.asarray(mask[:, t], dtype=bool))
+        hs[t] = h
         if tape is not None:
-            taped.append((prev, out, backward, factor))
-        states[t] = prev = out
+            taped.append((t, backward, factor))
+    out, final = Tensor(hs), LSTMState(Tensor(h), Tensor(c))
 
-    def run_backward(*_):
-        # a step's gradients are read in its turn, once the next step has added to them
-        for prev, out, backward, factor in reversed(taped):
-            if out.h.grad is not None or out.c.grad is not None:
-                g_in = backward(out.h.grad, out.c.grad)
-                prev.h.accum(g_in if factor is None else g_in * factor)
+    def run_backward(g_hs, g_h, g_c):
+        # the consumers' share of the h of each step, processed k-th
+        shares = [None] * n if g_hs is None else [g_hs[t] for t, _, _ in taped]
+        gh, gc, gx = _plus(g_h, shares[-1]), g_c, np.empty_like(x)
+        for k in range(n - 1, -1, -1):
+            t, backward, factor = taped[k]
+            h_pad, c_pad, c_f, gz = backward(gh, gc)
+            gx[t] = gz[:, :cols]
+            g_in = gz[:, cols:] if factor is None else gz[:, cols:] * factor
+            if k:
+                gh, gc = _plus(_plus(shares[k - 1], h_pad), g_in), _plus(c_pad, c_f)
+        for part, g in ((init.c, c_pad), (init.c, c_f), (init.h, h_pad), (init.h, g_in)):
+            if g is not None:
+                part.accum(g)
+        steps.accum(gx)
 
     if tape is not None:
-        tape.record(tuple(t for s in states for t in (s.h, s.c)), run_backward)
-    return states
+        tape.record((out, final.h, final.c), run_backward)
+    return out, final
 
 
 @dataclass
@@ -324,28 +339,25 @@ class EncoderParams:
 
 
 def bilstm_encode_batch(
-    steps: Sequence[Tensor],
+    steps: Tensor,
     mask: np.ndarray,
     fwd: LSTMParams,
     bwd: LSTMParams,
     drop: Dropout | None = None,
     init: tuple[LSTMState, LSTMState] | None = None,
-) -> tuple[list[LSTMState], list[LSTMState]]:
-    """Forward and backward LSTM states over the same steps, each list in
-    position order. The forward LSTM starts from init[0] and the backward one
-    from init[1]; with init None both start from zero states. Conditional
-    encoding passes a target's (forward[-1], backward[0]) as a sentence's
+) -> tuple[tuple[Tensor, LSTMState], tuple[Tensor, LSTMState]]:
+    """The forward and the backward run_lstm_batch's (hs, final) over the
+    same steps, from init[0] and init[1], or zero states with init None.
+    Conditional encoding passes a target's two final states as a sentence's
     init.
 
     With no tape, no dropout and more than one row, when tensor.helper_takes
     a gate product of rows x hidden x (input + hidden) multiply-adds (17 rows
     or more at the paper's 100/200 with one BLAS thread on two CPUs), the
     forward run goes to the helper thread while this thread runs the
-    backward one. Each run is the same call with the same operands as
-    inline, so every state keeps its bits; an error in the helper's run is
-    raised here. A taped or dropout encoding runs both directions here, in
-    order, so the dropout masks are drawn as before, and so does a batch of
-    one, as predict's.
+    backward one, with the same calls and bits as inline; an error in the
+    helper's run is raised here. Taped, dropout and 1-row encodings run both
+    directions here, in order, so the dropout masks are drawn as before.
     """
     rows, (hidden, width) = mask.shape[0], fwd.w_i.value.shape
     if init is None:
@@ -365,58 +377,55 @@ def bilstm_encode_batch(
 
 def additive_attention_batch(
     target_summary: Tensor,
-    hiddens: Sequence[Tensor],
+    hiddens: Tensor,
     params: AttentionParams,
     mask: np.ndarray,
 ) -> AttentionOutput:
-    """Score positions with v . tanh(w [summary; h_j]), softmax, weighted sum.
+    """Score the positions of the (positions, batch, dim) sequence hiddens
+    with v . tanh(w [summary; h_j]), softmax, weighted sum.
 
     mask is (batch, positions) with trailing padding; masked positions get
     weight exactly 0. The pool is one tape node with outputs s and alpha that
     keeps the products, operands and accumulation order of the per-op pool in
-    tests/test_attention.py, so the two agree bit for bit. Backward: s's share
-    into each h_j and alpha in increasing j, softmax, score path in decreasing j;
-    each position's w gradient goes through tensor.accum_product, so a large
-    one runs on the helper thread, as in run_lstm_batch.
+    tests/test_attention.py, so the two agree bit for bit. Backward: s's
+    share into each h_j and alpha in increasing j, softmax, score path in
+    decreasing j, into one hiddens gradient; each position's w gradient goes
+    through tensor.accum_product, as in run_lstm_batch.
 
     With no tape active and more than one row, the scores come from
-    _eval_scores: the summary's share of the product once per pool, then the
-    positions' shares stacked, so eval s and alpha can differ from the taped
-    pool's by rounding; training and 1-row pools keep the per-position
-    products and their bits.
+    _eval_scores, so eval s and alpha can differ from the taped pool's by
+    rounding; training and 1-row pools keep the per-position products.
     """
-    summary, w, v = target_summary.value, params.w.value, params.v.value
+    summary, hid, w, v = target_summary.value, hiddens.value, params.w.value, params.v.value
     rows, k = summary.shape if summary.ndim == 2 else (None, 0)
-    shapes = {h.value.shape for h in hiddens}
-    if shapes != {(rows, w.shape[1] - k)} or v.shape != (w.shape[0],):
-        raise ShapeError(
-            f"additive_attention_batch: summary {summary.shape}, hiddens {sorted(shapes)}, w {w.shape}"
-        )
-    tape = active_tape()
+    if hid.ndim != 3 or not hid.shape[0] or hid.shape[1:] != (rows, w.shape[1] - k) or v.shape != (w.shape[0],):
+        raise ShapeError(f"additive_attention_batch: summary {summary.shape}, hiddens {hid.shape}, w {w.shape}")
+    n, tape = hid.shape[0], active_tape()
     kept = []  # each position's z and tanh, only on a tape
     if tape is None and rows > 1:
-        scores = _eval_scores(summary, [h.value for h in hiddens], w, v)
+        scores = _eval_scores(summary, hid, w, v)
     else:
         columns = []
-        for h in hiddens:
-            z = np.concatenate([summary, h.value], axis=1)
+        for j in range(n):
+            z = np.concatenate([summary, hid[j]], axis=1)
             t = np.tanh(z @ w.T)
             columns.append(t @ v)
             if tape is not None:
                 kept.append((z, t))
         scores = np.stack(columns, axis=1)
     p = softmax_values(scores, mask)
-    total = hiddens[0].value * p[:, 0, None]
-    for j in range(1, len(hiddens)):
-        total = total + hiddens[j].value * p[:, j, None]
+    total = hid[0] * p[:, 0, None]
+    for j in range(1, n):
+        total = total + hid[j] * p[:, j, None]
     out = AttentionOutput(s=Tensor(total), alpha=Tensor(p))
 
     def backward(gs, galpha):
+        gh = np.empty_like(hid)  # every position's score path adds to it
         if gs is not None:
             galpha = np.zeros_like(p) if galpha is None else galpha
-            for j, h in enumerate(hiddens):
-                h.accum(gs * p[:, j, None])
-                galpha[:, j] += (gs * h.value).sum(axis=1)
+            for j in range(n):
+                gh[j] = gs * p[:, j, None]
+                galpha[:, j] += (gs * hid[j]).sum(axis=1)
         gscore = softmax_input_grad(p, galpha)
         for j, (z, t) in reversed(list(enumerate(kept))):
             g = np.array(gscore[:, j])  # a copy, as the per-op column's accum made
@@ -425,7 +434,8 @@ def additive_attention_batch(
             gz = ga @ w
             accum_product(params.w, ga, z)
             target_summary.accum(gz[:, :k])
-            hiddens[j].accum(gz[:, k:])
+            gh[j] = gz[:, k:] if gs is None else gh[j] + gz[:, k:]
+        hiddens.accum(gh)
 
     if tape is not None:
         tape.record((out.s, out.alpha), backward)
@@ -435,12 +445,12 @@ def additive_attention_batch(
 EVAL_POSITIONS_PER_PRODUCT = 8
 
 
-def _eval_scores(summary: np.ndarray, hiddens: list[np.ndarray], w: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _eval_scores(summary: np.ndarray, hiddens: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """additive_attention_batch's (rows, positions) scores with no tape:
     v . tanh(q + h_j @ w_h.T), where w = [w_s w_h] splits at the summary's
     width and q = summary @ w_s.T is computed once. The positions' products
-    are stacked, EVAL_POSITIONS_PER_PRODUCT at a time, which bounds the
-    scratch arrays at that many rows per batch row.
+    are stacked, EVAL_POSITIONS_PER_PRODUCT at a time, each a reshaped slice
+    of the (positions, rows, dim) hiddens, which bounds the scratch arrays.
 
     Both products read views of w: in float32 on one OpenBLAS 0.3.31 thread
     (x86_64, Haswell kernels), a paper-size pool of 32 rows and 20 positions
@@ -448,31 +458,50 @@ def _eval_scores(summary: np.ndarray, hiddens: list[np.ndarray], w: np.ndarray, 
     two transposes, whose making costs more than it saves, and 7-8 ms with
     one [summary; h_j] product per position against a contiguous w.T.
     """
-    rows, k = summary.shape
+    (rows, k), (n, _, d) = summary.shape, hiddens.shape
     q = summary @ w[:, :k].T
     wt_h = w[:, k:].T
-    scores = np.empty((rows, len(hiddens)), dtype=summary.dtype)
-    for lo in range(0, len(hiddens), EVAL_POSITIONS_PER_PRODUCT):
+    scores = np.empty((rows, n), dtype=summary.dtype)
+    for lo in range(0, n, EVAL_POSITIONS_PER_PRODUCT):
         chunk = hiddens[lo : lo + EVAL_POSITIONS_PER_PRODUCT]
-        a = (np.concatenate(chunk) @ wt_h).reshape(len(chunk), rows, -1)  # position-major
+        a = (chunk.reshape(-1, d) @ wt_h).reshape(len(chunk), rows, -1)  # position-major
         a += q
         np.tanh(a, out=a)
         scores[:, lo : lo + len(chunk)] = (a @ v).T
     return scores
 
 
-def max_pool_encode_batch(hiddens: Sequence[Tensor], mask: np.ndarray) -> Tensor:
-    """Coordinatewise max over each row's real positions; ties favor the
-    earliest. mask is (batch, positions) and position 0 must be real;
-    padded rows keep their running max."""
+def max_pool_encode_batch(hiddens: Tensor, mask: np.ndarray) -> Tensor:
+    """Coordinatewise max over each row's real positions of the (positions,
+    batch, dim) sequence hiddens. mask is (batch, positions) and position 0
+    must be real; padded rows keep their running max.
+
+    One tape node that replays the per-op chain, bit for bit: m_j =
+    maximum(m_{j-1}, h_j), blended back to m_{j-1} on the rows padded at j.
+    A tie sends the gradient to m_{j-1}, so to the earliest position.
+    """
     if not mask[:, 0].all():
         raise ValueError("max_pool_encode_batch: padding must be trailing")
-    out = hiddens[0]
-    for j in range(1, len(hiddens)):
-        keep = mask[:, j]
-        cand = maximum(out, hiddens[j])
-        out = cand if keep.all() else blend_rows(cand, out, keep)
-    return out
+    hid, taped = hiddens.value, active_tape() is not None
+    out, chain = hid[0], []  # per position j >= 1 on a tape: (running max won, blend column or None)
+    for j in range(1, hid.shape[0]):
+        col = None if mask[:, j].all() else np.asarray(mask[:, j], dtype=bool)[:, None]
+        cand = np.maximum(out, hid[j])
+        if taped:
+            chain.append((out >= hid[j], col))
+        out = cand if col is None else np.where(col, cand, out)
+
+    def backward(g):
+        gh = np.empty_like(hid)
+        for j in range(len(chain), 0, -1):
+            take, col = chain[j - 1]
+            g_cand, g_old = (g, None) if col is None else (g * col, g * ~col)
+            gh[j] = g_cand * ~take
+            g = _plus(g_old, g_cand * take)
+        gh[0] = g
+        hiddens.accum(gh)
+
+    return _record(Tensor(out), backward)
 
 
 def grl(x: Tensor) -> Tensor:

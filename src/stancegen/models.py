@@ -237,8 +237,9 @@ def length_sorted_batches(examples: list[Example], batch_size: int) -> list[list
     return [order[lo : lo + batch_size] for lo in range(0, len(order), batch_size)]
 
 
-def _embed_steps(model: Model, ids: np.ndarray) -> list[Tensor]:
-    return [Tensor(model.embeddings.values[ids[:, t]].astype(model.dtype)) for t in range(ids.shape[1])]
+def _embed_steps(model: Model, ids: np.ndarray) -> Tensor:
+    """The (positions, batch, embed) sequence of a (batch, positions) id matrix."""
+    return Tensor(model.embeddings.values[ids.T].astype(model.dtype))
 
 
 def _stance_head_batch(model: Model, s: Tensor) -> Tensor:
@@ -293,11 +294,11 @@ def model_forward_batch(
     s_ids, s_mask = pad_id_batch([ex.sentence_ids for ex in examples])
     drop = Dropout(dropout, rng) if train_mode else None
 
-    def post(mats):
-        return mats if drop is None else [drop(m) for m in mats]
+    post = (lambda x: x) if drop is None else drop
 
-    def hidden_rows(fwd, bwd):
-        return post([concat_cols([f.h, b.h]) for f, b in zip(fwd, bwd)])
+    def hidden(pair):  # every position's [h_fwd; h_bwd]
+        (f_hs, _), (b_hs, _) = pair
+        return post(concat_cols([f_hs, b_hs]))
 
     sent = post(_embed_steps(model, s_ids))
     tgt = post(_embed_steps(model, t_ids))
@@ -307,20 +308,19 @@ def model_forward_batch(
     sentence_reprs: list[Tensor] = []
     for branch in model.branches:
         enc = branch.encoder
-        t_fwd, t_bwd = bilstm_encode_batch(tgt, t_mask, enc.target_fwd, enc.target_bwd, drop)
+        target = bilstm_encode_batch(tgt, t_mask, enc.target_fwd, enc.target_bwd, drop)
         if branch.attention is not None:
-            s_fwd, s_bwd = bilstm_encode_batch(
-                sent, s_mask, enc.sent_fwd, enc.sent_bwd, drop, init=(t_fwd[-1], t_bwd[0])
-            )
-            hiddens = hidden_rows(s_fwd, s_bwd)
-            summary = post([concat_cols([t_fwd[-1].h, t_bwd[0].h])])[0]
+            (_, t_fwd), (_, t_bwd) = target
+            sentence = bilstm_encode_batch(sent, s_mask, enc.sent_fwd, enc.sent_bwd, drop, init=(t_fwd, t_bwd))
+            hiddens = hidden(sentence)
+            summary = post(concat_cols([t_fwd.h, t_bwd.h]))
             att = additive_attention_batch(summary, hiddens, branch.attention, s_mask)
             attentions.append(att)
             stance_reprs.append(att.s)
             sentence_reprs.append(att.s)
         else:
-            t_hidden = hidden_rows(t_fwd, t_bwd)
-            s_hidden = hidden_rows(*bilstm_encode_batch(sent, s_mask, enc.sent_fwd, enc.sent_bwd, drop))
+            t_hidden = hidden(target)
+            s_hidden = hidden(bilstm_encode_batch(sent, s_mask, enc.sent_fwd, enc.sent_bwd, drop))
             t_pool = max_pool_encode_batch(t_hidden, t_mask)
             s_pool = max_pool_encode_batch(s_hidden, s_mask)
             stance_reprs.append(concat_cols([t_pool, s_pool]))

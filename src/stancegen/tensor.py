@@ -1,13 +1,14 @@
 """Dense tensor engine with a recorded tape and reverse-mode gradients.
 
-Tensors are thin wrappers around rank-0/1/2 numpy arrays. Running an
-operation while a Tape is active records a node with a backward closure;
+Tensors are thin wrappers around rank-0 to rank-3 numpy arrays, a sequence
+being one C-contiguous (positions, batch, dim) array. Running an operation
+while a Tape is active records a node with a backward closure;
 ``Tape.backward`` replays the nodes in reverse insertion order and
 accumulates gradients additively across fan-out. A node may have several
-outputs (an LSTM run's every h and c, attention's s and alpha): it is
+outputs (an LSTM run's hs and final h and c, attention's s and alpha): it is
 replayed in its turn when any output has a gradient, and its closure gets
-one gradient per output, None for an output that has none. With no active
-tape, operations compute values only (cheap inference path).
+one gradient per output, None for one that has none. With no active tape,
+operations compute values only (cheap inference path).
 
 A tape and the tensors recorded on it belong to the thread that recorded
 them; the active-tape stack is thread-local so independent tapes may run on
@@ -320,19 +321,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, backward)
 
 
-def maximum(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise max; ties route the gradient to the first argument."""
-    _same_shape("maximum", a, b)
-    out = Tensor(np.maximum(a.value, b.value))
-
-    def backward(g):
-        take_a = a.value >= b.value
-        a.accum(g * take_a)
-        b.accum(g * ~take_a)
-
-    return _record(out, backward)
-
-
 def matvec(w: Tensor, x: Tensor) -> Tensor:
     """Matrix-vector product: (m, n) @ (n,) -> (m,)."""
     if w.value.ndim != 2 or x.value.ndim != 1 or w.value.shape[1] != x.value.shape[0]:
@@ -360,20 +348,20 @@ def matmul_t(a: Tensor, w: Tensor) -> Tensor:
 
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    """Column-concatenate rank-2 tensors sharing a row count."""
+    """Concatenate (B, d) matrices or (T, B, d) sequences along the last axis."""
     if not parts:
         raise ValueError("concat_cols requires at least one part")
-    rows = parts[0].value.shape[0]
+    lead = parts[0].value.shape[:-1]
     for p in parts:
-        if p.value.ndim != 2 or p.value.shape[0] != rows:
+        if p.value.ndim < 2 or p.value.shape[:-1] != lead:
             raise ShapeError(f"concat_cols: incompatible shape {p.value.shape}")
     parts = list(parts)
-    out = Tensor(np.concatenate([p.value for p in parts], axis=1))
-    offsets = np.cumsum([0] + [p.value.shape[1] for p in parts])
+    out = Tensor(np.concatenate([p.value for p in parts], axis=-1))
+    offsets = np.cumsum([0] + [p.value.shape[-1] for p in parts])
 
     def backward(g):
         for p, lo, hi in zip(parts, offsets, offsets[1:]):
-            p.accum(g[:, lo:hi])
+            p.accum(g[..., lo:hi])
 
     return _record(out, backward)
 
@@ -387,23 +375,6 @@ def add_rowvec(m: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         m.accum(g)
         b.accum(g.sum(axis=0))
-
-    return _record(out, backward)
-
-
-def blend_rows(new: Tensor, old: Tensor, keep_new: np.ndarray) -> Tensor:
-    """Per-row select: rows where keep_new is true come from `new`, else `old`."""
-    if new.value.shape != old.value.shape or new.value.ndim != 2:
-        raise ShapeError(f"blend_rows: {new.value.shape} vs {old.value.shape}")
-    keep = np.asarray(keep_new, dtype=bool)
-    if keep.shape != (new.value.shape[0],):
-        raise ShapeError(f"blend_rows: mask {keep.shape}")
-    col = keep[:, None]
-    out = Tensor(np.where(col, new.value, old.value))
-
-    def backward(g):
-        new.accum(g * col)
-        old.accum(g * ~col)
 
     return _record(out, backward)
 

@@ -2,8 +2,11 @@
 
 `reference_additive_attention_batch`, `reference_stack_cols` and
 `reference_weighted_sum` are the attention layer and the two tensor ops it
-called before the pool became one tape node, copied verbatim. Every value
-and every gradient the fused node produces must have the same bytes.
+called before the pool became one tape node, copied verbatim. They read
+per-position (batch, dim) tensors; the fused node reads one (positions,
+batch, dim) sequence, which the reference reaches only through the
+`unstack` adapter of tests/sequences.py. Every value and every gradient the fused node
+produces must have the same bytes.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from typing import Sequence
 import numpy as np
 import pytest
 
+from sequences import unstack
 from stancegen.errors import ShapeError
 from stancegen.layers import AttentionOutput, AttentionParams, additive_attention_batch
 from stancegen.tensor import (
@@ -92,6 +96,13 @@ def reference_additive_attention_batch(
     return AttentionOutput(s=reference_weighted_sum(alpha, hiddens), alpha=alpha)
 
 
+# ----------------------------------------------------------- layout adapter
+
+
+def reference_pool(target_summary, hiddens, params, mask):
+    return reference_additive_attention_batch(target_summary, unstack(hiddens), params, mask)
+
+
 # ------------------------------------------------------------------ helpers
 
 DIMS = [(6, 4), (8, 6), (400, 200)]  # (attention, hidden); inputs are 2*hidden wide
@@ -124,14 +135,15 @@ class Case:
         init = AttentionParams.init(attn, 4 * hidden, rng, dtype)
         self.w, self.v = init.w.value, init.v.value
         self.summary = rng.uniform(-1, 1, (rows, 2 * hidden)).astype(dtype)
-        self.hiddens = [rng.uniform(-1, 1, (rows, 2 * hidden)).astype(dtype) for _ in range(POSITIONS)]
+        self.hiddens = rng.uniform(-1, 1, (POSITIONS, rows, 2 * hidden)).astype(dtype)
         self.coeffs = [rng.uniform(-1.5, 1.5, (rows, n)).astype(dtype) for n in (2 * hidden, POSITIONS)]
+        self.coeffs.append(rng.uniform(-1.5, 1.5, self.hiddens.shape).astype(dtype))
         self.mask = ragged_mask(rows, POSITIONS)
 
     def run(self, attention, precision, read):
         params = AttentionParams(w=Tensor(self.w.copy()), v=Tensor(self.v.copy()))
         summary = Tensor(self.summary.copy())
-        hiddens = [Tensor(h.copy()) for h in self.hiddens]
+        hiddens = Tensor(self.hiddens.copy())
         with Tape(precision) as tape:
             out = attention(summary, hiddens, params, self.mask)
             if read == "s":
@@ -143,11 +155,10 @@ class Case:
                 # input already holds a gradient when the pool adds its own
                 root = add(weighted(out.s, self.coeffs[0]), weighted(out.alpha, self.coeffs[1]))
                 root = add(root, weighted(summary, self.coeffs[0]))
-                root = add(root, weighted(hiddens[0], self.coeffs[0]))
+                root = add(root, weighted(hiddens, self.coeffs[2]))
             tape.backward(root)
         values = {"s": out.s.value, "alpha": out.alpha.value}
-        grads = {"w": params.w.grad, "v": params.v.grad, "summary": summary.grad}
-        grads.update({f"h{j}": h.grad for j, h in enumerate(hiddens)})
+        grads = {"w": params.w.grad, "v": params.v.grad, "summary": summary.grad, "hiddens": hiddens.grad}
         return values, grads
 
 
@@ -161,7 +172,7 @@ def test_attention_matches_the_per_op_pool(precision, attn, hidden, rows):
     case = Case(np.random.default_rng([rows, attn, hidden]), PRECISIONS[precision], rows, attn, hidden)
     for read in ("s", "alpha", "s+alpha"):
         fused, fused_grads = case.run(additive_attention_batch, precision, read)
-        ref, ref_grads = case.run(reference_additive_attention_batch, precision, read)
+        ref, ref_grads = case.run(reference_pool, precision, read)
         for name in ("s", "alpha"):
             assert_same_bits(f"{name} read={read}", fused[name], ref[name])
         assert fused_grads.keys() == ref_grads.keys()
@@ -173,5 +184,5 @@ def test_attention_records_one_node():
     case = Case(np.random.default_rng(1), np.float32, 3, 6, 4)
     params = AttentionParams(w=Tensor(case.w), v=Tensor(case.v))
     with Tape("float32") as tape:
-        additive_attention_batch(Tensor(case.summary), [Tensor(h) for h in case.hiddens], params, case.mask)
+        additive_attention_batch(Tensor(case.summary), Tensor(case.hiddens), params, case.mask)
     assert len(tape) == 1

@@ -79,15 +79,16 @@ def test_untaped_lstm_run_agrees_with_the_taped_run(precision, input_dim, hidden
     dtype = PRECISIONS[precision]
     rng = np.random.default_rng([rows, input_dim, hidden, reverse])
     params = LSTMParams.init(input_dim, hidden, rng, dtype)
-    steps = [Tensor(uniform(rng, (rows, input_dim), dtype)) for _ in range(POSITIONS)]
+    steps = Tensor(uniform(rng, (POSITIONS, rows, input_dim), dtype))
     init = LSTMState(Tensor(uniform(rng, (rows, hidden), dtype)), Tensor(uniform(rng, (rows, hidden), dtype)))
     mask = padded_mask(rows)
     with Tape(precision):
-        taped = run_lstm_batch(steps, mask, init, params, reverse=reverse)
-    untaped = run_lstm_batch(steps, mask, init, params, reverse=reverse)
-    for t, (a, b) in enumerate(zip(untaped, taped)):
-        assert_agree(f"h[{t}]", a.h.value, b.h.value, rows)
-        assert_agree(f"c[{t}]", a.c.value, b.c.value, rows)
+        taped_hs, taped = run_lstm_batch(steps, mask, init, params, reverse=reverse)
+    untaped_hs, untaped = run_lstm_batch(steps, mask, init, params, reverse=reverse)
+    for t in range(POSITIONS):
+        assert_agree(f"h[{t}]", untaped_hs.value[t], taped_hs.value[t], rows)
+    assert_agree("final h", untaped.h.value, taped.h.value, rows)
+    assert_agree("final c", untaped.c.value, taped.c.value, rows)
 
 
 def check_attention(precision, hidden, attn, rows, positions, seed):
@@ -95,7 +96,7 @@ def check_attention(precision, hidden, attn, rows, positions, seed):
     rng = np.random.default_rng(seed)
     params = AttentionParams.init(attn, 4 * hidden, rng, dtype)
     summary = Tensor(uniform(rng, (rows, 2 * hidden), dtype))
-    hiddens = [Tensor(uniform(rng, (rows, 2 * hidden), dtype)) for _ in range(positions)]
+    hiddens = Tensor(uniform(rng, (positions, rows, 2 * hidden), dtype))
     mask = padded_mask(rows, positions)
     with Tape(precision):
         taped = additive_attention_batch(summary, hiddens, params, mask)

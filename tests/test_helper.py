@@ -100,14 +100,14 @@ def lstm_case(precision, reverse):
     rng = np.random.default_rng(5)
     rows, n = 5, 6
     params = LSTMParams.init(7, 4, rng, dtype)
-    steps = [Tensor(rng.uniform(-1, 1, (rows, 7)).astype(dtype)) for _ in range(n)]
+    steps = Tensor(rng.uniform(-1, 1, (n, rows, 7)).astype(dtype))
     init = LSTMState(*(Tensor(rng.uniform(-1, 1, (rows, 4)).astype(dtype)) for _ in range(2)))
     with Tape(precision) as tape:
-        states = run_lstm_batch(
+        hs, final = run_lstm_batch(
             steps, ragged_mask(rows, n), init, params, reverse=reverse, drop=Dropout(0.3, rng)
         )
-        tape.backward(weighted_sum([t for s in states for t in (s.h, s.c)], rng, dtype))
-    leaves = dict(params.named("lstm"), **{f"step {j}": s for j, s in enumerate(steps)})
+        tape.backward(weighted_sum([hs, final.h, final.c], rng, dtype))
+    leaves = dict(params.named("lstm"), steps=steps)
     leaves.update({"init.h": init.h, "init.c": init.c})
     return adam_bytes(leaves)
 
@@ -118,12 +118,11 @@ def attention_case(precision):
     rows, n = 5, 6
     params = AttentionParams.init(5, 3 + 8, rng, dtype)
     summary = Tensor(rng.uniform(-1, 1, (rows, 3)).astype(dtype))
-    hiddens = [Tensor(rng.uniform(-1, 1, (rows, 8)).astype(dtype)) for _ in range(n)]
+    hiddens = Tensor(rng.uniform(-1, 1, (n, rows, 8)).astype(dtype))
     with Tape(precision) as tape:
         out = additive_attention_batch(summary, hiddens, params, ragged_mask(rows, n))
         tape.backward(weighted_sum([out.s, out.alpha], rng, dtype))
-    leaves = dict(params.named("attention"), summary=summary)
-    leaves.update({f"h {j}": h for j, h in enumerate(hiddens)})
+    leaves = dict(params.named("attention"), summary=summary, hiddens=hiddens)
     return adam_bytes(leaves)
 
 
@@ -350,12 +349,12 @@ def test_a_helper_error_surfaces_from_backward_and_the_helper_serves_the_next(mo
     monkeypatch.setattr(T, "HELPER", True)
     rng = np.random.default_rng(5)
     params = LSTMParams.init(7, 4, rng, np.float32)
-    steps = [Tensor(rng.uniform(-1, 1, (5, 7)).astype(np.float32)) for _ in range(6)]
+    steps = Tensor(rng.uniform(-1, 1, (6, 5, 7)).astype(np.float32))
     init = LSTMState(*(Tensor(rng.uniform(-1, 1, (5, 4)).astype(np.float32)) for _ in range(2)))
     params.w_f.grad = np.zeros((1, 1, 1), dtype=np.float32)  # every += into it fails
     with Tape("float32") as tape:
-        states = run_lstm_batch(steps, ragged_mask(5, 6), init, params, drop=Dropout(0.3, rng))
-        root = weighted_sum([t for s in states for t in (s.h, s.c)], rng, np.float32)
+        hs, final = run_lstm_batch(steps, ragged_mask(5, 6), init, params, drop=Dropout(0.3, rng))
+        root = weighted_sum([hs, final.h, final.c], rng, np.float32)
         with pytest.raises(ValueError):
             tape.backward(root)
     assert T._JOBS.empty() and not T._ERRORS
@@ -368,14 +367,13 @@ def test_no_job_is_pending_when_backward_raises_on_the_main_thread(forced):
     rng = np.random.default_rng(2)
     params = AttentionParams.init(5, 11, rng, np.float32)
     summary = Tensor(rng.uniform(-1, 1, (4, 3)).astype(np.float32))
-    first = Tensor(rng.uniform(-1, 1, (4, 8)).astype(np.float32))
+    values = rng.uniform(-1, 1, (6, 4, 8)).astype(np.float32)
 
     def fail(g):
         raise RuntimeError("planted")
 
     with Tape("float32") as tape:
-        gate = _record(Tensor(first.value.copy()), fail)  # replayed last
-        hiddens = [gate] + [Tensor(rng.uniform(-1, 1, (4, 8)).astype(np.float32)) for _ in range(5)]
+        hiddens = _record(Tensor(values), fail)  # replayed last
         out = additive_attention_batch(summary, hiddens, params, ragged_mask(4, 6))
         with pytest.raises(RuntimeError, match="planted"):
             tape.backward(weighted_sum([out.s], rng, np.float32))
@@ -432,19 +430,20 @@ def runs(monkeypatch):
 
 
 def encode_case(precision, from_target, rows=5):
-    """Every h and c of an untaped BiLSTM over ragged steps, from zero states
-    or from a ragged target pair's final states."""
+    """Every output of an untaped BiLSTM over ragged steps (each direction's
+    hidden sequence and final h and c), from zero states or from a ragged
+    target pair's final states."""
     dtype = PRECISIONS[precision]
     rng = np.random.default_rng(9)
     fwd, bwd, t_fwd, t_bwd = (LSTMParams.init(7, 4, rng, dtype) for _ in range(4))
-    steps = [Tensor(rng.uniform(-1, 1, (rows, 7)).astype(dtype)) for _ in range(6)]
+    steps = Tensor(rng.uniform(-1, 1, (6, rows, 7)).astype(dtype))
     init = None
     if from_target:
-        target = [Tensor(rng.uniform(-1, 1, (rows, 7)).astype(dtype)) for _ in range(3)]
-        tf, tb = bilstm_encode_batch(target, ragged_mask(rows, 3), t_fwd, t_bwd)
-        init = (tf[-1], tb[0])
-    f, b = bilstm_encode_batch(steps, ragged_mask(rows, 6), fwd, bwd, init=init)
-    return [t.value.tobytes() for s in f + b for t in (s.h, s.c)]
+        target = Tensor(rng.uniform(-1, 1, (3, rows, 7)).astype(dtype))
+        (_, tf), (_, tb) = bilstm_encode_batch(target, ragged_mask(rows, 3), t_fwd, t_bwd)
+        init = (tf, tb)
+    runs = bilstm_encode_batch(steps, ragged_mask(rows, 6), fwd, bwd, init=init)
+    return [t.value.tobytes() for hs, final in runs for t in (hs, final.h, final.c)]
 
 
 def eval_case(precision):

@@ -1,6 +1,9 @@
+from typing import Sequence
+
 import numpy as np
 import pytest
 
+from sequences import unstack
 from stancegen.layers import (
     AttentionParams,
     Dropout,
@@ -17,6 +20,9 @@ from stancegen.layers import (
 from stancegen.errors import ShapeError
 from stancegen.tensor import (
     Tape,
+    Tensor,
+    _record,
+    _same_shape,
     add,
     concat_cols,
     finite_difference_check,
@@ -58,8 +64,8 @@ def param_list(p):
 
 
 def _pad_batch(seqs, dim):
-    """Per-position (batch, dim) steps and the (batch, positions) mask of a
-    ragged batch with trailing zero padding."""
+    """The (positions, batch, dim) sequence and the (batch, positions) mask
+    of a ragged batch with trailing zero padding."""
     n = max(len(s) for s in seqs)
     batch = len(seqs)
     steps = np.zeros((n, batch, dim))
@@ -68,28 +74,28 @@ def _pad_batch(seqs, dim):
         for t, v in enumerate(s):
             steps[t, i] = v
             mask[i, t] = True
-    return [t64(steps[t]) for t in range(n)], mask
+    return t64(steps), mask
 
 
 def bilstm_hiddens(steps, mask, fwd, bwd, drop=None, init=None):
-    """Per-position [h_fwd; h_bwd] rows of one bilstm_encode_batch call."""
-    f, b = bilstm_encode_batch(steps, mask, fwd, bwd, drop, init)
-    return [concat_cols([fj.h, bj.h]) for fj, bj in zip(f, b)]
+    """Every position's [h_fwd; h_bwd] from one bilstm_encode_batch call."""
+    (f, _), (b, _) = bilstm_encode_batch(steps, mask, fwd, bwd, drop, init)
+    return concat_cols([f, b])
 
 
 def conditional_encode(t_steps, t_mask, s_steps, s_mask, enc, drop=None):
     """Conditional encoding as the model runs it: the sentence pair starts
-    from the target pair's final states. Returns the sentence's per-position
-    rows and the target summary [h_fwd_last; h_bwd_first]."""
-    t_fwd, t_bwd = bilstm_encode_batch(t_steps, t_mask, enc.target_fwd, enc.target_bwd, drop)
-    init = (t_fwd[-1], t_bwd[0])
-    hiddens = bilstm_hiddens(s_steps, s_mask, enc.sent_fwd, enc.sent_bwd, drop, init)
-    return hiddens, concat_cols([t_fwd[-1].h, t_bwd[0].h])
+    from the target pair's final states. Returns the sentence's [h_fwd; h_bwd]
+    sequence and the target summary [h_fwd_last; h_bwd_first]."""
+    (_, t_fwd), (_, t_bwd) = bilstm_encode_batch(t_steps, t_mask, enc.target_fwd, enc.target_bwd, drop)
+    hiddens = bilstm_hiddens(s_steps, s_mask, enc.sent_fwd, enc.sent_bwd, drop, (t_fwd, t_bwd))
+    return hiddens, concat_cols([t_fwd.h, t_bwd.h])
 
 
 def lstm_step(x, prev, p):
-    """One LSTM step: a one-step run over rows with no padding."""
-    return run_lstm_batch([x], np.ones((x.value.shape[0], 1), dtype=bool), prev, p)[0]
+    """One LSTM step over a (1, batch, input) sequence with no padding: the
+    final state of a one-step run."""
+    return run_lstm_batch(x, np.ones((x.value.shape[1], 1), dtype=bool), prev, p)[1]
 
 
 # --------------------------------------------------------------- lstm_step
@@ -97,7 +103,7 @@ def lstm_step(x, prev, p):
 
 def test_lstm_step_zero_params_zero_state():
     p = zero_lstm_params(2, 3)
-    out = lstm_step(t64([[5.0, -1.0], [0.5, 2.0]]), zero_state_batch(2, 3, F64), p)
+    out = lstm_step(t64([[[5.0, -1.0], [0.5, 2.0]]]), zero_state_batch(2, 3, F64), p)
     assert np.array_equal(out.h.value, np.zeros((2, 3)))
     assert np.array_equal(out.c.value, np.zeros((2, 3)))
 
@@ -106,7 +112,7 @@ def test_lstm_step_zero_params_cell_carry():
     # gates sigmoid(0) = 0.5 and candidate tanh(0) = 0, so c = 0.5 * c_prev
     p = zero_lstm_params(1, 1)
     prev = LSTMState(t64([[0.0]]), t64([[1.0]]))
-    out = lstm_step(t64([[0.0]]), prev, p)
+    out = lstm_step(t64([[[0.0]]]), prev, p)
     assert np.allclose(out.c.value, [[0.5]], atol=1e-12)
     assert np.allclose(out.h.value, [[0.5 * np.tanh(0.5)]], atol=1e-12)
     assert abs(out.h.value[0, 0] - 0.23106) < 1e-5
@@ -115,19 +121,21 @@ def test_lstm_step_zero_params_cell_carry():
 def test_lstm_step_saturated_forget_gate_preserves_cell():
     p = zero_lstm_params(1, 1, forget_bias=50.0)
     prev = LSTMState(t64([[0.0], [0.0]]), t64([[2.0], [-3.0]]))
-    out = lstm_step(t64([[0.0], [0.0]]), prev, p)
+    out = lstm_step(t64([[[0.0], [0.0]]]), prev, p)
     assert np.allclose(out.c.value, [[2.0], [-3.0]], atol=1e-6)
 
 
 def test_lstm_step_dimension_mismatch():
     p = zero_lstm_params(2, 3)
     # a wrong mask shape is test_run_lstm_rejects_time_by_batch_mask's
-    with pytest.raises(ShapeError, match=r"steps \[\(1, 1\)\]"):
-        lstm_step(t64([[1.0]]), zero_state_batch(1, 3, F64), p)
+    with pytest.raises(ShapeError, match=r"steps \(1, 1, 1\)"):
+        lstm_step(t64([[[1.0]]]), zero_state_batch(1, 3, F64), p)
     with pytest.raises(ShapeError, match=r"states \[\(1, 2\)\]"):
-        lstm_step(t64([[1.0, 2.0]]), zero_state_batch(1, 2, F64), p)
+        lstm_step(t64([[[1.0, 2.0]]]), zero_state_batch(1, 2, F64), p)
     with pytest.raises(ShapeError, match=r"states \[\(1, 3\), \(2, 3\)\]"):
-        lstm_step(t64([[1.0, 2.0]]), LSTMState(t64(np.zeros((1, 3))), t64(np.zeros((2, 3)))), p)
+        lstm_step(t64([[[1.0, 2.0]]]), LSTMState(t64(np.zeros((1, 3))), t64(np.zeros((2, 3)))), p)
+    with pytest.raises(ValueError, match=r"\(1, 2\)"):  # a (batch, input) matrix is no sequence
+        run_lstm_batch(t64([[1.0, 2.0]]), np.ones((1, 1), dtype=bool), zero_state_batch(1, 3, F64), p)
 
 
 def test_lstm_params_init_invariants():
@@ -150,10 +158,10 @@ def test_lstm_params_init_invariants():
 def test_run_lstm_single_step_equals_lstm_step():
     rng = np.random.default_rng(1)
     p = rand_lstm_params(2, 3, rng)
-    x = t64(rng.uniform(-1, 1, (2, 2)))
+    x = t64(rng.uniform(-1, 1, (1, 2, 2)))
     init = LSTMState(t64(rng.uniform(-1, 1, (2, 3))), t64(rng.uniform(-1, 1, (2, 3))))
-    states = run_lstm_batch([x], np.ones((2, 1), dtype=bool), init, p)
-    z = np.concatenate([x.value, init.h.value], axis=1)
+    hs, final = run_lstm_batch(x, np.ones((2, 1), dtype=bool), init, p)
+    z = np.concatenate([x.value[0], init.h.value], axis=1)
 
     def gate(name, act):
         return act(z @ getattr(p, "w_" + name).value.T + getattr(p, "b_" + name).value)
@@ -163,8 +171,9 @@ def test_run_lstm_single_step_equals_lstm_step():
 
     i, f, o, g = gate("i", sigmoid), gate("f", sigmoid), gate("o", sigmoid), gate("g", np.tanh)
     c = f * init.c.value + i * g
-    assert np.allclose(states[0].c.value, c, atol=1e-14)
-    assert np.allclose(states[0].h.value, o * np.tanh(c), atol=1e-14)
+    assert np.allclose(final.c.value, c, atol=1e-14)
+    assert np.allclose(final.h.value, o * np.tanh(c), atol=1e-14)
+    assert hs.value.shape == (1, 2, 3) and np.array_equal(hs.value[0], final.h.value)
 
 
 def test_run_lstm_reverse_mirrors_forward_on_palindrome():
@@ -172,37 +181,40 @@ def test_run_lstm_reverse_mirrors_forward_on_palindrome():
     p = rand_lstm_params(2, 3, rng)
     a = rng.uniform(-1, 1, (2, 2))
     b = rng.uniform(-1, 1, (2, 2))
-    seq = [t64(a), t64(b), t64(a)]
+    seq = t64(np.stack([a, b, a]))
     mask = np.ones((2, 3), dtype=bool)
-    fwd = run_lstm_batch(seq, mask, zero_state_batch(2, 3, F64), p)
-    rev = run_lstm_batch(seq, mask, zero_state_batch(2, 3, F64), p, reverse=True)
+    fwd_hs, fwd = run_lstm_batch(seq, mask, zero_state_batch(2, 3, F64), p)
+    rev_hs, rev = run_lstm_batch(seq, mask, zero_state_batch(2, 3, F64), p, reverse=True)
     for j in range(3):
-        assert np.allclose(rev[j].h.value, fwd[2 - j].h.value, atol=1e-12)
-        assert np.allclose(rev[j].c.value, fwd[2 - j].c.value, atol=1e-12)
+        assert np.allclose(rev_hs.value[j], fwd_hs.value[2 - j], atol=1e-12)
+    # each final state follows a, b, a: position 0 in reverse, 2 going forward
+    assert np.allclose(rev.h.value, fwd.h.value, atol=1e-12)
+    assert np.allclose(rev.c.value, fwd.c.value, atol=1e-12)
 
 
 def test_run_lstm_zero_params_zero_init_all_states_zero():
     p = zero_lstm_params(2, 3)
     steps, mask = _pad_batch([[[1.0, 2.0], [-3.0, 4.0]], [[0.5, 0.5]]], 2)
     for reverse in (False, True):
-        for st in run_lstm_batch(steps, mask, zero_state_batch(2, 3, F64), p, reverse=reverse):
-            assert np.array_equal(st.h.value, np.zeros((2, 3)))
-            assert np.array_equal(st.c.value, np.zeros((2, 3)))
+        hs, final = run_lstm_batch(steps, mask, zero_state_batch(2, 3, F64), p, reverse=reverse)
+        assert np.array_equal(hs.value, np.zeros((2, 2, 3)))
+        assert np.array_equal(final.h.value, np.zeros((2, 3)))
+        assert np.array_equal(final.c.value, np.zeros((2, 3)))
 
 
 def test_run_lstm_empty_sequence_rejected():
     p = zero_lstm_params(2, 3)
     with pytest.raises(ValueError):
-        run_lstm_batch([], np.zeros((1, 0), dtype=bool), zero_state_batch(1, 3, F64), p)
+        run_lstm_batch(t64(np.zeros((0, 1, 2))), np.zeros((1, 0), dtype=bool), zero_state_batch(1, 3, F64), p)
 
 
 def test_run_lstm_rejects_time_by_batch_mask():
     # an all-True (time, batch) mask used to pass: every row it read was all True
     p = zero_lstm_params(2, 3)
-    steps = [t64(np.zeros((2, 2)))]
+    steps = t64(np.zeros((1, 2, 2)))
     with pytest.raises(ShapeError, match=r"mask \(1, 2\) for 2 rows of 1 steps"):
         run_lstm_batch(steps, np.ones((1, 2), dtype=bool), zero_state_batch(2, 3, F64), p)
-    ragged = [t64(np.zeros((2, 2))) for _ in range(3)]
+    ragged = t64(np.zeros((3, 2, 2)))
     with pytest.raises(ShapeError):
         run_lstm_batch(ragged, np.array([[True, True], [True, True], [True, False]]), zero_state_batch(2, 3, F64), p)
 
@@ -215,11 +227,12 @@ def test_run_lstm_reverse_first_processed_position_conditions_on_init():
     lengths = (3, 1, 2)
     init = LSTMState(t64(rng.uniform(-1, 1, (3, 2))), t64(rng.uniform(-1, 1, (3, 2))))
     steps, mask = _pad_batch([[rng.uniform(-1, 1, 2) for _ in range(n)] for n in lengths], 2)
-    rev = run_lstm_batch(steps, mask, init, p, reverse=True)
+    rev_hs, rev = run_lstm_batch(steps, mask, init, p, reverse=True)
     for i, n in enumerate(lengths):
-        direct = lstm_step(steps[n - 1], init, p)
-        assert np.array_equal(rev[n - 1].h.value[i], direct.h.value[i])
-        assert np.array_equal(rev[n - 1].c.value[i], direct.c.value[i])
+        direct = lstm_step(t64(steps.value[n - 1 : n]), init, p)
+        assert np.array_equal(rev_hs.value[n - 1, i], direct.h.value[i])
+        if n == 1:  # the row's only position: its state is the run's final one
+            assert np.array_equal(rev.c.value[i], direct.c.value[i])
 
 
 # -------------------------------------------------------- conditional_encode
@@ -231,8 +244,7 @@ def test_conditional_encode_shapes():
     t_steps, t_mask = _pad_batch([[rng.uniform(-1, 1, 3) for _ in range(m)] for m in (2, 1)], 3)
     s_steps, s_mask = _pad_batch([[rng.uniform(-1, 1, 3) for _ in range(n)] for n in (3, 2)], 3)
     hiddens, summary = conditional_encode(t_steps, t_mask, s_steps, s_mask, params)
-    assert len(hiddens) == 3
-    assert all(h.value.shape == (2, 8) for h in hiddens)
+    assert hiddens.value.shape == (3, 2, 8) and hiddens.value.flags.c_contiguous
     assert summary.value.shape == (2, 8)
 
 
@@ -248,38 +260,38 @@ def test_conditional_encode_zero_target_params_matches_unconditional():
     s_steps, s_mask = _pad_batch([[rng.uniform(-1, 1, 3) for _ in range(n)] for n in (3, 1)], 3)
     cond, _ = conditional_encode(t_steps, t_mask, s_steps, s_mask, params)
     plain = bilstm_hiddens(s_steps, s_mask, params.sent_fwd, params.sent_bwd)
-    for c, p in zip(cond, plain):
-        assert np.allclose(c.value, p.value, atol=1e-14)
+    assert np.allclose(cond.value, plain.value, atol=1e-14)
 
 
 def test_conditional_encode_single_target_token_seeds_exact_step():
     rng = np.random.default_rng(6)
     params = EncoderParams.init(3, 2, rng, F64)
-    target = [t64(rng.uniform(-1, 1, (2, 3)))]
+    target = t64(rng.uniform(-1, 1, (1, 2, 3)))
     s_steps, s_mask = _pad_batch([[rng.uniform(-1, 1, 3) for _ in range(n)] for n in (2, 1)], 3)
     hiddens, summary = conditional_encode(target, np.ones((2, 1), dtype=bool), s_steps, s_mask, params)
 
-    t_state = lstm_step(target[0], zero_state_batch(2, 2, F64), params.target_fwd)
+    t_state = lstm_step(target, zero_state_batch(2, 2, F64), params.target_fwd)
     assert np.array_equal(summary.value[:, :2], t_state.h.value)
-    manual_fwd = run_lstm_batch(s_steps, s_mask, t_state, params.sent_fwd)
-    assert np.array_equal(hiddens[0].value[:, :2], manual_fwd[0].h.value)
-    assert np.array_equal(hiddens[1].value[:, :2], manual_fwd[1].h.value)
+    manual_fwd, _ = run_lstm_batch(s_steps, s_mask, t_state, params.sent_fwd)
+    assert np.array_equal(hiddens.value[0, :, :2], manual_fwd.value[0])
+    assert np.array_equal(hiddens.value[1, :, :2], manual_fwd.value[1])
 
 
 def test_conditional_encode_rejects_empty():
     rng = np.random.default_rng(7)
     params = EncoderParams.init(3, 2, rng, F64)
-    step, mask = [t64(np.zeros((1, 3)))], np.ones((1, 1), dtype=bool)
-    empty = np.zeros((1, 0), dtype=bool)
+    step, mask = t64(np.zeros((1, 1, 3))), np.ones((1, 1), dtype=bool)
+    empty, no_positions = t64(np.zeros((0, 1, 3))), np.zeros((1, 0), dtype=bool)
     with pytest.raises(ValueError):
-        conditional_encode([], empty, step, mask, params)
+        conditional_encode(empty, no_positions, step, mask, params)
     with pytest.raises(ValueError):
-        conditional_encode(step, mask, [], empty, params)
+        conditional_encode(step, mask, empty, no_positions, params)
 
 
-# The two encoder routines bilstm_encode_batch replaced, kept verbatim but for
-# their names as references: one call per BiLSTM pair must reproduce them bit
-# for bit, forward and backward.
+# The two encoder routines bilstm_encode_batch replaced, kept as references
+# but for their names and for the (hs, final) pairs that run_lstm_batch now
+# returns: one call per BiLSTM pair must reproduce them bit for bit, forward
+# and backward.
 
 
 def reference_conditional_encode(
@@ -294,19 +306,19 @@ def reference_conditional_encode(
 
     The forward sentence LSTM starts from the forward target LSTM's final
     state and the backward sentence LSTM from the backward target LSTM's
-    state at position 0. Returns per-position [h_fwd; h_bwd] rows and the
-    target summary [h_fwd_last; h_bwd_first].
+    state at position 0. Returns the [h_fwd; h_bwd] sequence and the target
+    summary [h_fwd_last; h_bwd_first].
     """
-    if not len(target_steps) or not len(sent_steps):
+    if not len(target_steps.value) or not len(sent_steps.value):
         raise ValueError("reference_conditional_encode: empty target or sentence")
-    first = target_steps[0].value
-    init = zero_state_batch(first.shape[0], params.target_fwd.hidden_dim, first.dtype)
+    first = target_steps.value
+    init = zero_state_batch(first.shape[1], params.target_fwd.hidden_dim, first.dtype)
     t_fwd = run_lstm_batch(target_steps, target_mask, init, params.target_fwd, drop=drop)
     t_bwd = run_lstm_batch(target_steps, target_mask, init, params.target_bwd, reverse=True, drop=drop)
-    s_fwd = run_lstm_batch(sent_steps, sent_mask, t_fwd[-1], params.sent_fwd, drop=drop)
-    s_bwd = run_lstm_batch(sent_steps, sent_mask, t_bwd[0], params.sent_bwd, reverse=True, drop=drop)
-    hiddens = [concat_cols([f.h, b.h]) for f, b in zip(s_fwd, s_bwd)]
-    summary = concat_cols([t_fwd[-1].h, t_bwd[0].h])
+    s_fwd = run_lstm_batch(sent_steps, sent_mask, t_fwd[1], params.sent_fwd, drop=drop)
+    s_bwd = run_lstm_batch(sent_steps, sent_mask, t_bwd[1], params.sent_bwd, reverse=True, drop=drop)
+    hiddens = concat_cols([s_fwd[0], s_bwd[0]])
+    summary = concat_cols([t_fwd[1].h, t_bwd[1].h])
     return hiddens, summary
 
 
@@ -318,34 +330,31 @@ def reference_bilstm_encode(
     drop=None,
 ):
     """Unconditional BiLSTM encoding from zero initial states."""
-    init = zero_state_batch(steps[0].value.shape[0], fwd.hidden_dim, steps[0].value.dtype)
+    init = zero_state_batch(steps.value.shape[1], fwd.hidden_dim, steps.value.dtype)
     f = run_lstm_batch(steps, mask, init, fwd, drop=drop)
     b = run_lstm_batch(steps, mask, init, bwd, reverse=True, drop=drop)
-    return [concat_cols([fj.h, bj.h]) for fj, bj in zip(f, b)]
+    return concat_cols([f[0], b[0]])
 
 
 def _encode_with_gradients(encode, dtype, seed=41):
     """Run `encode(t_steps, t_mask, s_steps, s_mask, enc, drop)` on a ragged
-    batch with dropout 0.3 and backpropagate a fixed contraction of every
-    output row. Returns the output values and the gradient of every
-    parameter and input step."""
+    batch with dropout 0.3 and backpropagate a fixed contraction of both
+    outputs. Returns the output values and the gradient of every parameter
+    and of both input sequences."""
     rng = np.random.default_rng(seed)
     enc = EncoderParams.init(3, 4, rng, dtype)
     targets = [[rng.uniform(-1, 1, 3) for _ in range(m)] for m in (2, 1, 3)]
     sents = [[rng.uniform(-1, 1, 3) for _ in range(n)] for n in (4, 1, 3)]
     t_steps, t_mask = _pad_batch(targets, 3)
     s_steps, s_mask = _pad_batch(sents, 3)
-    t_steps = [tensor(t.value, dtype) for t in t_steps]
-    s_steps = [tensor(t.value, dtype) for t in s_steps]
-    probe = tensor(np.random.default_rng(97).uniform(-1, 1, (3, 8)), dtype)
+    t_steps = tensor(t_steps.value, dtype)
+    s_steps = tensor(s_steps.value, dtype)
     with Tape(np.dtype(dtype).name) as tape:
-        hiddens, summary = encode(t_steps, t_mask, s_steps, s_mask, enc, Dropout(0.3, np.random.default_rng(8)))
-        root = sum_all(mul(summary, probe))
-        for h in hiddens:
-            root = add(root, sum_all(mul(h, probe)))
-        tape.backward(root)
-    values = [h.value for h in hiddens] + [summary.value]
-    grads = [t.grad for _, t in enc.named("enc")] + [t.grad for t in t_steps + s_steps]
+        outputs = encode(t_steps, t_mask, s_steps, s_mask, enc, Dropout(0.3, np.random.default_rng(8)))
+        probes = [tensor(np.random.default_rng(97).uniform(-1, 1, out.shape), dtype) for out in outputs]
+        tape.backward(add(*(sum_all(mul(out, probe)) for out, probe in zip(outputs, probes))))
+    values = [out.value for out in outputs]
+    grads = [t.grad for _, t in enc.named("enc")] + [t_steps.grad, s_steps.grad]
     return values, grads
 
 
@@ -367,7 +376,7 @@ def test_bilstm_encode_matches_the_two_routine_reference(dtype):
         def encode(t_steps, t_mask, s_steps, s_mask, enc, drop):
             t_hidden = encode_pair(t_steps, t_mask, enc.target_fwd, enc.target_bwd, drop)
             s_hidden = encode_pair(s_steps, s_mask, enc.sent_fwd, enc.sent_bwd, drop)
-            return s_hidden + t_hidden[1:], t_hidden[0]
+            return s_hidden, t_hidden
 
         return encode
 
@@ -390,12 +399,12 @@ def test_attention_single_unmasked_position():
     rng = np.random.default_rng(8)
     params = rand_attention(rng, 3, 6)
     summary = t64(rng.uniform(-1, 1, (2, 4)))
-    hiddens = [t64(rng.uniform(-1, 1, (2, 2))) for _ in range(3)]
+    hiddens = t64(rng.uniform(-1, 1, (3, 2, 2)))
     mask = np.array([[False, True, False], [True, False, False]])
     out = additive_attention_batch(summary, hiddens, params, mask)
     assert np.array_equal(out.alpha.value, [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
-    assert np.allclose(out.s.value[0], hiddens[1].value[0], atol=1e-14)
-    assert np.allclose(out.s.value[1], hiddens[0].value[1], atol=1e-14)
+    assert np.allclose(out.s.value[0], hiddens.value[1, 0], atol=1e-14)
+    assert np.allclose(out.s.value[1], hiddens.value[0, 1], atol=1e-14)
 
 
 def test_attention_identical_hiddens_uniform():
@@ -403,7 +412,7 @@ def test_attention_identical_hiddens_uniform():
     params = rand_attention(rng, 3, 6)
     summary = t64(rng.uniform(-1, 1, (2, 4)))
     h = rng.uniform(-1, 1, (2, 2))
-    hiddens = [t64(h) for _ in range(4)]
+    hiddens = t64(np.stack([h] * 4))
     out = additive_attention_batch(summary, hiddens, params, np.ones((2, 4), dtype=bool))
     assert np.allclose(out.alpha.value, 0.25, atol=1e-12)
 
@@ -412,11 +421,11 @@ def test_attention_zero_score_vector_gives_mean():
     rng = np.random.default_rng(10)
     params = AttentionParams(w=t64(rng.uniform(-1, 1, (3, 6))), v=t64(np.zeros(3)))
     summary = t64(rng.uniform(-1, 1, (2, 4)))
-    hiddens = [t64(rng.uniform(-1, 1, (2, 2))) for _ in range(3)]
+    hiddens = t64(rng.uniform(-1, 1, (3, 2, 2)))
     mask = np.array([[True, True, True], [True, True, False]])
     out = additive_attention_batch(summary, hiddens, params, mask)
     assert np.allclose(out.alpha.value, [[1 / 3] * 3, [0.5, 0.5, 0.0]], atol=1e-12)
-    values = np.stack([h.value for h in hiddens])
+    values = hiddens.value
     assert np.allclose(out.s.value[0], values[:, 0].mean(axis=0), atol=1e-12)
     assert np.allclose(out.s.value[1], values[:2, 1].mean(axis=0), atol=1e-12)
 
@@ -426,7 +435,7 @@ def test_attention_all_masked_rejected():
     params = rand_attention(rng, 3, 6)
     with pytest.raises(ValueError):
         additive_attention_batch(
-            t64(np.zeros((1, 4))), [t64(np.zeros((1, 2)))], params, np.array([[False]])
+            t64(np.zeros((1, 4))), t64(np.zeros((1, 1, 2))), params, np.array([[False]])
         )
 
 
@@ -435,7 +444,7 @@ def test_attention_alpha_sums_to_one_float32():
     with Tape("float32"):
         params = AttentionParams.init(3, 6, rng, np.float32)
         summary = tensor(rng.uniform(-1, 1, (2, 4)))
-        hiddens = [tensor(rng.uniform(-1, 1, (2, 2))) for _ in range(5)]
+        hiddens = tensor(rng.uniform(-1, 1, (5, 2, 2)))
         mask = np.array([[True, True, False, True, True], [True, True, True, False, False]])
         out = additive_attention_batch(summary, hiddens, params, mask)
     assert out.alpha.value.dtype == np.float32
@@ -446,15 +455,15 @@ def test_attention_masked_positions_leak_no_gradient():
     rng = np.random.default_rng(13)
     params = rand_attention(rng, 3, 6)
     summary = t64(rng.uniform(-1, 1, (2, 4)))
-    hiddens = [t64(rng.uniform(-1, 1, (2, 2))) for _ in range(3)]
+    hiddens = t64(rng.uniform(-1, 1, (3, 2, 2)))
     mask = np.array([[True, False, True], [True, True, True]])
     with Tape("float64") as tape:
         out = additive_attention_batch(summary, hiddens, params, mask)
         tape.backward(contract(out.s, [[1.0, -2.0], [0.5, 1.5]]))
     assert out.alpha.value[0, 1] == 0.0
-    assert not hiddens[1].grad[0].any()  # masked in row 0
-    assert hiddens[1].grad[1].any()  # the same position is live in row 1
-    assert hiddens[0].grad[0].any()
+    assert not hiddens.grad[1, 0].any()  # masked in row 0
+    assert hiddens.grad[1, 1].any()  # the same position is live in row 1
+    assert hiddens.grad[0, 0].any()
 
 
 def uniform_attention(in_dim, dtype=F64):
@@ -463,11 +472,11 @@ def uniform_attention(in_dim, dtype=F64):
 
 
 def test_attention_weighted_sum_examples():
-    parts = [t64([[1.0, 2.0], [3.0, 4.0]]), t64([[10.0, 20.0], [30.0, 40.0]])]
+    parts = t64([[[1.0, 2.0], [3.0, 4.0]], [[10.0, 20.0], [30.0, 40.0]]])
     summary = t64(np.zeros((2, 1)))
     out = additive_attention_batch(summary, parts, uniform_attention(3), np.array([[True, False], [True, True]]))
     assert out.s.value.tolist() == [[1.0, 2.0], [16.5, 22.0]]
-    one = additive_attention_batch(summary, parts[:1], uniform_attention(3), np.ones((2, 1), dtype=bool))
+    one = additive_attention_batch(summary, t64(parts.value[:1]), uniform_attention(3), np.ones((2, 1), dtype=bool))
     assert one.s.value.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
@@ -475,7 +484,7 @@ def test_attention_weighted_sum_adds_positions_in_order():
     # float32 addition is not associative: with equal weights a,
     # (3e8 a - 3e8 a) + 3a is 3a, but adding the positions in reverse,
     # (3a - 3e8 a) + 3e8 a, is 0
-    parts = [tensor([[v]], np.float32) for v in (3e8, -3e8, 3.0)]
+    parts = tensor([[[v]] for v in (3e8, -3e8, 3.0)], np.float32)
     summary = tensor(np.zeros((1, 1)), np.float32)
     out = additive_attention_batch(summary, parts, uniform_attention(2, np.float32), np.ones((1, 3), dtype=bool))
     assert out.s.value[0, 0] == 3.0 * out.alpha.value[0, 2] != 0.0
@@ -485,34 +494,33 @@ def test_attention_weighted_sum_gradients_by_hand():
     # v = 0 gives alpha = [0.5, 0.5], so s's gradient reaches each part
     # halved; alpha's gradient, each part's row sum [3, 2], reaches only v:
     # v.grad = sum_j tanh(w [summary; h_j]) * alpha_j (g_j - sum_k alpha_k g_k)
-    parts = [t64([[1.0, 2.0]]), t64([[3.0, -1.0]])]
+    parts = t64([[[1.0, 2.0]], [[3.0, -1.0]]])
     summary = t64([[0.5]])
     params = AttentionParams(w=t64(np.arange(9.0).reshape(3, 3) / 10), v=t64(np.zeros(3)))
     with Tape("float64") as tape:
         tape.backward(sum_all(additive_attention_batch(summary, parts, params, np.ones((1, 2), dtype=bool)).s))
-    assert parts[0].grad.tolist() == [[0.5, 0.5]]
-    assert parts[1].grad.tolist() == [[0.5, 0.5]]
-    t = [np.tanh(params.w.value @ np.concatenate([[0.5], h.value[0]])) for h in parts]
+    assert parts.grad.tolist() == [[[0.5, 0.5]], [[0.5, 0.5]]]
+    t = [np.tanh(params.w.value @ np.concatenate([[0.5], h[0]])) for h in parts.value]
     assert np.allclose(params.v.grad, 0.25 * t[0] - 0.25 * t[1], atol=1e-15)
     assert not params.w.grad.any() and not summary.grad.any()
 
 
 @pytest.mark.parametrize(
-    "summary_shape, hidden_shapes",
+    "summary_shape, hidden_shape",
     [
-        ((2, 3), [(2, 4), (2, 4)]),  # summary too wide for w's columns
-        ((3, 2), [(2, 4), (2, 4)]),  # summary rows differ from hidden rows
-        ((2, 2), [(2, 4), (2, 3)]),  # hiddens of different widths
-        ((2,), [(2, 4)]),  # rank-1 summary
-        ((2, 2), [(2,)]),  # rank-1 hidden
-        ((2, 2), []),  # no hiddens
+        ((2, 3), (2, 2, 4)),  # summary too wide for w's columns
+        ((3, 2), (2, 2, 4)),  # summary rows differ from hidden rows
+        ((2, 2), (2, 2, 3)),  # hiddens too narrow for w's columns
+        ((2,), (1, 2, 4)),  # rank-1 summary
+        ((2, 2), (2, 4)),  # one (batch, dim) matrix, not a sequence
+        ((2, 2), (0, 2, 4)),  # no positions
     ],
 )
-def test_attention_shape_mismatch(summary_shape, hidden_shapes):
+def test_attention_shape_mismatch(summary_shape, hidden_shape):
     params = AttentionParams(w=t64(np.ones((3, 6))), v=t64(np.ones(3)))
-    mask = np.ones((2, len(hidden_shapes)), dtype=bool)
+    mask = np.ones((2, hidden_shape[0]), dtype=bool)
     with pytest.raises(ShapeError, match="additive_attention_batch"):
-        additive_attention_batch(t64(np.ones(summary_shape)), [t64(np.ones(s)) for s in hidden_shapes], params, mask)
+        additive_attention_batch(t64(np.ones(summary_shape)), t64(np.ones(hidden_shape)), params, mask)
 
 
 # ----------------------------------------------------------- max_pool_encode
@@ -521,37 +529,135 @@ def test_attention_shape_mismatch(summary_shape, hidden_shapes):
 def test_max_pool_examples():
     cols, mask = _pad_batch([[[1, 5], [3, 2]], [[0, 0]]], 2)
     assert np.array_equal(max_pool_encode_batch(cols, mask).value, [[3, 5], [0, 0]])
-    single = t64([[4.0, -1.0]])
-    assert max_pool_encode_batch([single], np.array([[True]])) is single
+    single = t64([[[4.0, -1.0]]])
+    with Tape("float64") as tape:
+        out = max_pool_encode_batch(single, np.array([[True]]))
+        tape.backward(contract(out, [[0.5, -2.0]]))
+    assert np.array_equal(out.value, [[4.0, -1.0]]) and len(tape) == 3  # pool, mul, sum
+    assert np.array_equal(single.grad, [[[0.5, -2.0]]])
 
 
 def test_max_pool_tie_routes_gradient_to_first():
-    a, b = t64([[2.0, 2.0]]), t64([[2.0, 2.0]])
+    hiddens = t64([[[2.0, 2.0]], [[2.0, 2.0]]])
     with Tape("float64") as tape:
-        out = max_pool_encode_batch([a, b], np.ones((1, 2), dtype=bool))
+        out = max_pool_encode_batch(hiddens, np.ones((1, 2), dtype=bool))
         tape.backward(sum_all(out))
     assert np.array_equal(out.value, [[2.0, 2.0]])
-    assert np.array_equal(a.grad, [[1.0, 1.0]])
-    assert np.array_equal(b.grad, [[0.0, 0.0]])
+    assert np.array_equal(hiddens.grad[0], [[1.0, 1.0]])
+    assert np.array_equal(hiddens.grad[1], [[0.0, 0.0]])
 
 
 def test_max_pool_exactly_one_position_per_coordinate_gets_gradient():
     rng = np.random.default_rng(14)
-    hiddens = [t64(rng.uniform(-1, 1, (2, 4))) for _ in range(5)]
+    hiddens = t64(rng.uniform(-1, 1, (5, 2, 4)))
     mask = np.array([[True] * 5, [True, True, True, False, False]])
     with Tape("float64") as tape:
         tape.backward(sum_all(max_pool_encode_batch(hiddens, mask)))
-    grads = np.stack([h.grad if h.grad is not None else np.zeros((2, 4)) for h in hiddens])
+    grads = hiddens.grad
     assert np.array_equal((grads != 0).sum(axis=0), np.ones((2, 4)))
     assert not grads[3:, 1].any()  # padding of row 1
 
 
 def test_max_pool_respects_mask_and_rejects_all_masked():
-    vecs = [t64([[1.0, 2.0], [5.0, 5.0]]), t64([[9.0, 9.0], [0.0, 0.0]])]
+    vecs = t64([[[1.0, 2.0], [5.0, 5.0]], [[9.0, 9.0], [0.0, 0.0]]])
     out = max_pool_encode_batch(vecs, np.array([[True, False], [True, True]]))
     assert np.array_equal(out.value, [[1.0, 2.0], [5.0, 5.0]])
     with pytest.raises(ValueError):
         max_pool_encode_batch(vecs, np.array([[False, False], [True, True]]))
+
+
+# The per-op max pool that max_pool_encode_batch replaced, and the two tensor
+# ops it called, copied verbatim but for their names. The fused node reads a
+# (positions, batch, dim) sequence; the reference reaches it through
+# `unstack`, so every value and gradient byte can be compared.
+
+
+def reference_maximum(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise max; ties route the gradient to the first argument."""
+    _same_shape("maximum", a, b)
+    out = Tensor(np.maximum(a.value, b.value))
+
+    def backward(g):
+        take_a = a.value >= b.value
+        a.accum(g * take_a)
+        b.accum(g * ~take_a)
+
+    return _record(out, backward)
+
+
+def reference_blend_rows(new: Tensor, old: Tensor, keep_new: np.ndarray) -> Tensor:
+    """Per-row select: rows where keep_new is true come from `new`, else `old`."""
+    if new.value.shape != old.value.shape or new.value.ndim != 2:
+        raise ShapeError(f"blend_rows: {new.value.shape} vs {old.value.shape}")
+    keep = np.asarray(keep_new, dtype=bool)
+    if keep.shape != (new.value.shape[0],):
+        raise ShapeError(f"blend_rows: mask {keep.shape}")
+    col = keep[:, None]
+    out = Tensor(np.where(col, new.value, old.value))
+
+    def backward(g):
+        new.accum(g * col)
+        old.accum(g * ~col)
+
+    return _record(out, backward)
+
+
+def reference_max_pool_encode_batch(hiddens: Sequence[Tensor], mask: np.ndarray) -> Tensor:
+    """Coordinatewise max over each row's real positions; ties favor the
+    earliest. mask is (batch, positions) and position 0 must be real;
+    padded rows keep their running max."""
+    if not mask[:, 0].all():
+        raise ValueError("max_pool_encode_batch: padding must be trailing")
+    out = hiddens[0]
+    for j in range(1, len(hiddens)):
+        keep = mask[:, j]
+        cand = reference_maximum(out, hiddens[j])
+        out = cand if keep.all() else reference_blend_rows(cand, out, keep)
+    return out
+
+
+def _pool_with_gradients(pool, values, mask, coeffs, read_input):
+    """The pooled values and the sequence's gradient under a root that reads
+    the pool (and, with read_input, the sequence itself, so it holds a
+    gradient before the pool adds its own)."""
+    hiddens = Tensor(values.copy())
+    with Tape(values.dtype.name) as tape:
+        out = pool(hiddens, mask)
+        root = sum_all(mul(out, Tensor(coeffs[0])))
+        if read_input:
+            root = add(root, sum_all(mul(hiddens, Tensor(coeffs[1]))))
+        tape.backward(root)
+    return out.value, hiddens.grad
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rows,positions", [(5, 6), (1, 4), (4, 1), (3, 2)])
+def test_max_pool_matches_the_per_op_chain_byte_for_byte(dtype, rows, positions):
+    rng = np.random.default_rng([rows, positions])
+    # row lengths cycle positions, positions - 1, ..., 1: some positions pad
+    # no row, others some rows
+    lengths = positions - np.arange(rows) % positions
+    mask = np.arange(positions)[None, :] < lengths[:, None]
+    for trial in range(4):
+        # halves in [-1, 1]: many ties; then signed zeros planted in values
+        # and coefficients, whose bytes a reordered sum or a zero-filled
+        # start would change
+        values = (rng.integers(-2, 3, (positions, rows, 3)) * 0.5).astype(dtype)
+        values[rng.random(values.shape) < 0.2] = -0.0
+        coeffs = [rng.uniform(-1.5, 1.5, shape).astype(dtype) for shape in ((rows, 3), values.shape)]
+        for c in coeffs:
+            c[rng.random(c.shape) < 0.15] = 0.0
+            c[rng.random(c.shape) < 0.15] = -0.0
+        for read_input in (False, True):
+            label = f"trial {trial} read_input={read_input}"
+            fused = _pool_with_gradients(max_pool_encode_batch, values, mask, coeffs, read_input)
+            ref = _pool_with_gradients(
+                lambda h, m: reference_max_pool_encode_batch(unstack(h), m), values, mask, coeffs, read_input
+            )
+            for name, a, b in zip(("value", "grad"), fused, ref):
+                assert a.dtype == b.dtype == dtype and a.shape == b.shape, (name, label)
+                assert a.tobytes() == b.tobytes(), (name, label, np.argwhere(a != b)[:5].tolist())
+    assert (values == 0).any() and np.signbit(values[values == 0]).any()
 
 
 # ------------------------------------------------------------------- grl
@@ -668,7 +774,7 @@ def test_dropout_positive_rate_needs_a_generator():
 def test_lstm_step_gradients_match_finite_differences():
     rng = np.random.default_rng(16)
     p = rand_lstm_params(2, 3, rng)
-    x = t64(rng.uniform(-1, 1, (2, 2)))
+    x = t64(rng.uniform(-1, 1, (1, 2, 2)))
     h0 = t64(rng.uniform(-1, 1, (2, 3)))
     c0 = t64(rng.uniform(-1, 1, (2, 3)))
     probe = np.random.default_rng(99).uniform(-1, 1, (2, 3))
@@ -686,10 +792,10 @@ def test_run_lstm_gradients_match_finite_differences():
     probe = np.random.default_rng(98).uniform(-1, 1, (2, 2))
 
     def f():
-        states = run_lstm_batch(steps, mask, zero_state_batch(2, 2, F64), p, reverse=True)
-        return contract(states[0].h, probe)
+        _, final = run_lstm_batch(steps, mask, zero_state_batch(2, 2, F64), p, reverse=True)
+        return contract(final.h, probe)
 
-    assert finite_difference_check(f, param_list(p) + steps) < 1e-4
+    assert finite_difference_check(f, param_list(p) + [steps]) < 1e-4
 
 
 def test_recurrent_dropout_gradients_match_finite_differences():
@@ -699,13 +805,13 @@ def test_recurrent_dropout_gradients_match_finite_differences():
     probe = np.random.default_rng(97).uniform(-1, 1, (2, 2))
 
     def f():
-        states = run_lstm_batch(
+        _, final = run_lstm_batch(
             steps, mask, zero_state_batch(2, 2, F64), p,
             drop=Dropout(0.5, np.random.default_rng(5)),
         )
-        return contract(states[-1].h, probe)
+        return contract(final.h, probe)
 
-    assert finite_difference_check(f, param_list(p) + steps) < 1e-4
+    assert finite_difference_check(f, param_list(p) + [steps]) < 1e-4
 
 
 def test_conditional_encode_with_attention_gradients_match_finite_differences():
@@ -715,7 +821,7 @@ def test_conditional_encode_with_attention_gradients_match_finite_differences():
     t_steps, t_mask = _pad_batch([[rng.uniform(-1, 1, 2) for _ in range(m)] for m in (2, 1)], 2)
     s_steps, s_mask = _pad_batch([[rng.uniform(-1, 1, 2) for _ in range(n)] for n in (2, 3)], 2)
     probe = np.random.default_rng(96).uniform(-1, 1, (2, 4))
-    params = [t for _, t in enc.named("e")] + [t for _, t in attn.named("a")] + t_steps + s_steps
+    params = [t for _, t in enc.named("e")] + [t for _, t in attn.named("a")] + [t_steps, s_steps]
 
     def f():
         hiddens, summary = conditional_encode(t_steps, t_mask, s_steps, s_mask, enc)
@@ -728,14 +834,16 @@ def test_conditional_encode_with_attention_gradients_match_finite_differences():
 def test_max_pool_gradients_match_finite_differences():
     rng = np.random.default_rng(20)
     # spread values so the eps=1e-5 probes never flip an argmax
-    hiddens = [t64(rng.permutation(8).reshape(2, 4) * 1.0 + rng.uniform(-0.3, 0.3, (2, 4))) for _ in range(3)]
+    hiddens = t64(
+        np.stack([rng.permutation(8).reshape(2, 4) * 1.0 + rng.uniform(-0.3, 0.3, (2, 4)) for _ in range(3)])
+    )
     mask = np.array([[True, True, True], [True, True, False]])
     probe = np.random.default_rng(95).uniform(-1, 1, (2, 4))
 
     def f():
         return contract(max_pool_encode_batch(hiddens, mask), probe)
 
-    assert finite_difference_check(f, hiddens) < 1e-4
+    assert finite_difference_check(f, [hiddens]) < 1e-4
 
 
 def test_grl_gradients_match_finite_differences_up_to_sign():
@@ -777,9 +885,9 @@ def test_lstm_step_batch_matches_single_rows():
     xs = rng.uniform(-1, 1, (4, 3))
     hs = rng.uniform(-1, 1, (4, 2))
     cs = rng.uniform(-1, 1, (4, 2))
-    batch = lstm_step(t64(xs), LSTMState(t64(hs), t64(cs)), p)
+    batch = lstm_step(t64(xs[None]), LSTMState(t64(hs), t64(cs)), p)
     for i in range(4):
-        single = lstm_step(t64(xs[i : i + 1]), LSTMState(t64(hs[i : i + 1]), t64(cs[i : i + 1])), p)
+        single = lstm_step(t64(xs[None, i : i + 1]), LSTMState(t64(hs[i : i + 1]), t64(cs[i : i + 1])), p)
         assert np.allclose(batch.h.value[i], single.h.value[0], atol=1e-14)
         assert np.allclose(batch.c.value[i], single.c.value[0], atol=1e-14)
 
@@ -794,14 +902,14 @@ def test_run_lstm_batch_carries_state_through_padding():
     p = rand_lstm_params(2, 2, rng)
     seqs = [[rng.uniform(-1, 1, 2) for _ in range(n)] for n in (3, 1, 2)]
     steps, mask = _pad_batch(seqs, 2)
-    out = run_lstm_batch(steps, mask, zero_state_batch(3, 2, F64), p)
+    out_hs, out = run_lstm_batch(steps, mask, zero_state_batch(3, 2, F64), p)
     for i, s in enumerate(seqs):
-        single = _run_alone(s, p, reverse=False)
-        # final stored state equals the example's true final state
-        assert np.allclose(out[-1].h.value[i], single[-1].h.value[0], atol=1e-13)
-        assert np.allclose(out[-1].c.value[i], single[-1].c.value[0], atol=1e-13)
+        single_hs, single = _run_alone(s, p, reverse=False)
+        # the final state equals the example's true final state
+        assert np.allclose(out.h.value[i], single.h.value[0], atol=1e-13)
+        assert np.allclose(out.c.value[i], single.c.value[0], atol=1e-13)
         for t in range(len(s)):
-            assert np.allclose(out[t].h.value[i], single[t].h.value[0], atol=1e-13)
+            assert np.allclose(out_hs.value[t, i], single_hs.value[t, 0], atol=1e-13)
 
 
 def test_run_lstm_batch_reverse_matches_single():
@@ -809,13 +917,13 @@ def test_run_lstm_batch_reverse_matches_single():
     p = rand_lstm_params(2, 2, rng)
     seqs = [[rng.uniform(-1, 1, 2) for _ in range(n)] for n in (2, 4)]
     steps, mask = _pad_batch(seqs, 2)
-    out = run_lstm_batch(steps, mask, zero_state_batch(2, 2, F64), p, reverse=True)
+    out_hs, out = run_lstm_batch(steps, mask, zero_state_batch(2, 2, F64), p, reverse=True)
     for i, s in enumerate(seqs):
-        single = _run_alone(s, p, reverse=True)
+        single_hs, single = _run_alone(s, p, reverse=True)
         for t in range(len(s)):
-            assert np.allclose(out[t].h.value[i], single[t].h.value[0], atol=1e-13)
-        # position 0 holds the fully conditioned backward state
-        assert np.allclose(out[0].c.value[i], single[0].c.value[0], atol=1e-13)
+            assert np.allclose(out_hs.value[t, i], single_hs.value[t, 0], atol=1e-13)
+        # the final state, position 0's, is the fully conditioned backward state
+        assert np.allclose(out.c.value[i], single.c.value[0], atol=1e-13)
 
 
 def test_conditional_encode_matches_single():
@@ -830,7 +938,7 @@ def test_conditional_encode_matches_single():
         hs, summ = conditional_encode(*_pad_batch([targets[i]], 3), *_pad_batch([sents[i]], 3), enc)
         assert np.allclose(summary.value[i], summ.value[0], atol=1e-13)
         for t in range(len(sents[i])):
-            assert np.allclose(hiddens[t].value[i], hs[t].value[0], atol=1e-13)
+            assert np.allclose(hiddens.value[t, i], hs.value[t, 0], atol=1e-13)
 
 
 def test_additive_attention_batch_matches_single():
@@ -869,17 +977,17 @@ def test_run_lstm_batch_gradients_match_finite_differences():
     probe = np.random.default_rng(93).uniform(-1, 1, (2, 2))
 
     def f():
-        out = run_lstm_batch(steps, mask, zero_state_batch(2, 2, F64), p)
-        return contract(out[-1].h, probe)
+        _, final = run_lstm_batch(steps, mask, zero_state_batch(2, 2, F64), p)
+        return contract(final.h, probe)
 
-    assert finite_difference_check(f, param_list(p) + steps) < 1e-4
+    assert finite_difference_check(f, param_list(p) + [steps]) < 1e-4
 
 
 def test_attention_batch_gradients_match_finite_differences():
     rng = np.random.default_rng(29)
     attn = AttentionParams.init(2, 6, rng, F64)
     summary = t64(rng.uniform(-1, 1, (2, 4)))
-    cols = [t64(rng.uniform(-1, 1, (2, 2))) for _ in range(3)]
+    cols = t64(rng.uniform(-1, 1, (3, 2, 2)))
     mask = np.array([[True, True, False], [True, True, True]])
     probe = np.random.default_rng(92).uniform(-1, 1, (2, 2))
 
@@ -887,5 +995,5 @@ def test_attention_batch_gradients_match_finite_differences():
         out = additive_attention_batch(summary, cols, attn, mask)
         return contract(out.s, probe)
 
-    params = [t for _, t in attn.named("a")] + [summary] + cols
+    params = [t for _, t in attn.named("a")] + [summary, cols]
     assert finite_difference_check(f, params) < 1e-4

@@ -1,11 +1,14 @@
 """The fused LSTM run against the per-op steps it replaced, bit for bit.
 
-`reference_lstm_step_batch` and `reference_step` are the per-op LSTM step
-and the body of `run_lstm_batch`'s loop as they were before each step became
-one tape node, copied verbatim (with `reference_sigmoid`, the tensor op the
-old step called). The run is now one tape node for all of its steps, so a
-single step is a one-step run. Every value and every gradient the run
-produces must have the same bytes.
+`reference_lstm_step_batch`, `reference_step` and `reference_run` are the
+per-op LSTM step, the body of `run_lstm_batch`'s loop and the loop itself as
+they were before each step became one tape node, copied verbatim (with
+`reference_sigmoid` and `blend_rows`, the tensor ops the old step called).
+The run is now one tape node for all of its steps, over a (positions, batch,
+input) sequence, so a single step is a one-step run. The per-op code reads
+and writes per-position (batch, dim) tensors; it reaches the sequence layout
+only through the `stack` and `unstack` adapters of tests/sequences.py. Every value and every
+gradient the run produces must have the same bytes.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ import itertools
 import numpy as np
 import pytest
 
+from sequences import stack, unstack
+from stancegen.errors import ShapeError
 from stancegen.layers import Dropout, LSTMParams, LSTMState, run_lstm_batch, zero_state_batch
 from stancegen.tensor import (
     PRECISIONS,
@@ -23,7 +28,6 @@ from stancegen.tensor import (
     _record,
     add,
     add_rowvec,
-    blend_rows,
     concat_cols,
     matmul_t,
     mul,
@@ -32,6 +36,23 @@ from stancegen.tensor import (
 )
 
 # ------------------------------------------------------- the per-op oracle
+
+
+def blend_rows(new: Tensor, old: Tensor, keep_new: np.ndarray) -> Tensor:
+    """Per-row select: rows where keep_new is true come from `new`, else `old`."""
+    if new.value.shape != old.value.shape or new.value.ndim != 2:
+        raise ShapeError(f"blend_rows: {new.value.shape} vs {old.value.shape}")
+    keep = np.asarray(keep_new, dtype=bool)
+    if keep.shape != (new.value.shape[0],):
+        raise ShapeError(f"blend_rows: mask {keep.shape}")
+    col = keep[:, None]
+    out = Tensor(np.where(col, new.value, old.value))
+
+    def backward(g):
+        new.accum(g * col)
+        old.accum(g * ~col)
+
+    return _record(out, backward)
 
 
 def reference_sigmoid(x: Tensor) -> Tensor:
@@ -68,9 +89,28 @@ def reference_step(x, prev, params, drop, keep):
     return prev, step_in.h
 
 
+def reference_run(steps, mask, init, params, reverse, drop):
+    """The old run_lstm_batch: one per-op step per position."""
+    states, prev = [None] * len(steps), init
+    for t in reversed(range(len(steps))) if reverse else range(len(steps)):
+        prev, _ = reference_step(steps[t], prev, params, drop, mask[:, t])
+        states[t] = prev
+    return states
+
+
+# ---------------------------------------------------------- layout adapters
+
+
+def reference_run_batch(steps, mask, init, params, reverse, drop):
+    """reference_run on the sequence layout, returning run_lstm_batch's
+    (hs, final): the state of the last processed step is final."""
+    states = reference_run(unstack(steps), mask, init, params, reverse, drop)
+    return stack([st.h for st in states]), states[0 if reverse else -1]
+
+
 def fused_step(x, prev, params, drop, keep):
     # the dropped h the gates read is internal to the run: no tensor holds it
-    return run_lstm_batch([x], keep[:, None], prev, params, drop=drop)[0], None
+    return run_lstm_batch(stack([x]), keep[:, None], prev, params, drop=drop)[1], None
 
 
 # ------------------------------------------------------------------ helpers
@@ -196,52 +236,42 @@ def test_two_chained_steps_match_the_per_op_cell(precision, input_dim, hidden, f
 # ---------------------------------------------------------------- whole runs
 
 
-def reference_run(steps, mask, init, params, reverse, drop):
-    """The old run_lstm_batch: one per-op step per position."""
-    states, prev = [None] * len(steps), init
-    for t in reversed(range(len(steps))) if reverse else range(len(steps)):
-        prev, _ = reference_step(steps[t], prev, params, drop, mask[:, t])
-        states[t] = prev
-    return states
-
-
 def ragged_mask(rows, n):
     # trailing padding; row lengths cycle n, n-1, ..., 1
     lengths = [n - i % n for i in range(rows)]
     return np.arange(n)[None, :] < np.array(lengths)[:, None]
 
 
-def readout(states, coeffs, which, reverse):
-    """A scalar root over the run's outputs. "all" reads every h and the
-    final c, so each output has an outside gradient before the run's own;
-    "final" reads the last processed h; "first" reads only the first
-    processed h, so the later steps get no gradient at all."""
-    order = list(reversed(states)) if reverse else list(states)
-    if which == "first":
-        return weighted(order[0].h, coeffs[0])
-    root = weighted(order[-1].h, coeffs[0])
+def readout(hs, final, coeffs, which):
+    """A scalar root over the run's outputs. "all" reads every h, then the
+    final h and c, so the last processed step's h sums two outside shares
+    before the run's own; "final" reads the final h; "hs" reads every
+    position's h but not the final state's outputs."""
+    positions = np.stack([coeffs[2 + k % 2] for k in range(hs.value.shape[0])])
+    if which == "final":
+        return weighted(final.h, coeffs[0])
+    root = weighted(hs, positions)
     if which == "all":
-        root = add(root, weighted(order[-1].c, coeffs[1]))
-        for k, st in enumerate(states):
-            root = add(root, weighted(st.h, coeffs[2 + k % 2]))
+        root = add(root, weighted(final.h, coeffs[0]))
+        root = add(root, weighted(final.c, coeffs[1]))
     return root
 
 
 def run_both(case, precision, n, reverse, drop_rate, which):
     rng = np.random.default_rng(n)
     rows, input_dim = case.x.shape
-    steps_values = [rng.uniform(-1, 1, (rows, input_dim)).astype(case.x.dtype) for _ in range(n)]
+    steps_values = rng.uniform(-1, 1, (n, rows, input_dim)).astype(case.x.dtype)
     mask = ragged_mask(rows, n)
     results = []
-    for run in (run_lstm_batch, reference_run):
+    for run in (run_lstm_batch, reference_run_batch):
         _, init, params = case.leaves()
-        steps = [Tensor(v.copy()) for v in steps_values]
+        steps = Tensor(steps_values.copy())
         drop = None if drop_rate == 0.0 else Dropout(drop_rate, np.random.default_rng(3))
         with Tape(precision) as tape:
-            states = run(steps, mask, init, params, reverse, drop)
-            tape.backward(readout(states, case.coeffs, which, reverse))
-        values = [v for st in states for v in (st.h.value, st.c.value)]
-        grads = [s.grad for s in steps] + [init.h.grad, init.c.grad]
+            hs, final = run(steps, mask, init, params, reverse, drop)
+            tape.backward(readout(hs, final, case.coeffs, which))
+        values = [hs.value, final.h.value, final.c.value]
+        grads = [steps.grad, init.h.grad, init.c.grad]
         grads += [getattr(params, name).grad for name in PARAM_NAMES]
         results.append(values + grads)
     return results
@@ -253,7 +283,7 @@ def test_run_lstm_batch_matches_the_per_op_loop():
     for precision, (input_dim, hidden), rows in itertools.product(PRECISIONS, DIMS[:2], (1, 5, 32)):
         case = Case(np.random.default_rng([rows, hidden, 4]), PRECISIONS[precision], rows, input_dim, hidden)
         for n, reverse, drop_rate, which in itertools.product(
-            (1, 4), (False, True), (0.0, 0.3), ("all", "final", "first")
+            (1, 4), (False, True), (0.0, 0.3), ("all", "final", "hs")
         ):
             fused, ref = run_both(case, precision, n, reverse, drop_rate, which)
             label = f"{precision} {input_dim}x{hidden} rows={rows} n={n} reverse={reverse} drop={drop_rate} {which}"
@@ -280,28 +310,30 @@ def test_conditional_chain_matches_the_per_op_loop(precision, drop_rate):
     rng = np.random.default_rng(6)
     rows, input_dim, hidden = 5, 8, 6
     cases = [Case(rng, dtype, rows, input_dim, hidden) for _ in range(4)]
-    t_values = [rng.uniform(-1, 1, (rows, input_dim)).astype(dtype) for _ in range(3)]
-    s_values = [rng.uniform(-1, 1, (rows, input_dim)).astype(dtype) for _ in range(4)]
+    t_values = rng.uniform(-1, 1, (3, rows, input_dim)).astype(dtype)
+    s_values = rng.uniform(-1, 1, (4, rows, input_dim)).astype(dtype)
     t_mask, s_mask = ragged_mask(rows, 3), ragged_mask(rows, 4)
     coeffs = [rng.uniform(-1.5, 1.5, (rows, hidden)).astype(dtype) for _ in range(4)]
+    fwd_coeffs = np.stack([coeffs[k % 2] for k in range(4)])
+    bwd_coeffs = np.stack([coeffs[2 + k % 2] for k in range(4)])
     results = []
-    for run in (run_lstm_batch, reference_run):
+    for run in (run_lstm_batch, reference_run_batch):
         params = [case.leaves()[2] for case in cases]
-        t_steps = [Tensor(v.copy()) for v in t_values]
-        s_steps = [Tensor(v.copy()) for v in s_values]
+        t_steps = Tensor(t_values.copy())
+        s_steps = Tensor(s_values.copy())
         drop = None if drop_rate == 0.0 else Dropout(drop_rate, np.random.default_rng(7))
         with Tape(precision) as tape:
             zero = zero_state_batch(rows, hidden, dtype)
             t_fwd = run(t_steps, t_mask, zero, params[0], False, drop)
             t_bwd = run(t_steps, t_mask, zero, params[1], True, drop)
-            s_fwd = run(s_steps, s_mask, t_fwd[-1], params[2], False, drop)
-            s_bwd = run(s_steps, s_mask, t_bwd[0], params[3], True, drop)
-            root = add(weighted(t_fwd[-1].h, coeffs[0]), weighted(t_bwd[0].h, coeffs[1]))
-            for k, (f, b) in enumerate(zip(s_fwd, s_bwd)):
-                root = add(root, add(weighted(f.h, coeffs[k % 2]), weighted(b.h, coeffs[2 + k % 2])))
+            s_fwd = run(s_steps, s_mask, t_fwd[1], params[2], False, drop)
+            s_bwd = run(s_steps, s_mask, t_bwd[1], params[3], True, drop)
+            root = add(weighted(t_fwd[1].h, coeffs[0]), weighted(t_bwd[1].h, coeffs[1]))
+            root = add(root, add(weighted(s_fwd[0], fwd_coeffs), weighted(s_bwd[0], bwd_coeffs)))
             tape.backward(root)
-        values = [st.h.value for st in t_fwd + t_bwd + s_fwd + s_bwd]
-        grads = [x.grad for x in t_steps + s_steps]
+        values = [hs.value for hs, _ in (t_fwd, t_bwd, s_fwd, s_bwd)]
+        values += [part.value for _, final in (t_fwd, t_bwd, s_fwd, s_bwd) for part in (final.h, final.c)]
+        grads = [t_steps.grad, s_steps.grad]
         grads += [getattr(p, name).grad for p in params for name in PARAM_NAMES]
         results.append(values + grads)
     for k, (a, b) in enumerate(zip(*results)):

@@ -298,9 +298,11 @@ def test_training_step_records_one_node_per_lstm_run_and_attention_pool():
     longer = [example(ex.sentence_ids + [4] * k, ex.target_ids) for ex in exs]
     grown = tape_kinds("BCAInvarSpec", longer)
     added = {kind: grown[kind] - kinds[kind] for kind in grown | kinds if grown[kind] != kinds[kind]}
-    # per added position: its embedding dropout, and in each branch its
-    # [h_fwd; h_bwd] concatenation and that row's dropout
-    assert added == {"dropout": k + 2 * k, "concat_cols": 2 * k}
+    # a sequence is one tensor: its embedding dropout, and in each branch its
+    # [h_fwd; h_bwd] concatenation and that sequence's dropout, are one node
+    # each at any length
+    assert added == {}
+    assert kinds["dropout"] == 2 + 2 * 2 and kinds["concat_cols"] == 2 * 2 + 1
 
 
 def test_pad_id_batch_layout():

@@ -13,6 +13,7 @@ from stancegen.layers import (
     LSTMParams,
     LSTMState,
     additive_attention_batch,
+    max_pool_encode_batch,
     run_lstm_batch,
 )
 from stancegen.tensor import (
@@ -20,13 +21,11 @@ from stancegen.tensor import (
     Tensor,
     add,
     add_rowvec,
-    blend_rows,
     concat_cols,
     dropout,
     finite_difference_check,
     matmul_t,
     matvec,
-    maximum,
     mul,
     nll_sum,
     relu,
@@ -77,14 +76,6 @@ def test_binary_shape_mismatch_reports_both_shapes():
         add(t64([1, 2]), t64([1, 2, 3]))
 
 
-def test_maximum_tie_routes_gradient_to_first():
-    a, b = t64([2.0, 2.0]), t64([2.0, 2.0])
-    with Tape("float64") as tape:
-        tape.backward(sum_all(maximum(a, b)))
-    assert list(a.grad) == [1.0, 1.0]
-    assert list(b.grad) == [0.0, 0.0]
-
-
 # ------------------------------------------------------------------ matvec
 
 
@@ -109,6 +100,13 @@ def test_concat_examples():
         concat_cols([])
     with pytest.raises(ShapeError):
         concat_cols([t64([[1]]), t64([[1], [2]])])
+    # sequences concatenate along their last axis too, position by position
+    seq = concat_cols([t64([[[1]], [[2]]]), t64([[[3, 4]], [[5, 6]]])])
+    assert seq.value.tolist() == [[[1, 3, 4]], [[2, 5, 6]]]
+    with pytest.raises(ShapeError):
+        concat_cols([t64(np.zeros((2, 1, 3))), t64(np.zeros((1, 1, 3)))])
+    with pytest.raises(ShapeError):
+        concat_cols([t64(np.zeros((1, 2))), t64(np.zeros((1, 1, 2)))])
 
 
 # ----------------------------------------------------------------- softmax
@@ -367,6 +365,10 @@ def _mat(rng, r=3, c=2, lo=-2.0, hi=2.0):
     return tensor(rng.uniform(lo, hi, (r, c)), dtype=np.float64)
 
 
+def _seq(rng, n, rows, d):
+    return tensor(rng.uniform(-1, 1, (n, rows, d)), dtype=np.float64)
+
+
 def _away_from(rng, n, kink, gap=0.2):
     v = rng.uniform(-2, 2, n)
     v = np.where(np.abs(v - kink) < gap, v + np.sign(v - kink + 1e-9) * gap, v)
@@ -397,13 +399,6 @@ def _op_catalog():
     cases["add"] = binary(T.add)
     cases["mul"] = binary(T.mul)
 
-    def build_maximum(rng):
-        a = _vec(rng)
-        b = tensor(a.value + rng.choice([-1, 1], a.value.shape) * rng.uniform(0.2, 1, a.value.shape), dtype=np.float64)
-        return lambda: _reduce(maximum(a, b), rng), [a, b]
-
-    cases["maximum"] = build_maximum
-
     def build_matvec(rng):
         w, x = _mat(rng), _vec(rng, 2)
         return lambda: _reduce(matvec(w, x), rng), [w, x]
@@ -427,13 +422,6 @@ def _op_catalog():
         return lambda: _reduce(add_rowvec(m, b), rng), [m, b]
 
     cases["add_rowvec"] = build_add_rowvec
-
-    def build_blend_rows(rng):
-        a, b = _mat(rng), _mat(rng)
-        keep = rng.random(3) < 0.5
-        return lambda: _reduce(blend_rows(a, b, keep), rng), [a, b]
-
-    cases["blend_rows"] = build_blend_rows
 
     def nll(shape, floor, below=0):
         # entries in [0.2, 0.9], the first `below` rows' picks under the floor
@@ -477,7 +465,7 @@ def _op_catalog():
 
     cases["sum_all"] = build_sum_all
 
-    # the two fused layer nodes, at random ragged shapes
+    # the fused layer nodes and sequence dropout, at random ragged shapes
 
     def ragged_shape(rng, widths):
         # rows and positions, 2 or 3 each, then `widths` widths of 1 to 3;
@@ -494,17 +482,17 @@ def _op_catalog():
             **{f"w_{g}": _mat(rng, hidden, width + hidden, -1, 1) for g in "ifog"},
             **{f"b_{g}": _vec(rng, hidden, -0.5, 0.5) for g in "ifog"},
         )
-        steps = [_mat(rng, rows, width, -1, 1) for _ in range(n)]
+        steps = _seq(rng, n, rows, width)
         init = LSTMState(_mat(rng, rows, hidden, -1, 1), _mat(rng, rows, hidden, -1, 1))
         reverse, rate = bool(rng.integers(2)), float(rng.choice([0.0, 0.3]))
 
         def f():
             # re-seeded, so every evaluation draws the same dropout masks
             drop = Dropout(rate, np.random.default_rng(5)) if rate else None
-            states = run_lstm_batch(steps, mask, init, params, reverse, drop)
-            return _reduce(concat_cols([t for st in states for t in (st.h, st.c)]), rng)
+            hs, final = run_lstm_batch(steps, mask, init, params, reverse, drop)
+            return add(_reduce(hs, rng), _reduce(concat_cols([final.h, final.c]), rng))
 
-        return f, steps + [init.h, init.c] + [t for _, t in params.named("p")]
+        return f, [steps, init.h, init.c] + [t for _, t in params.named("p")]
 
     cases["run_lstm_batch"] = build_run_lstm_batch
 
@@ -512,15 +500,33 @@ def _op_catalog():
         rows, n, mask, k, d, attn = ragged_shape(rng, 3)
         params = AttentionParams(w=_mat(rng, attn, k + d, -1, 1), v=_vec(rng, attn, -1, 1))
         summary = _mat(rng, rows, k, -1, 1)
-        hiddens = [_mat(rng, rows, d, -1, 1) for _ in range(n)]
+        hiddens = _seq(rng, n, rows, d)
 
         def f():
             out = additive_attention_batch(summary, hiddens, params, mask)
             return _reduce(concat_cols([out.s, out.alpha]), rng)
 
-        return f, [summary, params.w, params.v] + hiddens
+        return f, [summary, params.w, params.v, hiddens]
 
     cases["additive_attention_batch"] = build_additive_attention_batch
+
+    def build_max_pool_encode_batch(rng):
+        rows, n, mask, d = ragged_shape(rng, 1)
+        # distinct values at least 0.5 apart per coordinate, so no eps
+        # probe flips an argmax; padded positions may hold the largest
+        ranks = np.argsort(rng.random((n, rows, d)), axis=0)
+        hiddens = tensor(ranks + rng.uniform(-0.25, 0.25, ranks.shape), dtype=np.float64)
+        return lambda: _reduce(max_pool_encode_batch(hiddens, mask), rng), [hiddens]
+
+    cases["max_pool_encode_batch"] = build_max_pool_encode_batch
+
+    def build_sequence_dropout(rng):
+        rows, n, _, d = ragged_shape(rng, 1)
+        x = _seq(rng, n, rows, d)
+        # re-seeded, so every evaluation draws the same (positions, batch, dim) mask
+        return lambda: _reduce(dropout(x, 0.4, np.random.default_rng(6)), rng), [x]
+
+    cases["sequence_dropout"] = build_sequence_dropout
 
     return cases
 
@@ -540,6 +546,36 @@ def test_gradients_match_finite_differences(op_name):
 
 def test_total_randomized_trials_meet_quota():
     assert TRIALS_PER_OP * len(_op_catalog()) >= 100
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_a_run_whose_sequence_and_final_state_both_take_gradients_matches_finite_differences(reverse):
+    # no model reads both: a conditional branch's target runs pass on only
+    # their final states, every other run only its hidden sequence. Here the
+    # last processed step's h sums the final h's share and its hs row's
+    rng = np.random.default_rng(61)
+    rows, n, width, hidden = 3, 4, 2, 3
+    mask = np.arange(n)[None, :] < np.array([4, 2, 3])[:, None]
+    params = LSTMParams(
+        **{f"w_{g}": _mat(rng, hidden, width + hidden, -1, 1) for g in "ifog"},
+        **{f"b_{g}": _vec(rng, hidden, -0.5, 0.5) for g in "ifog"},
+    )
+    steps = _seq(rng, n, rows, width)
+    init = LSTMState(_mat(rng, rows, hidden, -1, 1), _mat(rng, rows, hidden, -1, 1))
+
+    # the final state's coefficients differ from the hs rows'
+    final_coeffs = tensor(np.linspace(-1, 1, 2 * rows * hidden).reshape(rows, 2 * hidden), dtype=np.float64)
+
+    def f():
+        hs, final = run_lstm_batch(steps, mask, init, params, reverse, Dropout(0.3, np.random.default_rng(5)))
+        return add(_reduce(hs, rng), sum_all(mul(concat_cols([final.h, final.c]), final_coeffs)))
+
+    tensors = [steps, init.h, init.c] + [t for _, t in params.named("p")]
+    assert finite_difference_check(f, tensors) < 1e-5
+    with Tape("float64") as tape:
+        outputs = run_lstm_batch(steps, mask, init, params, reverse)
+    (recorded, _), = tape._nodes  # one node, whose outputs are hs, final.h and final.c
+    assert [id(t) for t in recorded] == [id(outputs[0]), id(outputs[1].h), id(outputs[1].c)]
 
 
 # ----------------------------------------------------------- determinism

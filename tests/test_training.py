@@ -375,6 +375,33 @@ def test_objective_tape_nodes_per_step():
         assert len(tape) - before == expected, variant
 
 
+# Tape nodes of one taped train-mode forward per variant, at any sentence
+# length, since a sequence is one (positions, batch, dim) tensor: two
+# embedding dropouts; per branch four LSTM runs and one [h_fwd; h_bwd]
+# concatenation and dropout per hidden sequence it reads, then attention with
+# its summary's concatenation and dropout, or two max pools and their
+# concatenation; one concatenation of two branches; the stance head's 4 nodes
+# and the adversarial heads' 1 + 3 per domain.
+FORWARD_TAPE_NODES = {"Concat": 17, "ConcatInvar": 30, "BCA": 15, "BCAInvar": 28, "BCAInvarSpec": 38}
+
+
+@pytest.mark.parametrize("variant", M.VARIANTS)
+def test_forward_tape_nodes_do_not_grow_with_sentence_length(variant):
+    _, _, emb = toy_split()
+    model = toy_model(variant, emb)
+    counts = []
+    for length in (3, 12):
+        # a ragged batch: the last row ends two tokens early
+        batch = [
+            Example(["w"] * n, ["t"] * (1 + k % 2), "FAVOR", "", "", k % 4, [2 + k] * n, [3] * (1 + k % 2))
+            for k, n in enumerate((length, length, length - 2))
+        ]
+        with Tape("float32") as tape:
+            M.model_forward_batch(model, batch, train_mode=True, rng=np.random.default_rng(0), dropout=0.2)
+        counts.append(len(tape))
+    assert counts == [FORWARD_TAPE_NODES[variant]] * 2
+
+
 def test_toy_convergence_to_perfect_dev():
     train_c, dev_c, emb = toy_split()
     model = toy_model("BCA", emb)
