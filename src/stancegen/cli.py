@@ -134,11 +134,13 @@ def _parse_bool(key: str, raw: str) -> bool:
 
 
 def parse_config_file(path) -> dict[str, str]:
-    """Read flat key=value lines; # starts a comment, blank lines skipped."""
+    """Read flat key=value lines; # starts a comment, blank lines skipped, and
+    a leading UTF-8 byte-order mark is dropped."""
     if not Path(path).exists():
         raise ConfigError(f"config file not found: {path}")
     values: dict[str, str] = {}
-    for lineno, line in enumerate(read_text(path, error=ConfigError).splitlines(), start=1):
+    text = read_text(path, encoding="utf-8-sig", error=ConfigError)
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -642,13 +644,10 @@ def cmd_gradcheck(args) -> int:
 # -------------------------------------------------------------- entry point
 
 
-def _add_common_flags(sub):
+def _add_common_flags(sub, reads_split: bool):
     sub.add_argument("--config", help="flat key=value config file")
-    sub.add_argument("--variant", help="model variant name")
-    sub.add_argument("--lambda", dest="lam", type=float, help="adversarial loss weight")
-    sub.add_argument("--seed", type=int, help="single training seed")
-    sub.add_argument("--seeds", help="comma-separated seed list")
-    sub.add_argument("--no-count-check", action="store_true", help="skip split count validation")
+    if reads_split:
+        sub.add_argument("--no-count-check", action="store_true", help="skip split count validation")
     sub.add_argument("--out-dir", help="output directory")
 
 
@@ -657,28 +656,32 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="train one model per seed")
-    _add_common_flags(p_train)
+    _add_common_flags(p_train, reads_split=True)
+    p_train.add_argument("--variant", help="model variant name")
+    p_train.add_argument("--lambda", dest="lam", type=float, help="adversarial loss weight")
+    p_train.add_argument("--seed", type=int, help="single training seed")
+    p_train.add_argument("--seeds", help="comma-separated seed list")
     p_train.add_argument(
         "--parallel-seeds", action="store_true", help="one process per seed, at most one per CPU"
     )
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint")
-    _add_common_flags(p_eval)
+    _add_common_flags(p_eval, reads_split=True)
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--split", choices=("train", "dev", "test"), default="test")
     p_eval.add_argument("--dataset", help="evaluate this TSV instead of a named split")
     p_eval.set_defaults(func=cmd_eval)
 
     p_pred = sub.add_parser("predict", help="classify one sentence/target pair")
-    _add_common_flags(p_pred)
+    _add_common_flags(p_pred, reads_split=False)
     p_pred.add_argument("--checkpoint", required=True)
     p_pred.add_argument("--text", required=True)
     p_pred.add_argument("--target", required=True)
     p_pred.set_defaults(func=cmd_predict)
 
     p_dump = sub.add_parser("dump-attention", help="write per-example attention records")
-    _add_common_flags(p_dump)
+    _add_common_flags(p_dump, reads_split=True)
     p_dump.add_argument("--checkpoint", required=True)
     p_dump.add_argument("--split", choices=("train", "dev", "test"), default="test")
     p_dump.add_argument("--dataset", help="dump this TSV instead of a named split")

@@ -221,7 +221,9 @@ def _hash_seeded_vector(token: str, dim: int) -> np.ndarray:
 
 
 def _vocab_vectors(lines, vocab: Vocabulary, dim: int) -> dict[str, np.ndarray]:
-    """The vector of each vocabulary token among "token v1 ... v_dim" lines."""
+    """The vector of each vocabulary token among "token v1 ... v_dim" lines;
+    a value that is not a finite float (nan, inf, or one that overflows to
+    inf, such as 1e500) is a ParseError on its line."""
     found: dict[str, np.ndarray] = {}
     for lineno, line in enumerate(lines, start=1):
         head = line.split(None, 1)
@@ -232,9 +234,12 @@ def _vocab_vectors(lines, vocab: Vocabulary, dim: int) -> dict[str, np.ndarray]:
         if len(values) != dim:
             raise ParseError(f"expected {dim} values for token {tok!r}, got {len(values)}", line=lineno)
         try:
-            found[tok] = np.array(values, dtype=np.float64)
+            vec = np.array(values, dtype=np.float64)
         except ValueError:
             raise ParseError(f"non-numeric value in the vector for {tok!r}", line=lineno) from None
+        if not np.isfinite(vec).all():
+            raise ParseError(f"non-finite value in the vector for {tok!r}", line=lineno)
+        found[tok] = vec
     return found
 
 

@@ -4,12 +4,18 @@ dropout, and the gradient-reversal layer.
 Conditional encoding is two bilstm_encode_batch calls: the target pair from
 zero states, then the sentence pair from the target's final states. An LSTM
 run (padding and recurrent dropout included), an attention pool and a max
-pool are one tape node each, with a hand-written backward. In eval mode (no tape) on more
-than one row, LSTM gate products read a contiguous copy of each weight's
-transpose (see _forward_weights), attention splits its weight at the
-summary's width and stacks the positions (_eval_scores), and a large enough
-BiLSTM runs its forward direction on tensor's helper thread. Training and
-1-row batches keep the taped forward's products and bits.
+pool are one tape node each, with a hand-written backward.
+
+Eval products. Whether a tape is active is the only switch, whatever the
+row count. With no tape (eval, and predict's batch of one), LSTM gate
+products read a contiguous copy of each weight's transpose, attention
+splits its weight at the summary's width and stacks the positions
+(_eval_scores), and a BiLSTM without dropout whose gate products
+tensor.helper_takes runs its forward direction on the helper thread. On a
+tape (training, gradcheck) every product is the per-op one that the oracles
+in tests/test_lstm_cell.py and tests/test_attention.py hold, bit for bit.
+The two can round differently: tests/test_eval_products.py holds them to a
+few ulp of each other.
 
 Every layer is row-batched: a sequence is one C-contiguous (positions,
 batch, dim) tensor with trailing padding marked by a (batch, positions) mask
@@ -149,30 +155,10 @@ def zero_state_batch(batch: int, hidden_dim: int, dtype) -> LSTMState:
     return LSTMState(tensor(np.zeros(shape), dtype), tensor(np.zeros(shape), dtype))
 
 
-def _forward_weights(rows: int, *weights: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Right operands for one node's forward products z @ w.T: a C-contiguous
-    copy of each w.T when no tape is active and the batch has more than one
-    row, else the view w.T.
-
-    run_lstm_batch's gate products use it. BLAS multiplies faster against
-    the contiguous copy: in float32 on one OpenBLAS 0.3.31 thread (x86_64,
-    Haswell kernels), a (32x300)(300x200) gate product takes 51 us against
-    the view's 78, and a copy costs 23 us, made once per LSTM run. The copy's
-    bits can differ from the view's, so every taped forward (training,
-    gradcheck) reads the view and training bits stay as they were. A 1-row
-    product, as in predict, saves nothing, so it reads the view too. The
-    copy is never cached: Adam updates each w in place and load_checkpoint
-    reassigns it.
-    """
-    if rows > 1 and active_tape() is None:
-        return tuple(np.ascontiguousarray(w.T) for w in weights)
-    return tuple(w.T for w in weights)
-
-
 def _lstm_cell(x, h_prev, c_prev, h_in, params: LSTMParams, wt: tuple, keep: np.ndarray):
     """One run_lstm_batch step over [x; h_in]; rows where `keep` is False
     carry (h_prev, c_prev). wt holds the i, f, o, g gate weights' transposes
-    from _forward_weights. Returns h, c and backward(gh, gc) -> (h_prev's and
+    from run_lstm_batch. Returns h, c and backward(gh, gc) -> (h_prev's and
     c_prev's padding shares, None if no row is padded, c_prev's f*gc, z's
     gradient)."""
     col = None if keep.all() else keep[:, None]  # None: no padded row
@@ -264,9 +250,12 @@ def run_lstm_batch(
     or the recurrent input's. Each gate's ga.T @ z goes through
     tensor.accum_product, which runs a large one on the helper thread.
 
-    With no tape active and more than one row, the gate products read
-    contiguous copies of the w.T (_forward_weights), so eval h and c can
-    differ from the taped run's by rounding.
+    With no tape active the gate products read a C-contiguous copy of each
+    w.T, made once per run, instead of the view (the eval rule in the module
+    docstring). In float32 on one OpenBLAS 0.3.31 thread (x86_64, Haswell
+    kernels), a (32x300)(300x200) gate product takes 51 us against the
+    view's 78, and a copy costs 23 us. The copy is never cached: Adam
+    updates each w in place and load_checkpoint reassigns it.
     """
     x = steps.value
     if x.ndim != 3 or not x.shape[0]:
@@ -279,7 +268,9 @@ def run_lstm_batch(
     if cols != width - hidden or state != {(rows, hidden)}:
         raise ShapeError(f"run_lstm_batch: steps {x.shape}, states {sorted(state)} for gates {(hidden, width)}")
     tape, rate = active_tape(), 0.0 if drop is None else drop.rate
-    wt = _forward_weights(rows, params.w_i.value, params.w_f.value, params.w_o.value, params.w_g.value)
+    wt = tuple(w.value.T for w in (params.w_i, params.w_f, params.w_o, params.w_g))
+    if tape is None:
+        wt = tuple(np.ascontiguousarray(w) for w in wt)
     hs = np.empty((n, rows, hidden), dtype=np.result_type(x, init.h.value))
     h, c = init.h.value, init.c.value
     taped = []  # (position, backward, dropout factor) per step, only on a tape
@@ -351,19 +342,20 @@ def bilstm_encode_batch(
     Conditional encoding passes a target's two final states as a sentence's
     init.
 
-    With no tape, no dropout and more than one row, when tensor.helper_takes
-    a gate product of rows x hidden x (input + hidden) multiply-adds (17 rows
-    or more at the paper's 100/200 with one BLAS thread on two CPUs), the
-    forward run goes to the helper thread while this thread runs the
-    backward one, with the same calls and bits as inline; an error in the
-    helper's run is raised here. Taped, dropout and 1-row encodings run both
-    directions here, in order, so the dropout masks are drawn as before.
+    With no tape and no dropout, when tensor.helper_takes a gate product of
+    rows x hidden x (input + hidden) multiply-adds (the eval rule in the
+    module docstring; 17 rows or more at the paper's 100/200 with one BLAS
+    thread on two CPUs, so never predict's one row), the forward run goes to
+    the helper thread while this thread runs the backward one, with the same
+    calls and bits as inline; an error in the helper's run is raised here.
+    Other encodings run both directions here, in order, so the dropout masks
+    are drawn as before.
     """
     rows, (hidden, width) = mask.shape[0], fwd.w_i.value.shape
     if init is None:
         zero = zero_state_batch(rows, hidden, fwd.w_i.value.dtype)
         init = (zero, zero)
-    if rows > 1 and active_tape() is None and drop is None and helper_takes(rows * hidden * width):
+    if active_tape() is None and drop is None and helper_takes(rows * hidden * width):
         forward = on_helper(run_lstm_batch, steps, mask, init[0], fwd)
         try:
             b = run_lstm_batch(steps, mask, init[1], bwd, reverse=True)
@@ -392,9 +384,9 @@ def additive_attention_batch(
     decreasing j, into one hiddens gradient; each position's w gradient goes
     through tensor.accum_product, as in run_lstm_batch.
 
-    With no tape active and more than one row, the scores come from
-    _eval_scores, so eval s and alpha can differ from the taped pool's by
-    rounding; training and 1-row pools keep the per-position products.
+    With no tape active the scores come from _eval_scores (the eval rule in
+    the module docstring); on a tape the pool makes one product per
+    position.
     """
     summary, hid, w, v = target_summary.value, hiddens.value, params.w.value, params.v.value
     rows, k = summary.shape if summary.ndim == 2 else (None, 0)
@@ -402,7 +394,7 @@ def additive_attention_batch(
         raise ShapeError(f"additive_attention_batch: summary {summary.shape}, hiddens {hid.shape}, w {w.shape}")
     n, tape = hid.shape[0], active_tape()
     kept = []  # each position's z and tanh, only on a tape
-    if tape is None and rows > 1:
+    if tape is None:
         scores = _eval_scores(summary, hid, w, v)
     else:
         columns = []
@@ -410,8 +402,7 @@ def additive_attention_batch(
             z = np.concatenate([summary, hid[j]], axis=1)
             t = np.tanh(z @ w.T)
             columns.append(t @ v)
-            if tape is not None:
-                kept.append((z, t))
+            kept.append((z, t))
         scores = np.stack(columns, axis=1)
     p = softmax_values(scores, mask)
     total = hid[0] * p[:, 0, None]

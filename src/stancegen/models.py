@@ -268,17 +268,13 @@ def model_forward_batch(
     over the padded width. At paper size in float32, 495 of 1,024 rows in
     batches of 32 differed from a batch of one, by at most 9e-8.
 
-    In eval mode on more than one row, the LSTM gate products read
-    contiguous copies of the weights' transposes (layers._forward_weights),
-    attention takes the summary's share of its product once and the
-    positions' shares stacked (layers._eval_scores), and from 17 rows at
-    paper size, with one BLAS thread on two CPUs, each BiLSTM runs its two
-    directions on two threads, bit for bit. Training and a batch of one make
-    the taped products. At paper size in float32 on OpenBLAS 0.3.31 this
-    moves eval stance probabilities of batches of 2-16 rows by about one ulp
-    against a taped forward and leaves batches of 17 or more rows alone. The
-    attention split can move alpha only below 16 rows: from 16 rows the
-    library sums the 800-long [summary; h_j] product in the same two halves.
+    With no tape the layers make the eval products, a batch of one included
+    (the rule in the layers module docstring). At paper size in float32 on
+    OpenBLAS 0.3.31 this moves eval stance probabilities of batches of 1-16
+    rows by about one ulp against a taped forward and leaves batches of 17
+    or more rows alone. The attention split can move alpha only below 16
+    rows: from 16 rows the library sums the 800-long [summary; h_j] product
+    in the same two halves.
 
     In train mode one Dropout(dropout, rng) applies after the embedding
     lookup, between recurrent steps, and on the encoder outputs; eval mode

@@ -11,7 +11,6 @@ separately.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -165,7 +164,6 @@ class TrainReport:
     best_epoch: int = 0
     stop_epoch: int = 0
     best_dev_f1: float = 0.0
-    wall_time: float = 0.0
 
     def log_text(self) -> str:
         return "".join(e.line() + "\n" for e in self.epochs)
@@ -180,12 +178,9 @@ def predict_corpus(model: Model, corpus: Corpus, batch_size: int = 32) -> list[s
     are padding, against 2% sorted. Compared with file-order batches, a
     stance probability can move by about one float32 ulp, because the
     attention softmax sums over the padded width; only an exact tie could
-    flip a label. No tape is active here, so every batch of more than one
-    row takes the eval products of model_forward_batch (transposed LSTM
-    weight copies, the split attention product, and from 17 rows at paper
-    size the BiLSTM directions on two threads), which can move a probability
-    by about one ulp against a taped forward; a 1-row batch, like predict,
-    makes the taped products.
+    flip a label. No tape is active here, so every batch takes the eval
+    products (the rule in the layers module docstring), which can move a
+    probability by about one ulp against a taped forward.
     """
     examples = corpus.examples
     labels = [""] * len(examples)
@@ -241,7 +236,6 @@ def train(
     report = TrainReport()
     precision = _precision_of(model.dtype)
     best_values: dict[str, np.ndarray] = {k: p.value.copy() for k, p in params.items()}
-    started = time.perf_counter()
 
     for epoch in range(1, hp.max_epochs + 1):
         order = shuffle_rng.permutation(len(examples))
@@ -283,7 +277,6 @@ def train(
     report.stop_epoch = report.epochs[-1].epoch
     report.best_epoch = best_epoch
     report.best_dev_f1 = float(best_f1)
-    report.wall_time = time.perf_counter() - started
     for k, p in params.items():
         p.value = best_values[k]
     if log_path is not None:

@@ -108,8 +108,49 @@ def test_parse_config_missing_file(tmp_path):
         parse_config_file(tmp_path / "absent.cfg")
 
 
+def test_parse_config_drops_a_byte_order_mark(workspace):
+    tmp_path, _, _, config = workspace
+    marked = tmp_path / "bom.cfg"
+    marked.write_bytes(b"\xef\xbb\xbf" + config.read_bytes())
+    assert parse_config_file(marked) == parse_config_file(config)
+    plain = build_run_config(_args(["train", "--config", str(config)]))
+    assert build_run_config(_args(["train", "--config", str(marked)])) == plain
+
+
 def _args(argv):
     return build_parser().parse_args(argv)
+
+
+CHECKPOINT_ARGS = {
+    "eval": ["--checkpoint", "m.npz"],
+    "predict": ["--checkpoint", "m.npz", "--text", "love it", "--target", "Donald Trump"],
+    "dump-attention": ["--checkpoint", "m.npz"],
+}
+TRAINING_FLAGS = [["--variant", "BCA"], ["--lambda", "0.5"], ["--seed", "1"], ["--seeds", "0,1"]]
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [(command, flag) for command in CHECKPOINT_ARGS for flag in TRAINING_FLAGS]
+    + [("predict", ["--no-count-check"])],
+    ids=lambda value: value if isinstance(value, str) else value[0],
+)
+def test_checkpoint_commands_refuse_flags_they_do_not_read(capsys, command, flag):
+    # the model comes from the checkpoint and predict reads no split, so
+    # these flags would be silently ignored
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([command, *CHECKPOINT_ARGS[command], *flag])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and f"unrecognized arguments: {' '.join(flag)}" in err
+
+
+def test_commands_that_read_a_split_keep_the_count_check_flag():
+    # train's flags are covered by test_flag_overrides_win and the seed tests
+    for command in ("eval", "dump-attention"):
+        args = _args([command, *CHECKPOINT_ARGS[command], "--no-count-check", "--out-dir", "o"])
+        assert args.no_count_check and args.out_dir == "o"
+    assert _args(["predict", *CHECKPOINT_ARGS["predict"], "--out-dir", "o"]).out_dir == "o"
 
 
 def test_unknown_config_key(tmp_path):
@@ -248,6 +289,18 @@ def test_train_non_numeric_embedding_value_exits_3(workspace, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["nan", "-inf", "inf", "1e500"])
+def test_train_non_finite_embedding_value_exits_3(workspace, capsys, value):
+    tmp_path, data_dir, out_dir, _ = workspace
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text(f"love 0.1 0.2 0.3 0.4 0.5\nhate 0.1 0.2 {value} 0.4 0.5\n")
+    config = write_config(tmp_path / "emb.cfg", data_dir, out_dir, embeddings_path=vectors)
+    assert main(["train", "--config", str(config)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: line 2: non-finite value in the vector for 'hate'")
+    assert not out_dir.exists()  # refused before vocab.tsv or a checkpoint is written
+
+
 def test_train_count_check_on_tiny_data_exits_3(workspace):
     tmp_path, data_dir, out_dir, _ = workspace
     config = write_config(tmp_path / "strict.cfg", data_dir, out_dir, count_check="true")
@@ -349,7 +402,9 @@ def test_parallel_seed_workers_run_no_gradient_helper(monkeypatch):
 def test_train_non_finite_loss_exits_1(workspace, capsys):
     tmp_path, data_dir, out_dir, _ = workspace
     emb = tmp_path / "emb.txt"
-    emb.write_text("love nan nan nan nan nan\nhate 1 1 1 1 1\n", encoding="utf-8")
+    # finite in the float64 file, so it parses; infinite once the float32
+    # model casts it
+    emb.write_text("love 1e300 -1e300 1e300 -1e300 1e300\nhate 1 1 1 1 1\n", encoding="utf-8")
     config = write_config(tmp_path / "nan.cfg", data_dir, out_dir, embeddings_path=emb)
     assert main(["train", "--config", str(config)]) == 1
     err = capsys.readouterr().err

@@ -1,8 +1,10 @@
 """Fuzz tests for the data readers.
 
 load_embeddings is checked against an oracle: the line-by-line reader it
-replaced, kept below verbatim, which split every line and parsed each kept
-value with float(). Both must give byte-identical matrices, or both raise
+replaced, kept below, which splits every line and parses each kept value
+with float(); it has since gained load_embeddings' rule that a value that is
+not finite (nan, inf, or one that overflows to inf) is a ParseError on its
+line. Both must give byte-identical matrices, or both raise
 ParseError with the same message and line. parse_semeval_tsv and
 Vocabulary.load must turn any text into a result or a ParseError/DataError,
 never another exception.
@@ -39,9 +41,12 @@ def reference_load_embeddings(path, vocab: Vocabulary, dim: int) -> EmbeddingMat
                     f"expected {dim} values for token {tok!r}, got {len(parts) - 1}", line=lineno
                 )
             try:
-                found[tok] = np.array([float(v) for v in parts[1:]], dtype=np.float64)
+                vec = np.array([float(v) for v in parts[1:]], dtype=np.float64)
             except ValueError:
                 raise ParseError(f"non-numeric value in the vector for {tok!r}", line=lineno) from None
+            if not np.isfinite(vec).all():
+                raise ParseError(f"non-finite value in the vector for {tok!r}", line=lineno)
+            found[tok] = vec
     values = np.zeros((len(vocab), dim), dtype=np.float64)
     for tok, idx in vocab.token_to_id.items():
         if idx == PAD_ID:

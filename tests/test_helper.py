@@ -490,7 +490,7 @@ def test_threaded_eval_keeps_bits_under_frequent_thread_switches(monkeypatch, fo
     assert ("forward", False) in runs
 
 
-def test_a_taped_dropout_or_one_row_forward_queues_nothing(forced, runs, no_thread):
+def test_a_taped_or_dropout_forward_queues_nothing(forced, runs, no_thread):
     batch, vocab = tiny_batch(6, (3, 9))
     model = build_model(ModelSpec("BCAInvarSpec", 6, 4, 5, 4), 0, random_embeddings(vocab, 6), np.float32)
     with Tape("float32"):
@@ -498,8 +498,19 @@ def test_a_taped_dropout_or_one_row_forward_queues_nothing(forced, runs, no_thre
         model_forward_batch(model, batch, train_mode=True, rng=np.random.default_rng(1), dropout=0.2)
     # untaped with dropout: both directions draw their masks here, in order
     model_forward_batch(model, batch, train_mode=True, rng=np.random.default_rng(1), dropout=0.2)
-    model_forward_batch(model, batch[:1])  # predict's batch of one
-    assert len(runs) == 4 * 4 * 2 and all(on_main for _, on_main in runs)
+    assert len(runs) == 3 * 4 * 2 and all(on_main for _, on_main in runs)
+    assert T._WORKER is None
+
+
+def test_a_paper_size_one_row_eval_forward_queues_nothing(monkeypatch, runs, no_thread):
+    # predict's batch of one takes the eval products, but its gate products
+    # (1 x 200 x 300 multiply-adds) are far below the helper's size rule
+    monkeypatch.setattr(T, "HELPER", True)
+    batch, vocab = tiny_batch(1, (20, 21))
+    model = build_model(ModelSpec("BCAInvar", 100, 200, 400, 4), 0, random_embeddings(vocab, 100), np.float32)
+    assert T.helper_takes(17 * 200 * 300) and not T.helper_takes(1 * 200 * 300)
+    model_forward_batch(model, batch)
+    assert len(runs) == 4 and all(on_main for _, on_main in runs)
     assert T._WORKER is None
 
 
