@@ -220,10 +220,16 @@ def _hash_seeded_vector(token: str, dim: int) -> np.ndarray:
     return np.random.default_rng(seed).uniform(-0.05, 0.05, dim)
 
 
+# train builds a float32 model (build_model's default), which casts every
+# embedding row it looks up to float32
+FLOAT32_MAX = float(np.finfo(np.float32).max)
+
+
 def _vocab_vectors(lines, vocab: Vocabulary, dim: int) -> dict[str, np.ndarray]:
     """The vector of each vocabulary token among "token v1 ... v_dim" lines;
     a value that is not a finite float (nan, inf, or one that overflows to
-    inf, such as 1e500) is a ParseError on its line."""
+    inf, such as 1e500), or whose magnitude exceeds float32's largest value
+    (1e300, say), is a ParseError on its line."""
     found: dict[str, np.ndarray] = {}
     for lineno, line in enumerate(lines, start=1):
         head = line.split(None, 1)
@@ -237,15 +243,19 @@ def _vocab_vectors(lines, vocab: Vocabulary, dim: int) -> dict[str, np.ndarray]:
             vec = np.array(values, dtype=np.float64)
         except ValueError:
             raise ParseError(f"non-numeric value in the vector for {tok!r}", line=lineno) from None
-        if not np.isfinite(vec).all():
-            raise ParseError(f"non-finite value in the vector for {tok!r}", line=lineno)
+        if not (np.abs(vec) <= FLOAT32_MAX).all():  # false for NaN too
+            if not np.isfinite(vec).all():
+                raise ParseError(f"non-finite value in the vector for {tok!r}", line=lineno)
+            raise ParseError(f"value beyond the float32 range in the vector for {tok!r}", line=lineno)
         found[tok] = vec
     return found
 
 
 def load_embeddings(path, vocab: Vocabulary, dim: int) -> EmbeddingMatrix:
     """Read "token v1 ... v_dim" lines; PAD row is zeros; tokens missing from
-    the file get a deterministic hash-seeded vector in [-0.05, 0.05].
+    the file get a deterministic hash-seeded vector in [-0.05, 0.05]. The
+    matrix is float64, but every value must fit the float32 model that
+    casts its rows.
 
     Streams the file; a line's values are split and parsed only when its
     token is in the vocabulary. A string-to-float64 array cast parses each

@@ -47,11 +47,17 @@ from .tensor import (
 )
 
 
+def placeholder(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """A read-only stand-in that holds no memory (every stride 0 over one
+    zero item), for a caller that replaces it; numpy raises ValueError for a
+    shape too large to describe."""
+    return np.ndarray(shape, dtype, bytes(8), strides=(0,) * len(shape))
+
+
 def glorot_uniform(rng: np.random.Generator | None, rows: int, cols: int, dtype) -> np.ndarray:
-    """Glorot-uniform draw; with rng None, an uninitialized array of the same
-    shape and dtype, for a caller that fills every entry itself."""
+    """Glorot-uniform draw; with rng None, a placeholder of the same shape."""
     if rng is None:
-        return np.empty((rows, cols), dtype=dtype)
+        return placeholder((rows, cols), dtype)
     r = np.sqrt(6.0 / (rows + cols))
     return rng.uniform(-r, r, size=(rows, cols)).astype(dtype)
 
@@ -107,14 +113,14 @@ class LSTMParams:
     def init(
         cls, input_dim: int, hidden_dim: int, rng: np.random.Generator | None, dtype
     ) -> "LSTMParams":
-        """Glorot-uniform gate weights (uninitialized when rng is None); zero
-        biases except forget bias = 1."""
+        """Glorot-uniform gate weights; zero biases except forget bias = 1.
+        With rng None every array is a placeholder."""
 
         def w() -> Tensor:
             return Tensor(glorot_uniform(rng, hidden_dim, input_dim + hidden_dim, dtype))
 
         def b(fill: float = 0.0) -> Tensor:
-            return Tensor(np.full(hidden_dim, fill, dtype=dtype))
+            return Tensor(placeholder((hidden_dim,), dtype) if rng is None else np.full(hidden_dim, fill, dtype=dtype))
 
         return cls(w_i=w(), w_f=w(), w_o=w(), w_g=w(), b_i=b(), b_f=b(1.0), b_o=b(), b_g=b())
 
@@ -134,7 +140,7 @@ class AttentionParams:
     def init(
         cls, attn_dim: int, in_dim: int, rng: np.random.Generator | None, dtype
     ) -> "AttentionParams":
-        """Glorot-uniform w and v; uninitialized when rng is None."""
+        """Glorot-uniform w and v; placeholders when rng is None."""
         w = Tensor(glorot_uniform(rng, attn_dim, in_dim, dtype))
         v = Tensor(glorot_uniform(rng, attn_dim, 1, dtype).reshape(attn_dim))
         return cls(w=w, v=v)

@@ -11,17 +11,23 @@ variants sharing a seed draw identical stance-path initializations. The one
 forward pass runs a padded batch of examples; a single example is a batch of
 one.
 
-A version-2 checkpoint is one .npz that holds the whole model: `__meta__`
-(JSON: version, spec, vocab_hash, embed_hash, precision, adversarial), one
-array per registry parameter under its name, in the model's precision, and
+A version-3 checkpoint is one .npz that holds the whole model in three
+arrays: `__meta__` (JSON: version, spec, vocab_hash, embed_hash, precision,
+adversarial, and `index`, the [name, shape] of every registry parameter in
+registry order), `__params__`, every parameter raveled and concatenated in
+index order into one 1-D array in the model's precision, and
 `__embeddings__`, the frozen vocabulary-aligned embedding matrix in float64
 exactly as EmbeddingMatrix holds it (embed_hash is its hash). Loading reads
-no embeddings file.
+no embeddings file. It takes every expected shape from build_model's
+placeholders, so nothing the spec claims is allocated before the stored
+index, the flat length and its dtype agree with it.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import zipfile
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -66,7 +72,9 @@ VARIANTS = tuple(ARCHITECTURES)
 INVAR_VARIANTS = tuple(v for v, a in ARCHITECTURES.items() if a.heads)
 ATTENTION_VARIANTS = tuple(v for v, a in ARCHITECTURES.items() if a.attention)
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
+META_ARRAY = "__meta__"
+PARAMS_ARRAY = "__params__"
 EMBEDDINGS_ARRAY = "__embeddings__"
 
 
@@ -82,6 +90,9 @@ class ModelSpec:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
+        for name in ("embed_dim", "hidden_dim", "attn_dim", "num_domains", "num_stance_classes"):
+            if type(getattr(self, name)) is not int:
+                raise ConfigError(f"{name} must be an integer")
         for name in ("embed_dim", "hidden_dim", "attn_dim", "num_stance_classes"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
@@ -166,8 +177,10 @@ def build_model(
 ) -> Model:
     """Initialize all parameters under one seed; stance path drawn first.
 
-    With seed None nothing is drawn: the weight matrices are left
-    uninitialized for a caller that fills every one, as load_checkpoint does.
+    With seed None nothing is drawn and nothing the spec sizes is allocated:
+    every weight matrix and LSTM bias is a read-only placeholder
+    (layers.placeholder) for a caller that replaces each parameter, as
+    load_checkpoint does.
     """
     if embeddings.dim != spec.embed_dim:
         raise ConfigError(f"embedding dim {embeddings.dim} != spec embed_dim {spec.embed_dim}")
@@ -333,8 +346,11 @@ def model_forward_batch(
 
 
 def save_checkpoint(model: Model, path, vocab_hash: str) -> None:
-    """Write all registry parameters, the embedding matrix, and the spec and
-    dataset hashes to one npz at exactly `path`, with no suffix added."""
+    """Write all registry parameters as one flat array with their index, the
+    embedding matrix, and the spec and dataset hashes to one npz at exactly
+    `path`, with no suffix added. The flat array is streamed parameter by
+    parameter, so saving holds no copy of it."""
+    params = list(model.params.values())
     meta = {
         "version": CHECKPOINT_VERSION,
         "spec": model.spec.to_dict(),
@@ -342,19 +358,36 @@ def save_checkpoint(model: Model, path, vocab_hash: str) -> None:
         "embed_hash": model.embeddings.content_hash(),
         "precision": np.dtype(model.dtype).name,
         "adversarial": sorted(model.adversarial),
+        "index": [[name, list(t.value.shape)] for name, t in model.params.items()],
     }
-    arrays = {name: t.value for name, t in model.params.items()}
-    arrays[EMBEDDINGS_ARRAY] = model.embeddings.values
-    with atomic_write(path, "wb") as fh:
-        np.savez(fh, __meta__=np.array(json.dumps(meta)), **arrays)
+    descr = np.lib.format.dtype_to_descr(np.dtype(model.dtype))
+    flat_header = {"descr": descr, "fortran_order": False, "shape": (sum(t.value.size for t in params),)}
+    with atomic_write(path, "wb") as fh, zipfile.ZipFile(fh, "w") as archive:
+        with archive.open(META_ARRAY + ".npy", "w") as out:
+            np.lib.format.write_array(out, np.array(json.dumps(meta)), allow_pickle=False)
+        with archive.open(PARAMS_ARRAY + ".npy", "w", force_zip64=True) as out:
+            np.lib.format.write_array_header_1_0(out, flat_header)
+            for t in params:
+                out.write(np.asarray(t.value, dtype=model.dtype).tobytes())
+        with archive.open(EMBEDDINGS_ARRAY + ".npy", "w", force_zip64=True) as out:
+            np.lib.format.write_array(out, model.embeddings.values, allow_pickle=False)
 
 
-def _check_finite(path, name: str, arr: np.ndarray) -> None:
-    if not np.isfinite(arr).all():
-        raise CheckpointError(f"{path}: {name} holds a NaN or infinite value")
+def _value_problem(arr: np.ndarray, dtype) -> str | None:
+    """What keeps a model of precision dtype from holding arr's values, or
+    None. NaN propagates through min and max, so those two values find any
+    NaN or infinity without a temporary the size of arr."""
+    if arr.size == 0:
+        return None
+    lo, hi = arr.min(), arr.max()
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        return "holds a NaN or infinite value"
+    if max(-lo, hi) > np.finfo(dtype).max:
+        return f"holds a value beyond the {np.dtype(dtype).name} range"
+    return None
 
 
-def _stored_embeddings(path, values: np.ndarray | None, spec: ModelSpec) -> EmbeddingMatrix:
+def _stored_embeddings(path, values: np.ndarray | None, spec: ModelSpec, dtype) -> EmbeddingMatrix:
     if values is None:
         raise CheckpointError(f"{path}: checkpoint lacks its embedding matrix {EMBEDDINGS_ARRAY}")
     if values.dtype != np.float64:
@@ -363,8 +396,22 @@ def _stored_embeddings(path, values: np.ndarray | None, spec: ModelSpec) -> Embe
         raise CheckpointError(
             f"{path}: {EMBEDDINGS_ARRAY} has shape {values.shape}, but embed_dim is {spec.embed_dim}"
         )
-    _check_finite(path, EMBEDDINGS_ARRAY, values)
+    problem = _value_problem(values, dtype)
+    if problem:
+        raise CheckpointError(f"{path}: {EMBEDDINGS_ARRAY} {problem}")
     return EmbeddingMatrix(values=values)
+
+
+def _check_index(path, index: list, model: Model) -> None:
+    """Refuse an index that differs from build_model's registry, naming the first entry that differs."""
+    expected = [[name, list(t.value.shape)] for name, t in model.params.items()]
+    for i, (stored, want) in enumerate(zip(index, expected)):
+        if stored != want:
+            raise CheckpointError(f"{path}: index entry {i} is {stored!r}, but the spec gives {want!r}")
+    if len(index) != len(expected):
+        raise CheckpointError(
+            f"{path}: index names {len(index)} parameters, but the spec gives {len(expected)}"
+        )
 
 
 def load_checkpoint(
@@ -376,30 +423,38 @@ def load_checkpoint(
     matrix; returns (model, meta). Draws no random numbers: everything comes
     from the file. A caller that passes `embeddings` gets a CheckpointError
     unless they hash-equal the stored matrix. The row count is left to the
-    caller, who knows the vocabulary."""
+    caller, who knows the vocabulary.
+
+    Each parameter's value is a view into the one flat array: its slice,
+    handed over only after the index, the flat length and dtype, and every
+    value have been checked."""
     try:
         with np.load(path, allow_pickle=False) as archive:
             names = set(archive.files)
-            if "__meta__" not in names:
+            if META_ARRAY not in names:
                 raise CheckpointError(f"{path}: not a model checkpoint (missing metadata)")
-            meta = json.loads(str(archive["__meta__"]))
-            arrays = {name: archive[name] for name in names if name != "__meta__"}
+            meta = json.loads(str(archive[META_ARRAY]))
+            arrays = {name: archive[name] for name in (PARAMS_ARRAY, EMBEDDINGS_ARRAY) if name in names}
     except CheckpointError:
         raise
     except Exception as exc:
         raise CheckpointError(f"{path}: unreadable checkpoint ({exc})") from exc
     version = meta.get("version") if isinstance(meta, dict) else None
     if version != CHECKPOINT_VERSION:
-        # version 1 lacked the embedding matrix, and nothing can restore it
+        # version 1 lacked the embedding matrix and version 2 stored one
+        # array per parameter; retraining writes the current layout
         raise CheckpointError(
             f"{path}: unsupported checkpoint version {version}; "
             f"retrain to write a version {CHECKPOINT_VERSION} checkpoint"
         )
-    for key, kind in (("spec", dict), ("vocab_hash", str), ("embed_hash", str), ("precision", str)):
+    for key, kind in (
+        ("spec", dict), ("vocab_hash", str), ("embed_hash", str), ("precision", str), ("index", list)
+    ):
         if not isinstance(meta.get(key), kind):
             raise CheckpointError(f"{path}: checkpoint metadata lacks a {kind.__name__} {key!r}")
     if meta["precision"] not in PRECISIONS:
         raise CheckpointError(f"{path}: unknown checkpoint precision {meta['precision']!r}")
+    dtype = PRECISIONS[meta["precision"]]
     if expected_vocab_hash is not None and meta["vocab_hash"] != expected_vocab_hash:
         raise CheckpointError(
             f"{path}: vocabulary hash mismatch (checkpoint {meta['vocab_hash'][:12]}..., "
@@ -409,26 +464,42 @@ def load_checkpoint(
         spec = ModelSpec(**meta["spec"])
     except (TypeError, ConfigError) as exc:
         raise CheckpointError(f"{path}: invalid model spec in checkpoint metadata ({exc})") from exc
-    stored = _stored_embeddings(path, arrays.pop(EMBEDDINGS_ARRAY, None), spec)
+    flat = arrays.get(PARAMS_ARRAY)
+    if flat is None:
+        raise CheckpointError(f"{path}: checkpoint lacks its parameter array {PARAMS_ARRAY}")
+    stored = _stored_embeddings(path, arrays.get(EMBEDDINGS_ARRAY), spec, dtype)
     if embeddings is not None and embeddings.content_hash() != stored.content_hash():
         raise CheckpointError(f"{path}: embedding matrix differs from the one stored at training time")
-    model = build_model(spec, seed=None, embeddings=stored, dtype=PRECISIONS[meta["precision"]])
-    saved = set(arrays)
-    expected = set(model.params)
-    if saved != expected:
-        missing = sorted(expected - saved)
-        extra = sorted(saved - expected)
-        raise CheckpointError(f"{path}: parameter set mismatch (missing {missing}, extra {extra})")
+    index = meta["index"]
+    if spec.architecture.heads and spec.num_domains > len(index):
+        # each domain head owns parameters; refused before build_model makes
+        # a placeholder per head
+        raise CheckpointError(
+            f"{path}: spec has {spec.num_domains} domain heads, but the index names {len(index)} parameters"
+        )
+    try:
+        model = build_model(spec, seed=None, embeddings=stored, dtype=dtype)
+    except ValueError as exc:  # a shape too large for numpy to describe
+        raise CheckpointError(
+            f"{path}: model spec in checkpoint metadata has shapes numpy cannot hold ({exc})"
+        ) from exc
+    _check_index(path, index, model)
+    bounds = list(itertools.accumulate((t.value.size for t in model.params.values()), initial=0))
+    if flat.shape != (bounds[-1],):
+        raise CheckpointError(
+            f"{path}: {PARAMS_ARRAY} has shape {flat.shape}, but the index needs ({bounds[-1]},)"
+        )
+    if flat.dtype != dtype:
+        raise CheckpointError(
+            f"{path}: {PARAMS_ARRAY} is {flat.dtype}, but the checkpoint precision is {meta['precision']}"
+        )
+    slices = [(name, slice(lo, hi)) for name, lo, hi in zip(model.params, bounds, bounds[1:])]
+    if _value_problem(flat, dtype):
+        name, problem = next((n, p) for n, s in slices if (p := _value_problem(flat[s], dtype)))
+        raise CheckpointError(f"{path}: {name} {problem}")
     # the registry and the structured layer views hold the same Tensor
     # objects, so assigning values here updates both
-    for name, t in model.params.items():
-        arr = arrays[name]
-        if arr.shape != t.value.shape:
-            raise CheckpointError(f"{path}: shape mismatch for {name}: {arr.shape} vs {t.value.shape}")
-        if arr.dtype != t.value.dtype:
-            raise CheckpointError(
-                f"{path}: {name} is {arr.dtype}, but the checkpoint precision is {meta['precision']}"
-            )
-        _check_finite(path, name, arr)
-        t.value = arr
+    for name, s in slices:
+        t = model.params[name]
+        t.value = flat[s].reshape(t.value.shape)
     return model, meta

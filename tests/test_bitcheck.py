@@ -51,6 +51,24 @@ def test_compare_reports_a_one_ulp_change_in_one_array(tmp_path, capsys):
     ]
 
 
+def test_file_entries_split_a_flat_parameter_array_by_the_index(tmp_path):
+    flat = np.arange(10, dtype=np.float32)
+    meta = {"version": 3, "index": [["enc.w", [2, 3]], ["enc.b", [3]], ["head.v", [1]]]}
+    embeddings = np.ones((2, 2))
+    np.savez(
+        tmp_path / "model.npz", __meta__=np.array(json.dumps(meta)), __params__=flat, __embeddings__=embeddings
+    )
+    entries = bitcheck.file_entries(tmp_path)
+    arrays = {key.split(":")[-1]: value for key, value in entries.items() if key.startswith("array:model.npz:")}
+    assert sorted(arrays) == ["__embeddings__", "__meta__", "__params__", "enc.b", "enc.w", "head.v"]
+    assert arrays["enc.w"] == bitcheck.array_entry(np.arange(6, dtype=np.float32).reshape(2, 3))
+    assert arrays["enc.w"].startswith("float32 (2, 3) ")
+    assert arrays["enc.b"] == bitcheck.array_entry(np.array([6, 7, 8], dtype=np.float32))
+    assert arrays["head.v"] == bitcheck.array_entry(np.array([9], dtype=np.float32))
+    assert arrays["__params__"] == bitcheck.array_entry(flat)
+    assert arrays["__embeddings__"] == bitcheck.array_entry(embeddings)
+
+
 def test_compare_reports_entries_only_one_side_has(tmp_path, capsys):
     a = _fake_run(tmp_path / "a", np.ones((2, 2), dtype=np.float32))
     b = _fake_run(tmp_path / "b", np.ones((2, 2), dtype=np.float32))

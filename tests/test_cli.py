@@ -1,9 +1,14 @@
+import copy
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import stancegen.cli as cli
 import stancegen.files as files
 import stancegen.tensor as T
 from stancegen.cli import (
@@ -20,7 +25,7 @@ from stancegen.cli import (
 )
 from stancegen.data import DEV_TARGET, TEST_TARGET, TRAIN_TARGETS
 from stancegen.errors import ConfigError
-from stancegen.models import EMBEDDINGS_ARRAY
+from stancegen.models import EMBEDDINGS_ARRAY, PARAMS_ARRAY, VARIANTS, load_checkpoint
 
 HEADER = "ID\tTarget\tTweet\tStance"
 CUE = {"FAVOR": "love", "AGAINST": "hate", "NONE": "weather"}
@@ -301,6 +306,20 @@ def test_train_non_finite_embedding_value_exits_3(workspace, capsys, value):
     assert not out_dir.exists()  # refused before vocab.tsv or a checkpoint is written
 
 
+@pytest.mark.parametrize("value", ["1e300", "-3.5e38"])
+def test_train_embedding_value_beyond_float32_exits_3(workspace, capsys, value):
+    # finite in the float64 file, but the float32 model cannot hold it
+    tmp_path, data_dir, out_dir, _ = workspace
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text(f"love 0.1 0.2 0.3 0.4 0.5\nhate 0.1 0.2 {value} 0.4 0.5\n")
+    config = write_config(tmp_path / "emb.cfg", data_dir, out_dir, embeddings_path=vectors)
+    assert main(["train", "--config", str(config)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: line 2: value beyond the float32 range in the vector for 'hate'")
+    assert "Traceback" not in err
+    assert not out_dir.exists()  # refused before vocab.tsv or a checkpoint is written
+
+
 def test_train_count_check_on_tiny_data_exits_3(workspace):
     tmp_path, data_dir, out_dir, _ = workspace
     config = write_config(tmp_path / "strict.cfg", data_dir, out_dir, count_check="true")
@@ -401,14 +420,12 @@ def test_parallel_seed_workers_run_no_gradient_helper(monkeypatch):
 
 def test_train_non_finite_loss_exits_1(workspace, capsys):
     tmp_path, data_dir, out_dir, _ = workspace
-    emb = tmp_path / "emb.txt"
-    # finite in the float64 file, so it parses; infinite once the float32
-    # model casts it
-    emb.write_text("love 1e300 -1e300 1e300 -1e300 1e300\nhate 1 1 1 1 1\n", encoding="utf-8")
-    config = write_config(tmp_path / "nan.cfg", data_dir, out_dir, embeddings_path=emb)
+    # a finite learning rate so large that the first Adam step overflows
+    # the float32 forward of the second
+    config = write_config(tmp_path / "nan.cfg", data_dir, out_dir, learning_rate="1e30")
     assert main(["train", "--config", str(config)]) == 1
     err = capsys.readouterr().err
-    assert "non-finite loss nan at epoch 1, step 1" in err
+    assert "non-finite loss nan at epoch 1, step 2" in err
     assert "Traceback" not in err
     assert not (out_dir / "model_seed0.npz").exists()
 
@@ -550,34 +567,70 @@ def _eval_exits_4(workspace, capsys, rewrite, edit, message):
         (lambda m: m.pop("precision"), "lacks a str 'precision'"),
         (lambda m: m.update(precision="int8x"), "unknown checkpoint precision 'int8x'"),
         (lambda m: m.update(precision=["float32"]), "lacks a str 'precision'"),
+        (lambda m: m.pop("index"), "lacks a list 'index'"),
         (lambda m: m["spec"].update(hidden="3"), "invalid model spec"),
         (lambda m: m["spec"].update(variant="Nope"), "invalid model spec"),
     ],
     ids=["no-embed-hash", "no-vocab-hash", "no-spec", "no-precision", "bad-precision",
-         "list-precision", "unknown-spec-key", "bad-variant"],
+         "list-precision", "no-index", "unknown-spec-key", "bad-variant"],
 )
 def test_eval_malformed_checkpoint_metadata_exits_4(workspace, capsys, edit, message):
     _eval_exits_4(workspace, capsys, _rewrite_meta, edit, message)
 
 
+def _param_slice(arrays, name):
+    """Where parameter `name` sits in the flat __params__ array."""
+    offset = 0
+    for entry, shape in json.loads(str(arrays["__meta__"]))["index"]:
+        size = int(np.prod(shape))
+        if entry == name:
+            return slice(offset, offset + size)
+        offset += size
+    raise KeyError(name)
+
+
 def _poison(name, value):
     def edit(arrays):
-        arrays[name] = arrays[name].copy()
-        arrays[name].flat[1] = value
+        if name == EMBEDDINGS_ARRAY:
+            target, start = EMBEDDINGS_ARRAY, 0
+        else:
+            target, start = PARAMS_ARRAY, _param_slice(arrays, name).start
+        arrays[target] = arrays[target].copy()
+        arrays[target].flat[start + 1] = value
     return edit
 
 
-def _as_version_1(arrays):
-    # the version-1 layout: parameters only, no embedding matrix
-    del arrays[EMBEDDINGS_ARRAY]
-    meta = json.loads(str(arrays["__meta__"]))
-    arrays["__meta__"] = np.array(json.dumps({**meta, "version": 1}))
+def _edit_index(edit):
+    def edit_arrays(arrays):
+        meta = json.loads(str(arrays["__meta__"]))
+        edit(meta["index"])
+        arrays["__meta__"] = np.array(json.dumps(meta))
+    return edit_arrays
+
+
+def _as_version(version):
+    def edit(arrays):
+        # version 1 stored the parameters one array each and no embedding
+        # matrix; version 2 added the matrix
+        meta = json.loads(str(arrays["__meta__"]))
+        for name, _ in meta.pop("index"):
+            arrays[name] = arrays[PARAMS_ARRAY][_param_slice(arrays, name)]
+        del arrays[PARAMS_ARRAY]
+        if version == 1:
+            del arrays[EMBEDDINGS_ARRAY]
+        arrays["__meta__"] = np.array(json.dumps({**meta, "version": version}))
+    return edit
+
+
+def _swap_first_two(index):
+    index[0], index[1] = index[1], index[0]
 
 
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (_as_version_1, "unsupported checkpoint version 1; retrain to write a version 2 checkpoint"),
+        (_as_version(1), "unsupported checkpoint version 1; retrain to write a version 3 checkpoint"),
+        (_as_version(2), "unsupported checkpoint version 2; retrain to write a version 3 checkpoint"),
         (lambda a: a.pop(EMBEDDINGS_ARRAY), "lacks its embedding matrix __embeddings__"),
         (lambda a: a.update(__embeddings__=a[EMBEDDINGS_ARRAY].astype(np.float32)),
          "__embeddings__ is float32, not float64"),
@@ -586,14 +639,155 @@ def _as_version_1(arrays):
         (lambda a: a.update(__embeddings__=a[EMBEDDINGS_ARRAY][:-1]),
          "embedding matrix has 20 rows, but the vocabulary has 21 tokens"),
         (_poison(EMBEDDINGS_ARRAY, np.inf), "__embeddings__ holds a NaN or infinite value"),
+        (_poison(EMBEDDINGS_ARRAY, -1e300), "__embeddings__ holds a value beyond the float32 range"),
+        (lambda a: a.pop(PARAMS_ARRAY), "lacks its parameter array __params__"),
+        (lambda a: a.update(__params__=a[PARAMS_ARRAY][:-1]), "__params__ has shape (510,), but the index needs (511,)"),
+        (lambda a: a.update(__params__=np.append(a[PARAMS_ARRAY], np.float32(0))),
+         "__params__ has shape (512,), but the index needs (511,)"),
+        (lambda a: a.update(__params__=a[PARAMS_ARRAY].astype(np.float64)),
+         "__params__ is float64, but the checkpoint precision is float32"),
+        (lambda a: a.update(__params__=a[PARAMS_ARRAY].reshape(1, -1)),
+         "__params__ has shape (1, 511), but the index needs (511,)"),
+        (_edit_index(lambda i: i[3].__setitem__(0, "encoder.target_fwd.w_x")),
+         "index entry 3 is ['encoder.target_fwd.w_x', [3, 8]], but the spec gives ['encoder.target_fwd.w_g', [3, 8]]"),
+        (_edit_index(_swap_first_two),
+         "index entry 0 is ['encoder.target_fwd.w_f', [3, 8]], but the spec gives ['encoder.target_fwd.w_i', [3, 8]]"),
+        (_edit_index(lambda i: i[0].__setitem__(1, [8, 3])),
+         "index entry 0 is ['encoder.target_fwd.w_i', [8, 3]], but the spec gives ['encoder.target_fwd.w_i', [3, 8]]"),
+        (_edit_index(lambda i: i.append(["extra", [1]])), "index names 37 parameters, but the spec gives 36"),
+        (_edit_index(lambda i: i.pop()), "index names 35 parameters, but the spec gives 36"),
         (_poison("stance.w_mlp", np.nan), "stance.w_mlp holds a NaN or infinite value"),
         (_poison("attention.v", -np.inf), "attention.v holds a NaN or infinite value"),
     ],
-    ids=["version-1", "no-embeddings", "float32-embeddings", "narrow-embeddings", "1d-embeddings",
-         "short-embeddings", "inf-embedding", "nan-parameter", "inf-parameter"],
+    ids=["version-1", "version-2", "no-embeddings", "float32-embeddings", "narrow-embeddings",
+         "1d-embeddings", "short-embeddings", "inf-embedding", "float32-overflowing-embedding",
+         "no-params", "params-one-short", "params-one-long", "float64-params", "2d-params",
+         "index-name", "index-order", "index-shape", "index-extra-entry", "index-missing-entry",
+         "nan-parameter", "inf-parameter"],
 )
 def test_eval_malformed_checkpoint_arrays_exit_4(workspace, capsys, edit, message):
     _eval_exits_4(workspace, capsys, _rewrite_arrays, edit, message)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda s: s.update(hidden_dim=3000), "but the spec gives ['encoder.target_fwd.w_i', [3000, 3005]]"),
+        (lambda s: s.update(hidden_dim=10**6), "but the spec gives ['encoder.target_fwd.w_i', [1000000, 1000005]]"),
+        (lambda s: s.update(hidden_dim=10**12), "has shapes numpy cannot hold (array is too big;"),
+        (lambda s: s.update(attn_dim=10**19), "has shapes numpy cannot hold (Maximum allowed dimension exceeded)"),
+        (lambda s: s.update(variant="BCAInvar", num_domains=10**5),
+         "spec has 100000 domain heads, but the index names 36 parameters"),
+        (lambda s: s.update(hidden_dim=2.5), "invalid model spec in checkpoint metadata (hidden_dim must be an integer)"),
+        (lambda s: s.update(num_domains=True), "(num_domains must be an integer)"),
+    ],
+    ids=["hidden-3000", "hidden-1e6", "hidden-1e12", "attn-1e19", "domains-1e5", "float-dim", "bool-domains"],
+)
+def test_eval_huge_or_odd_checkpoint_spec_exits_4_without_allocating(workspace, capsys, monkeypatch, edit, message):
+    # the spec's shapes are checked against the stored index before anything
+    # they size is allocated: the load's traced peak (the zip directory, the
+    # metadata string and its JSON, the two arrays) stays within a few times
+    # the 10 KB file, where hidden_dim 3000 alone would need 577 MB
+    out_dir, config = _trained(workspace)
+    checkpoint = out_dir / "model_seed0.npz"
+    _rewrite_meta(checkpoint, lambda meta: edit(meta["spec"]))
+    growth = []
+
+    def traced_load(*args, **kwargs):
+        tracemalloc.start()
+        try:
+            return load_checkpoint(*args, **kwargs)
+        finally:
+            growth.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(cli, "load_checkpoint", traced_load)
+    capsys.readouterr()
+    code = main(["eval", "--config", str(config), "--checkpoint", str(checkpoint)])
+    assert code == EXIT_CHECKPOINT
+    err = capsys.readouterr().err
+    assert err.startswith("checkpoint error: ") and message in err
+    assert "Traceback" not in err
+    assert len(growth) == 1 and growth[0] < 8 * checkpoint.stat().st_size
+
+
+@pytest.fixture(scope="module")
+def trained_arrays(tmp_path_factory):
+    """One small trained BCA checkpoint's arrays and the config to eval it."""
+    root = tmp_path_factory.mktemp("meta_fuzz")
+    data_dir = root / "data"
+    data_dir.mkdir()
+    write_dataset(data_dir)
+    config = write_config(root / "run.cfg", data_dir, root / "run")
+    assert main(["train", "--config", str(config)]) == EXIT_OK
+    with np.load(root / "run" / "model_seed0.npz", allow_pickle=False) as archive:
+        return config, {name: archive[name] for name in archive.files}
+
+
+SPEC_DIMS = ("embed_dim", "hidden_dim", "attn_dim", "num_domains", "num_stance_classes")
+meta_edits = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("spec"),
+            st.sampled_from(SPEC_DIMS),
+            st.one_of(st.integers(-2, 10**7), st.sampled_from([10**7, 2.5, True, None, "3", [3]])),
+        ),
+        st.tuples(st.just("spec"), st.just("variant"), st.sampled_from(VARIANTS + ("Nope", 3))),
+        st.tuples(
+            st.just("index"),
+            st.integers(0, 40),
+            st.sampled_from(["drop", "swap", "rename", "transpose", "grow", "scalar", "unpaired"]),
+        ),
+        st.tuples(st.just("meta"), st.just("precision"), st.sampled_from(["float32", "float64", "float16", 32])),
+        st.tuples(st.just("meta"), st.just("version"), st.sampled_from([1, 2, 3, 4, 3.0, "3", None])),
+        st.tuples(st.just("meta"), st.just("index"), st.sampled_from([[], {}, None, "index", [[]]])),
+    ),
+    max_size=4,
+)
+
+
+def _edit_index_entry(index, i, how):
+    if not index or not all(isinstance(entry, list) and len(entry) == 2 for entry in index):
+        return  # already replaced by a malformed index
+    i %= len(index)
+    if how == "drop":
+        del index[i]
+    elif how == "swap":
+        index[i - 1], index[i] = index[i], index[i - 1]
+    elif how == "rename":
+        index[i] = [index[i][0] + "x", index[i][1]]
+    elif how == "transpose":
+        index[i] = [index[i][0], index[i][1][::-1]]
+    elif how == "grow":
+        index[i] = [index[i][0], [d + 1 for d in index[i][1]]]
+    elif how == "scalar":
+        index[i] = [index[i][0], []]
+    else:
+        index[i] = index[i][0]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=meta_edits)
+def test_eval_with_mutated_checkpoint_metadata_exits_0_or_4(trained_arrays, tmp_path, capsys, edits):
+    # every spec dimension stays at most 1e7, so each mutated file is small
+    # and a model it claims is only placeholders or a refusal
+    config, arrays = trained_arrays
+    meta = json.loads(str(arrays["__meta__"]))
+    for kind, *edit in edits:
+        if kind == "spec":
+            meta["spec"][edit[0]] = copy.deepcopy(edit[1])
+        elif kind == "meta":
+            meta[edit[0]] = copy.deepcopy(edit[1])
+        elif isinstance(meta.get("index"), list):
+            _edit_index_entry(meta["index"], *edit)
+    checkpoint = tmp_path / "mutated.npz"
+    np.savez(checkpoint, **{**arrays, "__meta__": np.array(json.dumps(meta))})
+    capsys.readouterr()
+    code = main(["eval", "--config", str(config), "--checkpoint", str(checkpoint)])
+    err = capsys.readouterr().err
+    assert code in (EXIT_OK, EXIT_CHECKPOINT), err
+    assert "Traceback" not in err
+    assert code == EXIT_OK or err.startswith("checkpoint error: ")
 
 
 def test_eval_empty_dataset_exits_3(workspace, tmp_path):

@@ -2,9 +2,9 @@
 
 load_embeddings is checked against an oracle: the line-by-line reader it
 replaced, kept below, which splits every line and parses each kept value
-with float(); it has since gained load_embeddings' rule that a value that is
-not finite (nan, inf, or one that overflows to inf) is a ParseError on its
-line. Both must give byte-identical matrices, or both raise
+with float(); it has since gained load_embeddings' rules that a value that
+is not finite (nan, inf, or one that overflows to inf), or that a float32
+model cannot hold (1e300), is a ParseError on its line. Both must give byte-identical matrices, or both raise
 ParseError with the same message and line. parse_semeval_tsv and
 Vocabulary.load must turn any text into a result or a ParseError/DataError,
 never another exception.
@@ -46,6 +46,8 @@ def reference_load_embeddings(path, vocab: Vocabulary, dim: int) -> EmbeddingMat
                 raise ParseError(f"non-numeric value in the vector for {tok!r}", line=lineno) from None
             if not np.isfinite(vec).all():
                 raise ParseError(f"non-finite value in the vector for {tok!r}", line=lineno)
+            if (np.abs(vec) > np.finfo(np.float32).max).any():
+                raise ParseError(f"value beyond the float32 range in the vector for {tok!r}", line=lineno)
             found[tok] = vec
     values = np.zeros((len(vocab), dim), dtype=np.float64)
     for tok, idx in vocab.token_to_id.items():
@@ -59,7 +61,8 @@ def reference_load_embeddings(path, vocab: Vocabulary, dim: int) -> EmbeddingMat
 VOCAB = Vocabulary({"<pad>": 0, "<unk>": 1, "a": 2, "b": 3, "the": 4, "٣": 5})
 UNKNOWN = ["c", "A", "a,", "zz", "<UNK>", "1.0", "ａ"]
 JUNK = [
-    "1_0", "1__0", "_1", "nan", "-nan", "+NaN", "inf", "-Infinity", "iNf", "1e500", "-1e500",
+    "1_0", "1__0", "_1", "nan", "-nan", "+NaN", "inf", "-Infinity", "iNf", "1e500", "-1e500", "1e300",
+    "-3.4028236e38", "3.4028234e38",
     "4.9e-324", "1e-400", "٣", "١.٢", "１２", "0x10", "1,5", "1d0", "1e", ".", "-", "+1.", ".5",
     "1\x00", "\x00", "",
 ]

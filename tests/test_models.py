@@ -1,4 +1,6 @@
 import collections
+import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -383,11 +385,51 @@ def test_checkpoint_stores_embeddings_next_to_the_parameters(tmp_path):
     path = tmp_path / "model.npz"
     save_checkpoint(m, path, vocab_hash="abc123")
     with np.load(path, allow_pickle=False) as archive:
-        names = set(archive.files)
+        names = archive.files
+        meta = json.loads(str(archive[M.META_ARRAY]))
+        flat = archive[M.PARAMS_ARRAY]
         stored = archive[M.EMBEDDINGS_ARRAY]
-    assert names == set(m.params) | {"__meta__", M.EMBEDDINGS_ARRAY}
+    assert names == [M.META_ARRAY, M.PARAMS_ARRAY, M.EMBEDDINGS_ARRAY]
+    assert meta["index"] == [[name, list(t.value.shape)] for name, t in m.params.items()]
+    assert flat.dtype == np.float32 and flat.ndim == 1
+    assert flat.tobytes() == b"".join(t.value.tobytes() for t in m.params.values())
     assert stored.dtype == np.float64
     assert stored.tobytes() == m.embeddings.values.tobytes()
+
+
+def test_loaded_parameters_are_slices_of_one_flat_array(tmp_path):
+    m = trained_like_model()
+    path = tmp_path / "model.npz"
+    save_checkpoint(m, path, vocab_hash="abc123")
+    loaded, _ = load_checkpoint(path)
+    bases = {id(t.value.base) for t in loaded.params.values()}
+    assert len(bases) == 1
+    assert all(t.value.flags.writeable for t in loaded.params.values())
+
+
+def test_save_checkpoint_streams_the_flat_array(tmp_path):
+    # the parameters are written one by one: saving never holds a copy of
+    # all of them, only one parameter's bytes at a time
+    m = build_model(ModelSpec("BCA", EMBED_DIM, 64, 16, DOMAINS), seed=0, embeddings=embeddings(), dtype=F64)
+    total = sum(t.value.nbytes for t in m.params.values())
+    tracemalloc.start()
+    try:
+        save_checkpoint(m, tmp_path / "model.npz", vocab_hash="abc123")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < total / 2
+    loaded, _ = load_checkpoint(tmp_path / "model.npz")
+    for name, t in m.params.items():
+        assert np.array_equal(loaded.params[name].value, t.value), name
+
+
+def test_build_model_without_a_seed_allocates_nothing_the_spec_sizes():
+    spec = ModelSpec("BCAInvar", EMBED_DIM, 10**6, 10**6, DOMAINS)
+    m = build_model(spec, seed=None, embeddings=embeddings(), dtype=np.float32)
+    weights = [t.value for name, t in m.params.items() if not name.startswith("domain.")]
+    assert m.params["encoder.sent_fwd.w_i"].value.shape == (10**6, EMBED_DIM + 10**6)
+    assert all(not v.flags.writeable and not any(v.strides) for v in weights)
 
 
 def test_checkpoint_vocab_hash_mismatch(tmp_path):
@@ -433,8 +475,6 @@ def _saved_arrays(tmp_path):
 
 
 def test_checkpoint_version_gate(tmp_path):
-    import json
-
     path, arrays = _saved_arrays(tmp_path)
     meta = json.loads(str(arrays["__meta__"]))
     arrays["__meta__"] = np.array(json.dumps({**meta, "version": 999}))
@@ -443,19 +483,35 @@ def test_checkpoint_version_gate(tmp_path):
         load_checkpoint(path)
 
 
+def _drop_parameter(arrays, name):
+    """Remove `name` from the index and its values from the flat array."""
+    meta = json.loads(str(arrays[M.META_ARRAY]))
+    offset = 0
+    for i, (entry, shape) in enumerate(meta["index"]):
+        size = int(np.prod(shape))
+        if entry == name:
+            del meta["index"][i]
+            flat = arrays[M.PARAMS_ARRAY]
+            arrays[M.PARAMS_ARRAY] = np.concatenate([flat[:offset], flat[offset + size :]])
+            arrays[M.META_ARRAY] = np.array(json.dumps(meta))
+            return
+        offset += size
+    raise KeyError(name)
+
+
 def test_checkpoint_missing_parameter_detected(tmp_path):
     path, arrays = _saved_arrays(tmp_path)
-    arrays.pop("stance.w_mlp")
+    _drop_parameter(arrays, "stance.w_mlp")
     np.savez(path, **arrays)
-    with pytest.raises(CheckpointError, match="w_mlp"):
+    with pytest.raises(CheckpointError, match=r"index entry \d+ is .*stance\.w_stance.*spec gives .*stance\.w_mlp"):
         load_checkpoint(path)
 
 
 def test_checkpoint_dtype_mismatch_names_the_array(tmp_path):
     path, arrays = _saved_arrays(tmp_path)
-    arrays["stance.w_mlp"] = arrays["stance.w_mlp"].astype(np.float64)
+    arrays[M.PARAMS_ARRAY] = arrays[M.PARAMS_ARRAY].astype(np.float64)
     np.savez(path, **arrays)
-    with pytest.raises(CheckpointError, match=r"stance\.w_mlp is float64.*float32"):
+    with pytest.raises(CheckpointError, match=r"__params__ is float64.*float32"):
         load_checkpoint(path)
 
 

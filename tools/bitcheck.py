@@ -26,11 +26,13 @@ this file sits in) on seeded synthetic data from perfbench/corpus.py:
   on the helper thread (from 17 rows at paper size).
 
 It writes DIR/manifest.json: the SHA-256 of every output file, of every
-checkpoint array with its dtype and shape, and of each checkpoint's
-`__meta__`, plus each command's stdout, stderr and exit code. Two strings
-that differ between identical runs are normalised: the output directory
-that commands print (dump-attention names its output path) and gradcheck's
-elapsed seconds.
+checkpoint array with its dtype and shape (a format-3 checkpoint's
+`__params__` whole, and each parameter cut out of it by the `__meta__`
+index, under the same key as one stored on its own), and of each
+checkpoint's `__meta__`, plus each command's stdout, stderr and exit code.
+Two strings that differ between identical runs are normalised: the output
+directory that commands print (dump-attention names its output path) and
+gradcheck's elapsed seconds.
 
 The second form prints every entry that differs between DIR_A/manifest.json
 and DIR_B/manifest.json, or that only one of them has, and exits 1 if there
@@ -51,6 +53,7 @@ import argparse
 import difflib
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -187,17 +190,33 @@ def array_entry(arr: np.ndarray) -> str:
     return f"{arr.dtype} {tuple(arr.shape)} {sha256(np.ascontiguousarray(arr).tobytes())}"
 
 
+def split_params(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """A format-3 checkpoint's parameters, cut out of `__params__` by the
+    `__meta__` index, so that each compares with the same parameter of an
+    older checkpoint that stored one array per parameter."""
+    if "__params__" not in arrays:
+        return {}
+    flat, offset, params = arrays["__params__"], 0, {}
+    for name, shape in json.loads(str(arrays["__meta__"]))["index"]:
+        size = math.prod(shape)
+        params[name] = flat[offset : offset + size].reshape(shape)
+        offset += size
+    return params
+
+
 def file_entries(root: Path) -> dict[str, str]:
-    """One entry per file under root, and one per array of each .npz, so a
-    differing checkpoint names the arrays that differ."""
+    """One entry per file under root, one per array of each .npz and one per
+    parameter of a format-3 checkpoint, so a differing checkpoint names the
+    parameters that differ."""
     entries: dict[str, str] = {}
     for path in sorted(p for p in root.rglob("*") if p.is_file()):
         rel = path.relative_to(root).as_posix()
         entries[f"file:{rel}"] = sha256(path.read_bytes())
         if path.suffix == ".npz":
             with np.load(path, allow_pickle=False) as archive:
-                for name in sorted(archive.files):
-                    entries[f"array:{rel}:{name}"] = array_entry(archive[name])
+                arrays = {name: archive[name] for name in archive.files}
+            for name, arr in sorted({**arrays, **split_params(arrays)}.items()):
+                entries[f"array:{rel}:{name}"] = array_entry(arr)
     return entries
 
 
