@@ -251,23 +251,12 @@ def load_datasets(cfg: RunConfig) -> Split:
     return make_split(full, check_counts=cfg.count_check)
 
 
-def load_saved_vocab(cfg: RunConfig) -> Vocabulary:
-    """The vocabulary a checkpoint was trained with: vocab_path if set, else
-    the out_dir/vocab.tsv that train saved; it is never rebuilt from a split."""
-    if cfg.vocab_path:
-        return Vocabulary.load(_resolve_data_path(cfg.vocab_path, "vocab.tsv", "vocab"))
-    saved = Path(cfg.out_dir) / "vocab.tsv"
-    if not saved.exists():
-        raise ConfigError(f"no vocab_path configured and {saved} not found")
-    return Vocabulary.load(saved)
-
-
 def load_vocab_and_embeddings(cfg: RunConfig, train: Corpus):
     """The train command's vocabulary, from vocab_path if set and else built
     from `train`, and its frozen embedding matrix: the embeddings_path rows
     of that vocabulary, or hash-seeded vectors without one."""
     if cfg.vocab_path:
-        vocab = load_saved_vocab(cfg)
+        vocab = Vocabulary.load(_resolve_data_path(cfg.vocab_path, "vocab.tsv", "vocab"))
     else:
         vocab = build_vocab([train], min_count=cfg.hp.min_count)
     if cfg.embeddings_path:
@@ -294,7 +283,7 @@ def _train_one_seed(cfg: RunConfig, spec: ModelSpec, split: Split, vocab, emb, s
         hp,
         log_path=out_dir / f"train_seed{seed}.log",
         checkpoint_path=out_dir / f"model_seed{seed}.npz",
-        vocab_hash=vocab.content_hash(),
+        vocab=vocab,
     )
     dev_metrics = compute_metrics(
         predict_corpus(model, split.dev, hp.batch_size), [ex.stance for ex in split.dev]
@@ -369,16 +358,13 @@ def cmd_train(args) -> int:
 
 
 def _load_checkpoint_for(cfg: RunConfig, checkpoint_path):
-    """The checkpoint carries its embedding matrix, so only the vocabulary
-    and the checkpoint are read; embeddings_path and embed_dim are not."""
-    vocab = load_saved_vocab(cfg)
-    model, _ = load_checkpoint(checkpoint_path, expected_vocab_hash=vocab.content_hash())
-    rows = model.embeddings.values.shape[0]
-    if rows != len(vocab):
-        raise CheckpointError(
-            f"{checkpoint_path}: embedding matrix has {rows} rows, but the vocabulary has {len(vocab)} tokens"
-        )
-    return model, vocab
+    """The model and its vocabulary, both from the checkpoint, the one file
+    read: embeddings_path and embed_dim are not read, and vocab_path only to
+    check that it names the checkpoint's vocabulary."""
+    expected = None
+    if cfg.vocab_path:
+        expected = Vocabulary.load(_resolve_data_path(cfg.vocab_path, "vocab.tsv", "vocab")).content_hash()
+    return load_checkpoint(checkpoint_path, expected_vocab_hash=expected)
 
 
 def _evaluation_corpus(cfg: RunConfig, args) -> Corpus:

@@ -86,12 +86,28 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.token_to_id)
 
+    @classmethod
+    def from_tokens(cls, tokens) -> "Vocabulary":
+        """The vocabulary whose token i has id i. Raises ValueError unless
+        tokens is a list of unique strings that starts with PAD and UNK."""
+        if not isinstance(tokens, list) or not all(isinstance(tok, str) for tok in tokens):
+            raise ValueError("the vocabulary is not a list of strings")
+        mapping = {tok: i for i, tok in enumerate(tokens)}
+        if len(mapping) != len(tokens):
+            raise ValueError("the vocabulary lists a token twice")
+        if tokens[:2] != [PAD_TOKEN, UNK_TOKEN]:
+            raise ValueError(f"the vocabulary must start with {PAD_TOKEN} and {UNK_TOKEN}, got {tokens[:2]!r}")
+        return cls(mapping)
+
     def id_of(self, token: str) -> int:
         return self.token_to_id.get(token, UNK_ID)
 
+    def tokens(self) -> list[str]:
+        """Every token in id order."""
+        return sorted(self.token_to_id, key=self.token_to_id.__getitem__)
+
     def serialize(self) -> str:
-        rows = sorted(self.token_to_id.items(), key=lambda kv: kv[1])
-        return "".join(f"{tok}\t{i}\n" for tok, i in rows)
+        return "".join(f"{tok}\t{i}\n" for i, tok in enumerate(self.tokens()))
 
     def content_hash(self) -> str:
         return hashlib.sha256(self.serialize().encode("utf-8")).hexdigest()
@@ -209,10 +225,7 @@ def build_vocab(corpora: list[Corpus], min_count: int = 1) -> Vocabulary:
         (tok for tok, c in counts.items() if c >= min_count),
         key=lambda tok: (-counts[tok], tok),
     )
-    mapping = {PAD_TOKEN: PAD_ID, UNK_TOKEN: UNK_ID}
-    for i, tok in enumerate(kept, start=2):
-        mapping[tok] = i
-    return Vocabulary(mapping)
+    return Vocabulary.from_tokens([PAD_TOKEN, UNK_TOKEN, *kept])
 
 
 def _hash_seeded_vector(token: str, dim: int) -> np.ndarray:

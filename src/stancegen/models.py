@@ -11,28 +11,30 @@ variants sharing a seed draw identical stance-path initializations. The one
 forward pass runs a padded batch of examples; a single example is a batch of
 one.
 
-A version-3 checkpoint is one .npz that holds the whole model in three
-arrays: `__meta__` (JSON: version, spec, vocab_hash, embed_hash, precision,
-adversarial, and `index`, the [name, shape] of every registry parameter in
+A version-4 checkpoint is one .npz that holds the whole model in three
+arrays: `__meta__` (JSON: version, spec, precision, `vocab`, the tokens in id
+order, and `index`, the [name, shape] of every registry parameter in
 registry order), `__params__`, every parameter raveled and concatenated in
 index order into one 1-D array in the model's precision, and
 `__embeddings__`, the frozen vocabulary-aligned embedding matrix in float64
-exactly as EmbeddingMatrix holds it (embed_hash is its hash). Loading reads
-no embeddings file. It takes every expected shape from build_model's
-placeholders, so nothing the spec claims is allocated before the stored
-index, the flat length and its dtype agree with it.
+exactly as EmbeddingMatrix holds it. Loading reads no other file. The
+metadata fixes every array's dtype and shape: the index and the
+placeholders of build_model give the flat length, and the vocabulary and
+embed_dim the matrix's. Each array's .npy header is checked against them
+before anything is allocated for its data.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import zipfile
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import EmbeddingMatrix, Example
+from .data import EmbeddingMatrix, Example, Vocabulary
 from .errors import CheckpointError, ConfigError, DataError
 from .files import atomic_write
 from .layers import (
@@ -72,7 +74,7 @@ VARIANTS = tuple(ARCHITECTURES)
 INVAR_VARIANTS = tuple(v for v, a in ARCHITECTURES.items() if a.heads)
 ATTENTION_VARIANTS = tuple(v for v, a in ARCHITECTURES.items() if a.attention)
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 META_ARRAY = "__meta__"
 PARAMS_ARRAY = "__params__"
 EMBEDDINGS_ARRAY = "__embeddings__"
@@ -345,19 +347,17 @@ def model_forward_batch(
     )
 
 
-def save_checkpoint(model: Model, path, vocab_hash: str) -> None:
-    """Write all registry parameters as one flat array with their index, the
-    embedding matrix, and the spec and dataset hashes to one npz at exactly
+def save_checkpoint(model: Model, path, vocab: Vocabulary) -> None:
+    """Write the spec, the vocabulary, all registry parameters as one flat
+    array with their index, and the embedding matrix to one npz at exactly
     `path`, with no suffix added. The flat array is streamed parameter by
     parameter, so saving holds no copy of it."""
     params = list(model.params.values())
     meta = {
         "version": CHECKPOINT_VERSION,
         "spec": model.spec.to_dict(),
-        "vocab_hash": vocab_hash,
-        "embed_hash": model.embeddings.content_hash(),
         "precision": np.dtype(model.dtype).name,
-        "adversarial": sorted(model.adversarial),
+        "vocab": vocab.tokens(),
         "index": [[name, list(t.value.shape)] for name, t in model.params.items()],
     }
     descr = np.lib.format.dtype_to_descr(np.dtype(model.dtype))
@@ -387,19 +387,53 @@ def _value_problem(arr: np.ndarray, dtype) -> str | None:
     return None
 
 
-def _stored_embeddings(path, values: np.ndarray | None, spec: ModelSpec, dtype) -> EmbeddingMatrix:
-    if values is None:
-        raise CheckpointError(f"{path}: checkpoint lacks its embedding matrix {EMBEDDINGS_ARRAY}")
-    if values.dtype != np.float64:
-        raise CheckpointError(f"{path}: {EMBEDDINGS_ARRAY} is {values.dtype}, not float64")
-    if values.ndim != 2 or values.shape[1] != spec.embed_dim:
-        raise CheckpointError(
-            f"{path}: {EMBEDDINGS_ARRAY} has shape {values.shape}, but embed_dim is {spec.embed_dim}"
-        )
-    problem = _value_problem(values, dtype)
-    if problem:
-        raise CheckpointError(f"{path}: {EMBEDDINGS_ARRAY} {problem}")
-    return EmbeddingMatrix(values=values)
+# numpy's own .npy reader reads 256 KiB at a time; reading 1 MiB chunks
+# raised a paper-size load's peak RSS by about 1.4 MB and saved no time
+READ_CHUNK = 1 << 18
+
+
+def _read_array(
+    archive: zipfile.ZipFile, path, name: str, what: str, dtype: np.dtype | None, shape: tuple, needs: str
+) -> np.ndarray:
+    """The checkpoint's `what`, stored as member name.npy.
+
+    Its header must give `dtype` (None: a string of any length, the
+    metadata's) and `shape` (`needs` says what fixes it) and account for
+    exactly the member's bytes. Only then is the array allocated, and its
+    data is read into it a chunk at a time, so neither a header's claim nor
+    a deflated member makes the load allocate more than the metadata needs."""
+    if name + ".npy" not in archive.namelist():
+        raise CheckpointError(f"{path}: checkpoint lacks its {what} {name}")
+    info = archive.getinfo(name + ".npy")
+    try:
+        with archive.open(info) as fh:
+            version = np.lib.format.read_magic(fh)
+            if version not in ((1, 0), (2, 0)):
+                raise ValueError(f"unsupported .npy version {version}")
+            read_header = getattr(np.lib.format, f"read_array_header_{version[0]}_0")
+            stored_shape, fortran_order, stored_dtype = read_header(fh)
+            if stored_dtype != dtype if dtype is not None else stored_dtype.kind != "U":
+                raise CheckpointError(f"{path}: {name} is {stored_dtype}, not {'a string' if dtype is None else dtype}")
+            if stored_shape != shape:
+                raise CheckpointError(f"{path}: {name} has shape {stored_shape}, but {needs} {shape}")
+            if fortran_order:
+                raise CheckpointError(f"{path}: {name} is stored in Fortran order")
+            nbytes = math.prod(shape) * stored_dtype.itemsize
+            if info.file_size != fh.tell() + nbytes:
+                raise CheckpointError(
+                    f"{path}: {name} holds {info.file_size - fh.tell()} bytes of data, but its header gives {nbytes}"
+                )
+            arr = np.empty(shape, stored_dtype)
+            buf = memoryview(arr.reshape(-1).view(np.uint8))
+            for lo in range(0, nbytes, READ_CHUNK):
+                chunk = buf[lo : lo + READ_CHUNK]
+                if fh.readinto(chunk) != len(chunk):
+                    raise ValueError(f"{name} ends early")
+            return arr
+    except CheckpointError:
+        raise
+    except Exception as exc:  # zipfile, zlib and numpy's header parser each raise their own kinds
+        raise CheckpointError(f"{path}: unreadable checkpoint ({exc})") from exc
 
 
 def _check_index(path, index: list, model: Model) -> None:
@@ -418,57 +452,68 @@ def load_checkpoint(
     path,
     embeddings: EmbeddingMatrix | None = None,
     expected_vocab_hash: str | None = None,
-) -> tuple[Model, dict]:
+) -> tuple[Model, Vocabulary]:
     """Rebuild a Model with value-exact parameters and the stored embedding
-    matrix; returns (model, meta). Draws no random numbers: everything comes
-    from the file. A caller that passes `embeddings` gets a CheckpointError
-    unless they hash-equal the stored matrix. The row count is left to the
-    caller, who knows the vocabulary.
+    matrix; returns (model, vocabulary). Draws no random numbers and reads
+    no other file: everything comes from the checkpoint. A caller that
+    passes `embeddings` gets a CheckpointError unless they hash-equal the
+    stored matrix, and one that passes `expected_vocab_hash` unless it is
+    the stored vocabulary's content_hash.
 
     Each parameter's value is a view into the one flat array: its slice,
     handed over only after the index, the flat length and dtype, and every
     value have been checked."""
     try:
-        with np.load(path, allow_pickle=False) as archive:
-            names = set(archive.files)
-            if META_ARRAY not in names:
-                raise CheckpointError(f"{path}: not a model checkpoint (missing metadata)")
-            meta = json.loads(str(archive[META_ARRAY]))
-            arrays = {name: archive[name] for name in (PARAMS_ARRAY, EMBEDDINGS_ARRAY) if name in names}
-    except CheckpointError:
-        raise
+        archive = zipfile.ZipFile(path)
     except Exception as exc:
         raise CheckpointError(f"{path}: unreadable checkpoint ({exc})") from exc
+    with archive:
+        return _load(archive, path, embeddings, expected_vocab_hash)
+
+
+def _load(archive: zipfile.ZipFile, path, embeddings, expected_vocab_hash) -> tuple[Model, Vocabulary]:
+    stored = _read_array(archive, path, META_ARRAY, "metadata", None, (), "the format needs")
+    try:
+        meta = json.loads(str(stored))
+    except (ValueError, RecursionError) as exc:
+        raise CheckpointError(f"{path}: unreadable checkpoint metadata ({exc})") from exc
     version = meta.get("version") if isinstance(meta, dict) else None
     if version != CHECKPOINT_VERSION:
-        # version 1 lacked the embedding matrix and version 2 stored one
-        # array per parameter; retraining writes the current layout
+        # version 1 lacked the embedding matrix, version 2 stored one array
+        # per parameter and version 3 left the vocabulary to a separate
+        # file; retraining writes the current layout
         raise CheckpointError(
             f"{path}: unsupported checkpoint version {version}; "
             f"retrain to write a version {CHECKPOINT_VERSION} checkpoint"
         )
-    for key, kind in (
-        ("spec", dict), ("vocab_hash", str), ("embed_hash", str), ("precision", str), ("index", list)
-    ):
+    for key, kind in (("spec", dict), ("precision", str), ("vocab", list), ("index", list)):
         if not isinstance(meta.get(key), kind):
             raise CheckpointError(f"{path}: checkpoint metadata lacks a {kind.__name__} {key!r}")
     if meta["precision"] not in PRECISIONS:
         raise CheckpointError(f"{path}: unknown checkpoint precision {meta['precision']!r}")
     dtype = PRECISIONS[meta["precision"]]
-    if expected_vocab_hash is not None and meta["vocab_hash"] != expected_vocab_hash:
+    try:
+        vocab = Vocabulary.from_tokens(meta["vocab"])
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: invalid vocabulary in checkpoint metadata ({exc})") from exc
+    if expected_vocab_hash is not None and vocab.content_hash() != expected_vocab_hash:
         raise CheckpointError(
-            f"{path}: vocabulary hash mismatch (checkpoint {meta['vocab_hash'][:12]}..., "
+            f"{path}: vocabulary hash mismatch (checkpoint {vocab.content_hash()[:12]}..., "
             f"current {expected_vocab_hash[:12]}...)"
         )
     try:
         spec = ModelSpec(**meta["spec"])
     except (TypeError, ConfigError) as exc:
         raise CheckpointError(f"{path}: invalid model spec in checkpoint metadata ({exc})") from exc
-    flat = arrays.get(PARAMS_ARRAY)
-    if flat is None:
-        raise CheckpointError(f"{path}: checkpoint lacks its parameter array {PARAMS_ARRAY}")
-    stored = _stored_embeddings(path, arrays.get(EMBEDDINGS_ARRAY), spec, dtype)
-    if embeddings is not None and embeddings.content_hash() != stored.content_hash():
+    values = _read_array(
+        archive, path, EMBEDDINGS_ARRAY, "embedding matrix", np.dtype(np.float64),
+        (len(vocab), spec.embed_dim), "the vocabulary and embed_dim need",
+    )
+    problem = _value_problem(values, dtype)
+    if problem:
+        raise CheckpointError(f"{path}: {EMBEDDINGS_ARRAY} {problem}")
+    stored_embeddings = EmbeddingMatrix(values=values)
+    if embeddings is not None and embeddings.content_hash() != stored_embeddings.content_hash():
         raise CheckpointError(f"{path}: embedding matrix differs from the one stored at training time")
     index = meta["index"]
     if spec.architecture.heads and spec.num_domains > len(index):
@@ -478,21 +523,16 @@ def load_checkpoint(
             f"{path}: spec has {spec.num_domains} domain heads, but the index names {len(index)} parameters"
         )
     try:
-        model = build_model(spec, seed=None, embeddings=stored, dtype=dtype)
+        model = build_model(spec, seed=None, embeddings=stored_embeddings, dtype=dtype)
     except ValueError as exc:  # a shape too large for numpy to describe
         raise CheckpointError(
             f"{path}: model spec in checkpoint metadata has shapes numpy cannot hold ({exc})"
         ) from exc
     _check_index(path, index, model)
     bounds = list(itertools.accumulate((t.value.size for t in model.params.values()), initial=0))
-    if flat.shape != (bounds[-1],):
-        raise CheckpointError(
-            f"{path}: {PARAMS_ARRAY} has shape {flat.shape}, but the index needs ({bounds[-1]},)"
-        )
-    if flat.dtype != dtype:
-        raise CheckpointError(
-            f"{path}: {PARAMS_ARRAY} is {flat.dtype}, but the checkpoint precision is {meta['precision']}"
-        )
+    flat = _read_array(
+        archive, path, PARAMS_ARRAY, "parameter array", np.dtype(dtype), (bounds[-1],), "the index needs"
+    )
     slices = [(name, slice(lo, hi)) for name, lo, hi in zip(model.params, bounds, bounds[1:])]
     if _value_problem(flat, dtype):
         name, problem = next((n, p) for n, s in slices if (p := _value_problem(flat[s], dtype)))
@@ -502,4 +542,4 @@ def load_checkpoint(
     for name, s in slices:
         t = model.params[name]
         t.value = flat[s].reshape(t.value.shape)
-    return model, meta
+    return model, vocab

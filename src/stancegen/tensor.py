@@ -15,7 +15,8 @@ them; the active-tape stack is thread-local so independent tapes may run on
 separate threads. One exception: during Tape.backward, accum_product may
 hand a weight's gradient products to a single helper thread, which runs them
 in the order they were queued. Such a weight's grad is then written only by
-the helper, and backward waits for every queued job before it returns. The
+the helper, and backward waits for every job its thread queued before it
+returns, raising the first one's error there and nowhere else. The
 same thread takes untaped calls through on_helper (an eval BiLSTM's forward
 direction), whose caller waits for the result or the exception.
 """
@@ -34,12 +35,20 @@ from .errors import ShapeError
 
 PRECISIONS = {"float32": np.float32, "float64": np.float64}
 
-_TLS = threading.local()
+
+class _ThreadState(threading.local):
+    def __init__(self):
+        self.tapes: list[Tape] = []  # the active-tape stack
+        # the replies of the accum_product jobs this thread has queued and
+        # not yet drained, in queue order
+        self.pending: list[queue.SimpleQueue] = []
+
+
+_TLS = _ThreadState()
 
 
 def active_tape() -> "Tape | None":
-    stack = getattr(_TLS, "tapes", None)
-    return stack[-1] if stack else None
+    return _TLS.tapes[-1] if _TLS.tapes else None
 
 
 class Tensor:
@@ -101,8 +110,7 @@ def _helper_wanted() -> bool:
 # 1.2-1.4x from 0.96 M (paper: 1.92 M at 32 rows, 1.02 M at 17).
 HELPER = _helper_wanted()
 HELPER_MIN_MACS = 1_000_000
-_JOBS: queue.SimpleQueue = queue.SimpleQueue()  # (fn, args, reply queue or None)
-_ERRORS: list[BaseException] = []
+_JOBS: queue.SimpleQueue = queue.SimpleQueue()  # (fn, args, reply queue)
 _WORKER: threading.Thread | None = None
 _STARTING = threading.Lock()
 
@@ -111,7 +119,7 @@ def _forget_helper() -> None:
     """A forked child has no helper thread: start its own on first use."""
     global _JOBS, _WORKER, _STARTING
     _JOBS, _WORKER, _STARTING = queue.SimpleQueue(), None, threading.Lock()
-    _ERRORS.clear()
+    _TLS.pending.clear()
 
 
 if hasattr(os, "register_at_fork"):
@@ -122,25 +130,23 @@ def _work() -> None:
     while True:
         fn, args, reply = _JOBS.get()
         try:
-            result = fn(*args)
-        except BaseException as exc:  # re-raised on the caller's thread
-            if reply is None:
-                _ERRORS.append(exc)  # by _drain
-            else:
-                reply.put((None, exc))
-        else:
-            if reply is not None:
-                reply.put((result, None))
-        fn = args = reply = result = None  # no tape array outlives its job
+            reply.put((fn(*args), None))
+        except BaseException as exc:  # re-raised on the queuing thread
+            reply.put((None, exc))
+        fn = args = reply = None  # no tape array outlives its job
 
 
-def _submit(fn: Callable, args: tuple, reply: queue.SimpleQueue | None) -> None:
+def _submit(fn: Callable, args: tuple) -> queue.SimpleQueue:
+    """Queue fn(*args) on the helper thread; its (result, exception) pair
+    arrives on the returned reply queue."""
     global _WORKER
     with _STARTING:  # two threads' first jobs must not start two workers
         if _WORKER is None:
             _WORKER = threading.Thread(target=_work, name="stancegen-dw", daemon=True)
             _WORKER.start()
+    reply: queue.SimpleQueue = queue.SimpleQueue()
     _JOBS.put((fn, args, reply))
+    return reply
 
 
 def _accum_product(w: Tensor, a: np.ndarray, b: np.ndarray) -> None:
@@ -156,9 +162,10 @@ def helper_takes(macs: int) -> bool:
 def accum_product(w: Tensor, a: np.ndarray, b: np.ndarray) -> None:
     """w.accum(a.T @ b); on the helper thread if helper_takes the product. A
     weight's products in one backward share a shape, so they take one route
-    and are added in queue order."""
+    and are added in queue order. _drain waits for this thread's queued
+    products."""
     if helper_takes(a.shape[0] * a.shape[1] * b.shape[1]):
-        _submit(_accum_product, (w, a, b), None)
+        _TLS.pending.append(_submit(_accum_product, (w, a, b)))
     else:
         _accum_product(w, a, b)
 
@@ -175,8 +182,7 @@ def on_helper(fn: Callable, *args) -> Callable[[], object]:
     on a 2-vCPU x86-64 VM (one BLAS thread); polling kept them within 4% of
     the unthreaded code (BENCH_pr18.json).
     """
-    reply: queue.SimpleQueue = queue.SimpleQueue()
-    _submit(fn, args, reply)
+    reply = _submit(fn, args)
 
     def wait():
         while reply.empty():
@@ -190,15 +196,14 @@ def on_helper(fn: Callable, *args) -> Callable[[], object]:
 
 
 def _drain() -> None:
-    """Wait for every queued job, then raise the first helper error, if any."""
-    if _WORKER is not None:
-        done: queue.SimpleQueue = queue.SimpleQueue()
-        _submit(done.put, (None,), None)
-        done.get()  # FIFO: every earlier job has run
-    if _ERRORS:
-        first = _ERRORS[0]
-        _ERRORS.clear()
-        raise first
+    """Wait for every accum_product job this thread has queued, in queue
+    order, then raise the first one's error, if any. Other threads' jobs
+    and errors stay theirs."""
+    results = [reply.get() for reply in _TLS.pending]  # blocks, in queue order
+    _TLS.pending.clear()
+    errors = [exc for _, exc in results if exc is not None]
+    if errors:
+        raise errors[0]
 
 
 class Tape:
@@ -217,10 +222,7 @@ class Tape:
         self._nodes: list[tuple[Tensor | tuple[Tensor, ...], Callable]] = []
 
     def __enter__(self) -> "Tape":
-        stack = getattr(_TLS, "tapes", None)
-        if stack is None:
-            stack = _TLS.tapes = []
-        stack.append(self)
+        _TLS.tapes.append(self)
         return self
 
     def __exit__(self, *exc) -> None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .data import STANCE_TO_INDEX, STANCES, Corpus, Example
+from .data import STANCE_TO_INDEX, STANCES, Corpus, Example, Vocabulary
 from .errors import ConfigError, NonFiniteLossError
 from .evaluation import compute_metrics
 from .files import atomic_write
@@ -23,6 +23,7 @@ from .models import ForwardOutput, Model, length_sorted_batches, model_forward_b
 from .tensor import Tape, Tensor, add, nll_sum, scale, zero_grads
 
 PROB_FLOOR = 1e-12
+CLIP_NORM = 5.0  # the global gradient L2 norm each step is clipped to
 
 
 @dataclass
@@ -39,7 +40,6 @@ class Hyperparams:
     max_epochs: int = 200
     seed: int = 0
     min_count: int = 1
-    clip_norm: float = 5.0
 
     def __post_init__(self):
         for f in fields(self):
@@ -50,9 +50,8 @@ class Hyperparams:
         for name in ("embed_dim", "hidden_dim", "batch_size", "patience", "max_epochs"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        for name in ("learning_rate", "clip_norm"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+        if self.learning_rate <= 0:
+            raise ConfigError("learning_rate must be positive")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must be in [0, 1)")
         if self.lam < 0:
@@ -207,16 +206,16 @@ def train(
     hp: Hyperparams,
     log_path=None,
     checkpoint_path=None,
-    vocab_hash: str = "",
+    vocab: Vocabulary | None = None,
 ) -> TrainReport:
     """Mini-batch training with per-epoch dev selection and early stopping:
     training stops once `patience` epochs have passed since the best dev
     macro-F1, where only a strictly higher F1 counts as better.
 
     The model is left holding the best-epoch parameters; if checkpoint_path
-    is given they are also saved there. A non-finite objective raises
-    NonFiniteLossError before its backward pass, so no update is applied and
-    nothing is written.
+    is given they are also saved there, with `vocab`. A non-finite objective
+    raises NonFiniteLossError before its backward pass, so no update is
+    applied and nothing is written.
     """
     if model.spec.architecture.heads:
         missing = [i for i, ex in enumerate(train_corpus) if ex.domain_index is None]
@@ -256,7 +255,7 @@ def train(
                     )
                 tape.backward(objective)
             stance_total += float(s_loss.value[0]) * len(batch)
-            clip_gradients(params, hp.clip_norm)
+            clip_gradients(params, CLIP_NORM)
             adam_step(params, adam, hp.learning_rate, hp.l2)
             zero_grads(params.values())
         f1 = dev_macro_f1(model, dev_corpus, hp.batch_size)
@@ -283,5 +282,5 @@ def train(
         with atomic_write(log_path) as fh:
             fh.write(report.log_text())
     if checkpoint_path is not None:
-        save_checkpoint(model, checkpoint_path, vocab_hash)
+        save_checkpoint(model, checkpoint_path, vocab)
     return report

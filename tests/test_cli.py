@@ -1,6 +1,7 @@
 import copy
 import json
 import tracemalloc
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from stancegen.cli import (
     main,
     parse_config_file,
 )
-from stancegen.data import DEV_TARGET, TEST_TARGET, TRAIN_TARGETS
+from stancegen.data import DEV_TARGET, TEST_TARGET, TRAIN_TARGETS, Vocabulary
 from stancegen.errors import ConfigError
 from stancegen.models import EMBEDDINGS_ARRAY, PARAMS_ARRAY, VARIANTS, load_checkpoint
 
@@ -487,27 +488,31 @@ def test_eval_corrupted_checkpoint_exits_4(workspace, capsys):
     assert "checkpoint error" in capsys.readouterr().err
 
 
-def test_eval_vocab_mismatch_exits_4(workspace):
-    out_dir, config = _trained(workspace)
-    vocab_file = out_dir / "vocab.tsv"
-    lines = vocab_file.read_text().splitlines()
-    vocab_file.write_text("\n".join(lines + [f"zzzz\t{len(lines)}"]) + "\n")
-    code = main(
-        ["eval", "--config", str(config), "--checkpoint", str(out_dir / "model_seed0.npz")]
-    )
+def _eval_with_vocab_path(workspace, edit):
+    """eval of a trained checkpoint with vocab_path set to a copy of the
+    vocabulary train saved, its lines passed through edit."""
+    tmp_path, data_dir, out_dir, _ = workspace
+    _trained(workspace)
+    kept = tmp_path / "kept_vocab.tsv"
+    kept.write_text("\n".join(edit((out_dir / "vocab.tsv").read_text().splitlines())) + "\n")
+    return main(_eval(write_config(tmp_path / "vp.cfg", data_dir, out_dir, vocab_path=kept), out_dir))
+
+
+def test_eval_vocab_mismatch_exits_4(workspace, capsys):
+    code = _eval_with_vocab_path(workspace, lambda lines: lines + [f"zzzz\t{len(lines)}"])
     assert code == EXIT_CHECKPOINT
+    assert "vocabulary hash mismatch" in capsys.readouterr().err
+
+
+def _set_id(i, new_id):
+    def edit(lines):
+        lines[i] = lines[i].split("\t")[0] + "\t" + new_id
+        return lines
+    return edit
 
 
 def test_eval_non_integer_vocab_id_exits_3(workspace, capsys):
-    out_dir, config = _trained(workspace)
-    vocab_file = out_dir / "vocab.tsv"
-    lines = vocab_file.read_text().splitlines()
-    lines[2] = lines[2].split("\t")[0] + "\tthree"
-    vocab_file.write_text("\n".join(lines) + "\n")
-    capsys.readouterr()
-    code = main(
-        ["eval", "--config", str(config), "--checkpoint", str(out_dir / "model_seed0.npz")]
-    )
+    code = _eval_with_vocab_path(workspace, _set_id(2, "three"))
     assert code == EXIT_DATA
     err = capsys.readouterr().err
     assert err.startswith("data error: line 3:")
@@ -515,15 +520,7 @@ def test_eval_non_integer_vocab_id_exits_3(workspace, capsys):
 
 
 def test_eval_vocab_with_duplicate_ids_exits_3(workspace, capsys):
-    out_dir, config = _trained(workspace)
-    vocab_file = out_dir / "vocab.tsv"
-    lines = vocab_file.read_text().splitlines()
-    lines[3] = lines[3].split("\t")[0] + "\t2"
-    vocab_file.write_text("\n".join(lines) + "\n")
-    capsys.readouterr()
-    code = main(
-        ["eval", "--config", str(config), "--checkpoint", str(out_dir / "model_seed0.npz")]
-    )
+    code = _eval_with_vocab_path(workspace, _set_id(3, "2"))
     assert code == EXIT_DATA
     err = capsys.readouterr().err
     assert err.startswith("data error: line 4: id 2 is already used on line 3")
@@ -561,8 +558,14 @@ def _eval_exits_4(workspace, capsys, rewrite, edit, message):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda m: m.pop("embed_hash"), "lacks a str 'embed_hash'"),
-        (lambda m: m.pop("vocab_hash"), "lacks a str 'vocab_hash'"),
+        (lambda m: m.pop("vocab"), "lacks a list 'vocab'"),
+        (lambda m: m.update(vocab="<pad>"), "lacks a list 'vocab'"),
+        (lambda m: m["vocab"].__setitem__(2, 3),
+         "invalid vocabulary in checkpoint metadata (the vocabulary is not a list of strings)"),
+        (lambda m: m["vocab"].__setitem__(3, m["vocab"][2]), "(the vocabulary lists a token twice)"),
+        (lambda m: m["vocab"].reverse(), "(the vocabulary must start with <pad> and <unk>"),
+        (lambda m: m["vocab"].append("zzzz"),
+         "__embeddings__ has shape (21, 5), but the vocabulary and embed_dim need (22, 5)"),
         (lambda m: m.pop("spec"), "lacks a dict 'spec'"),
         (lambda m: m.pop("precision"), "lacks a str 'precision'"),
         (lambda m: m.update(precision="int8x"), "unknown checkpoint precision 'int8x'"),
@@ -571,7 +574,8 @@ def _eval_exits_4(workspace, capsys, rewrite, edit, message):
         (lambda m: m["spec"].update(hidden="3"), "invalid model spec"),
         (lambda m: m["spec"].update(variant="Nope"), "invalid model spec"),
     ],
-    ids=["no-embed-hash", "no-vocab-hash", "no-spec", "no-precision", "bad-precision",
+    ids=["no-vocab", "string-vocab", "int-token", "repeated-token", "reversed-vocab", "long-vocab",
+         "no-spec", "no-precision", "bad-precision",
          "list-precision", "no-index", "unknown-spec-key", "bad-variant"],
 )
 def test_eval_malformed_checkpoint_metadata_exits_4(workspace, capsys, edit, message):
@@ -611,8 +615,14 @@ def _edit_index(edit):
 def _as_version(version):
     def edit(arrays):
         # version 1 stored the parameters one array each and no embedding
-        # matrix; version 2 added the matrix
+        # matrix; version 2 added the matrix; version 3 stored the flat
+        # array, and the vocabulary's hash instead of the vocabulary
         meta = json.loads(str(arrays["__meta__"]))
+        vocab = meta.pop("vocab")
+        meta.update(vocab_hash=Vocabulary.from_tokens(vocab).content_hash(), embed_hash="0" * 64)
+        if version == 3:
+            arrays["__meta__"] = np.array(json.dumps({**meta, "version": 3}))
+            return
         for name, _ in meta.pop("index"):
             arrays[name] = arrays[PARAMS_ARRAY][_param_slice(arrays, name)]
         del arrays[PARAMS_ARRAY]
@@ -629,15 +639,24 @@ def _swap_first_two(index):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (_as_version(1), "unsupported checkpoint version 1; retrain to write a version 3 checkpoint"),
-        (_as_version(2), "unsupported checkpoint version 2; retrain to write a version 3 checkpoint"),
+        (_as_version(1), "unsupported checkpoint version 1; retrain to write a version 4 checkpoint"),
+        (_as_version(2), "unsupported checkpoint version 2; retrain to write a version 4 checkpoint"),
+        (_as_version(3), "unsupported checkpoint version 3; retrain to write a version 4 checkpoint"),
+        (lambda a: a.pop("__meta__"), "lacks its metadata __meta__"),
+        (lambda a: a.update(__meta__=np.array([1.5])), "__meta__ is float64, not a string"),
+        (lambda a: a.update(__meta__=np.array([{}], dtype=object)), "__meta__ is object, not a string"),
+        (lambda a: a.update(__meta__=a["__meta__"].reshape(1)), "__meta__ has shape (1,), but the format needs ()"),
         (lambda a: a.pop(EMBEDDINGS_ARRAY), "lacks its embedding matrix __embeddings__"),
         (lambda a: a.update(__embeddings__=a[EMBEDDINGS_ARRAY].astype(np.float32)),
          "__embeddings__ is float32, not float64"),
-        (lambda a: a.update(__embeddings__=a[EMBEDDINGS_ARRAY][:, :-1]), "but embed_dim is 5"),
-        (lambda a: a.update(__embeddings__=a[EMBEDDINGS_ARRAY][0]), "shape (5,), but embed_dim is 5"),
+        (lambda a: a.update(__embeddings__=a[EMBEDDINGS_ARRAY][:, :-1]),
+         "__embeddings__ has shape (21, 4), but the vocabulary and embed_dim need (21, 5)"),
+        (lambda a: a.update(__embeddings__=a[EMBEDDINGS_ARRAY][0]),
+         "__embeddings__ has shape (5,), but the vocabulary and embed_dim need (21, 5)"),
         (lambda a: a.update(__embeddings__=a[EMBEDDINGS_ARRAY][:-1]),
-         "embedding matrix has 20 rows, but the vocabulary has 21 tokens"),
+         "__embeddings__ has shape (20, 5), but the vocabulary and embed_dim need (21, 5)"),
+        (lambda a: a.update(__embeddings__=np.asfortranarray(a[EMBEDDINGS_ARRAY])),
+         "__embeddings__ is stored in Fortran order"),
         (_poison(EMBEDDINGS_ARRAY, np.inf), "__embeddings__ holds a NaN or infinite value"),
         (_poison(EMBEDDINGS_ARRAY, -1e300), "__embeddings__ holds a value beyond the float32 range"),
         (lambda a: a.pop(PARAMS_ARRAY), "lacks its parameter array __params__"),
@@ -645,7 +664,7 @@ def _swap_first_two(index):
         (lambda a: a.update(__params__=np.append(a[PARAMS_ARRAY], np.float32(0))),
          "__params__ has shape (512,), but the index needs (511,)"),
         (lambda a: a.update(__params__=a[PARAMS_ARRAY].astype(np.float64)),
-         "__params__ is float64, but the checkpoint precision is float32"),
+         "__params__ is float64, not float32"),
         (lambda a: a.update(__params__=a[PARAMS_ARRAY].reshape(1, -1)),
          "__params__ has shape (1, 511), but the index needs (511,)"),
         (_edit_index(lambda i: i[3].__setitem__(0, "encoder.target_fwd.w_x")),
@@ -659,8 +678,9 @@ def _swap_first_two(index):
         (_poison("stance.w_mlp", np.nan), "stance.w_mlp holds a NaN or infinite value"),
         (_poison("attention.v", -np.inf), "attention.v holds a NaN or infinite value"),
     ],
-    ids=["version-1", "version-2", "no-embeddings", "float32-embeddings", "narrow-embeddings",
-         "1d-embeddings", "short-embeddings", "inf-embedding", "float32-overflowing-embedding",
+    ids=["version-1", "version-2", "version-3", "no-meta", "float-meta", "object-meta", "1d-meta",
+         "no-embeddings", "float32-embeddings", "narrow-embeddings", "1d-embeddings", "short-embeddings",
+         "fortran-embeddings", "inf-embedding", "float32-overflowing-embedding",
          "no-params", "params-one-short", "params-one-long", "float64-params", "2d-params",
          "index-name", "index-order", "index-shape", "index-extra-entry", "index-missing-entry",
          "nan-parameter", "inf-parameter"],
@@ -711,6 +731,53 @@ def test_eval_huge_or_odd_checkpoint_spec_exits_4_without_allocating(workspace, 
     assert len(growth) == 1 and growth[0] < 8 * checkpoint.stat().st_size
 
 
+def _write_with_params(path, compression, shape, chunks):
+    """Rewrite the checkpoint at path with a __params__ member whose header
+    claims `shape` and whose data are `chunks`, in a zip of `compression`."""
+    with np.load(path, allow_pickle=False) as archive:
+        arrays = {name: archive[name] for name in archive.files if name != PARAMS_ARRAY}
+    with zipfile.ZipFile(path, "w", compression) as archive:
+        for name, arr in arrays.items():
+            with archive.open(name + ".npy", "w") as out:
+                np.lib.format.write_array(out, arr)
+        with archive.open(PARAMS_ARRAY + ".npy", "w", force_zip64=True) as out:
+            np.lib.format.write_array_header_1_0(out, {"descr": "<f4", "fortran_order": False, "shape": shape})
+            for chunk in chunks:
+                out.write(chunk)
+
+
+@pytest.mark.parametrize(
+    "compression, shape, chunks, message",
+    [
+        (zipfile.ZIP_DEFLATED, (25_000_000,), [bytes(10**6)] * 100,
+         "__params__ has shape (25000000,), but the index needs (511,)"),
+        (zipfile.ZIP_STORED, (25_000_000,), [bytes(8)],
+         "__params__ has shape (25000000,), but the index needs (511,)"),
+        (zipfile.ZIP_STORED, (511,), [bytes(8)], "__params__ holds 8 bytes of data, but its header gives 2044"),
+    ],
+    ids=["deflated-25M-params", "header-claims-25M-params", "header-claims-more-than-the-data"],
+)
+def test_eval_checks_a_members_header_before_reading_its_data(workspace, capsys, compression, shape, chunks, message):
+    # numpy's reader allocates what a header claims before it reads the
+    # data, and a deflated member of 100 MB of zeros takes 99 KB on disk:
+    # the header is checked against the metadata and the member's size first
+    out_dir, config = _trained(workspace)
+    checkpoint = out_dir / "model_seed0.npz"
+    _write_with_params(checkpoint, compression, shape, chunks)
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = main(["eval", "--config", str(config), "--checkpoint", str(checkpoint)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_CHECKPOINT
+    err = capsys.readouterr().err
+    assert err.startswith("checkpoint error: ") and message in err
+    assert "Traceback" not in err
+    assert peak < 5 * 2**20
+
+
 @pytest.fixture(scope="module")
 def trained_arrays(tmp_path_factory):
     """One small trained BCA checkpoint's arrays and the config to eval it."""
@@ -739,11 +806,44 @@ meta_edits = st.lists(
             st.sampled_from(["drop", "swap", "rename", "transpose", "grow", "scalar", "unpaired"]),
         ),
         st.tuples(st.just("meta"), st.just("precision"), st.sampled_from(["float32", "float64", "float16", 32])),
-        st.tuples(st.just("meta"), st.just("version"), st.sampled_from([1, 2, 3, 4, 3.0, "3", None])),
+        st.tuples(st.just("meta"), st.just("version"), st.sampled_from([1, 2, 3, 4, 4.0, "4", None])),
         st.tuples(st.just("meta"), st.just("index"), st.sampled_from([[], {}, None, "index", [[]]])),
+        st.tuples(
+            st.just("vocab"),
+            st.integers(0, 30),
+            st.sampled_from(["drop", "swap", "repeat", "rename", "number", "null", "append"]),
+        ),
+        st.tuples(
+            st.just("meta"),
+            st.just("vocab"),
+            st.sampled_from([{}, None, "<pad>", [], ["<pad>", "<unk>"], ["<unk>", "<pad>"], [0, 1]]),
+        ),
     ),
     max_size=4,
 )
+
+
+def _edit_vocab_entry(vocab, i, how):
+    """Mutate one token: dropped or appended (a length the embedding matrix
+    disagrees with), swapped with its neighbour (so <pad> or <unk> can move),
+    repeated, renamed, or replaced by a non-string."""
+    if not vocab:
+        return
+    i %= len(vocab)
+    if how == "drop":
+        del vocab[i]
+    elif how == "swap":
+        vocab[i - 1], vocab[i] = vocab[i], vocab[i - 1]
+    elif how == "repeat":
+        vocab[i] = vocab[i - 1]
+    elif how == "rename":
+        vocab[i] = f"{vocab[i]}x"
+    elif how == "number":
+        vocab[i] = i
+    elif how == "null":
+        vocab[i] = None
+    else:
+        vocab.append(f"new{i}")
 
 
 def _edit_index_entry(index, i, how):
@@ -766,11 +866,12 @@ def _edit_index_entry(index, i, how):
         index[i] = index[i][0]
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(edits=meta_edits)
 def test_eval_with_mutated_checkpoint_metadata_exits_0_or_4(trained_arrays, tmp_path, capsys, edits):
-    # every spec dimension stays at most 1e7, so each mutated file is small
-    # and a model it claims is only placeholders or a refusal
+    # every spec dimension stays at most 1e7 and the vocabulary grows by at
+    # most four tokens, so each mutated file is small and a model it claims
+    # is only placeholders or a refusal
     config, arrays = trained_arrays
     meta = json.loads(str(arrays["__meta__"]))
     for kind, *edit in edits:
@@ -778,8 +879,8 @@ def test_eval_with_mutated_checkpoint_metadata_exits_0_or_4(trained_arrays, tmp_
             meta["spec"][edit[0]] = copy.deepcopy(edit[1])
         elif kind == "meta":
             meta[edit[0]] = copy.deepcopy(edit[1])
-        elif isinstance(meta.get("index"), list):
-            _edit_index_entry(meta["index"], *edit)
+        elif isinstance(meta.get(kind), list):
+            (_edit_index_entry if kind == "index" else _edit_vocab_entry)(meta[kind], *edit)
     checkpoint = tmp_path / "mutated.npz"
     np.savez(checkpoint, **{**arrays, "__meta__": np.array(json.dumps(meta))})
     capsys.readouterr()
@@ -833,8 +934,9 @@ def _bad_embeddings(tmp_path, data_dir, out_dir, config):
 
 def _bad_vocab(tmp_path, data_dir, out_dir, config):
     assert main(["train", "--config", str(config)]) == EXIT_OK
-    (out_dir / "vocab.tsv").write_bytes(b"<pad>\t0\n<unk>\t1\n" + NOT_UTF8)
-    return _eval(config, out_dir), out_dir / "vocab.tsv"
+    kept = tmp_path / "kept_vocab.tsv"
+    kept.write_bytes(b"<pad>\t0\n<unk>\t1\n" + NOT_UTF8)
+    return _eval(write_config(tmp_path / "vp.cfg", data_dir, out_dir, vocab_path=kept), out_dir), kept
 
 
 def _bad_config(tmp_path, data_dir, out_dir, config):
@@ -982,18 +1084,6 @@ def test_retrain_builds_its_own_vocabulary(workspace):
     assert (out_dir / "summary.txt").read_bytes() == (fresh_dir / "summary.txt").read_bytes()
 
 
-@pytest.mark.parametrize("command", ["eval", "predict", "dump-attention"])
-def test_checkpoint_commands_need_a_saved_vocabulary(workspace, capsys, command):
-    out_dir, config = _trained(workspace)
-    (out_dir / "vocab.tsv").unlink()
-    argv = [command, "--config", str(config), "--checkpoint", str(out_dir / "model_seed0.npz")]
-    if command == "predict":
-        argv += ["--text", "love it", "--target", "Donald Trump"]
-    capsys.readouterr()
-    assert main(argv) == EXIT_CONFIG
-    assert "vocab.tsv not found" in capsys.readouterr().err
-
-
 def test_checkpoint_commands_read_vocab_path(workspace):
     tmp_path, data_dir, out_dir, config = workspace
     _trained(workspace)
@@ -1017,6 +1107,21 @@ def _checkpoint_outputs(config, out_dir, capsys):
         assert main(argv) == EXIT_OK
         outputs.append(capsys.readouterr().out)
     return outputs + [dump.read_bytes()]
+
+
+def test_checkpoint_commands_read_only_the_checkpoint(workspace, capsys, monkeypatch):
+    # the vocabulary is stored in the checkpoint: without vocab_path no
+    # vocabulary file is opened, and deleting the one train saved changes
+    # no output
+    out_dir, config = _trained(workspace)
+    before = _checkpoint_outputs(config, out_dir, capsys)
+    (out_dir / "vocab.tsv").unlink()
+
+    def refuse(path):
+        raise AssertionError(f"read a vocabulary file: {path}")
+
+    monkeypatch.setattr(cli.Vocabulary, "load", refuse)
+    assert _checkpoint_outputs(config, out_dir, capsys) == before
 
 
 @pytest.mark.parametrize("spoil", ["deleted", "not-utf8"])

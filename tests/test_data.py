@@ -161,6 +161,34 @@ def test_vocab_serialization_round_trip(tmp_path):
     assert first == "<pad>\t0"
 
 
+def test_vocab_tokens_round_trip_through_from_tokens(tmp_path):
+    # the token list a checkpoint stores rebuilds the same vocabulary, also
+    # from a file whose lines are not in id order
+    path = _vocab_file(tmp_path, "<pad>\t0\nb\t3\n<unk>\t1\na\t2\n")
+    loaded = Vocabulary.load(path)
+    assert loaded.tokens() == ["<pad>", "<unk>", "a", "b"]
+    assert Vocabulary.from_tokens(loaded.tokens()) == loaded
+    assert Vocabulary.from_tokens(loaded.tokens()).serialize() == "<pad>\t0\n<unk>\t1\na\t2\nb\t3\n"
+
+
+@pytest.mark.parametrize(
+    "tokens, message",
+    [
+        ("<pad> <unk>", "not a list of strings"),
+        (["<pad>", "<unk>", 3], "not a list of strings"),
+        (["<pad>", "<unk>", "a", "a"], "lists a token twice"),
+        (["<pad>", "<unk>", "<pad>"], "lists a token twice"),
+        (["<unk>", "<pad>", "a"], "must start with <pad> and <unk>"),
+        (["<pad>", "a", "<unk>"], "must start with <pad> and <unk>"),
+        (["<pad>"], "must start with <pad> and <unk>"),
+        ([], "must start with <pad> and <unk>"),
+    ],
+)
+def test_vocab_from_tokens_refuses(tokens, message):
+    with pytest.raises(ValueError, match=message):
+        Vocabulary.from_tokens(tokens)
+
+
 def _vocab_file(tmp_path, text):
     path = tmp_path / "vocab.tsv"
     path.write_text(text, encoding="utf-8")

@@ -222,6 +222,7 @@ def test_concurrent_first_jobs_start_one_worker(monkeypatch, forced):
     def run(w, a, b):
         barrier.wait(timeout=30)
         T.accum_product(w, a, b)
+        T._drain()  # each thread waits for its own job
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -231,7 +232,6 @@ def test_concurrent_first_jobs_start_one_worker(monkeypatch, forced):
             t.start()
         for t in threads:
             t.join(timeout=60)
-        T._drain()
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
@@ -357,7 +357,7 @@ def test_a_helper_error_surfaces_from_backward_and_the_helper_serves_the_next(mo
         root = weighted_sum([hs, final.h, final.c], rng, np.float32)
         with pytest.raises(ValueError):
             tape.backward(root)
-    assert T._JOBS.empty() and not T._ERRORS
+    assert T._JOBS.empty() and not T._TLS.pending
     forced.clear()
     assert_same(expected, lstm_case("float32", reverse=False))
     assert forced
@@ -378,14 +378,50 @@ def test_no_job_is_pending_when_backward_raises_on_the_main_thread(forced):
         with pytest.raises(RuntimeError, match="planted"):
             tape.backward(weighted_sum([out.s], rng, np.float32))
     assert forced, "the attention dW went to the helper before the failure"
-    assert T._JOBS.empty() and not T._ERRORS
+    assert T._JOBS.empty() and not T._TLS.pending
     assert params.w.grad is not None
 
 
 def test_no_job_is_pending_after_backward_returns(forced):
     lstm_case("float64", reverse=True)
     assert forced
-    assert T._JOBS.empty() and not T._ERRORS
+    assert T._JOBS.empty() and not T._TLS.pending
+
+
+def test_a_helper_error_stays_with_the_thread_that_queued_the_product(monkeypatch, forced):
+    # another thread's failing product must neither fail this thread's
+    # backward nor be lost to its own drain
+    rng = np.random.default_rng(3)
+    a, b = rng.random((6, 5)), rng.random((6, 3))
+    good, bad = Tensor(np.zeros((5, 3))), Tensor(np.zeros((5, 3)))
+    bad.grad = np.zeros((1, 1, 1))  # its += fails on the helper
+    queued, backward_done, raised = threading.Event(), threading.Event(), []
+
+    def other():
+        T.accum_product(good, a, b)
+        T.accum_product(bad, a, b)
+        queued.set()
+        backward_done.wait(timeout=30)
+        try:
+            T._drain()
+        except ValueError as exc:
+            raised.append(exc)
+        raised.append(good.grad.tobytes())
+
+    thread = threading.Thread(target=other)
+    thread.start()
+    try:
+        assert queued.wait(timeout=30)
+        helped = lstm_case("float32", reverse=False)  # a clean backward on this thread
+    finally:
+        backward_done.set()
+        thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert len(raised) == 2 and isinstance(raised[0], ValueError)
+    assert raised[1] == (a.T @ b).tobytes()
+    assert not T._TLS.pending
+    monkeypatch.setattr(T, "HELPER", False)
+    assert_same(lstm_case("float32", reverse=False), helped)
 
 
 def test_eval_and_a_train_small_step_never_start_the_helper(monkeypatch, no_thread):
@@ -531,7 +567,7 @@ def test_a_helper_error_surfaces_from_the_encoder_and_the_helper_serves_the_next
         encode_case("float32", from_target=False)
     assert failed_on == ["stancegen-dw"]
     monkeypatch.setattr(L, "run_lstm_batch", real)
-    assert T._JOBS.empty() and not T._ERRORS
+    assert T._JOBS.empty() and not T._TLS.pending
     assert encode_case("float32", from_target=True) == expected
 
 
@@ -549,4 +585,4 @@ def test_a_main_thread_error_in_the_encoder_waits_for_the_helpers_run(monkeypatc
     with pytest.raises(RuntimeError, match="planted"):
         encode_case("float64", from_target=False)
     assert finished == ["stancegen-dw"]  # done before the error left the encoder
-    assert T._JOBS.empty() and not T._ERRORS
+    assert T._JOBS.empty() and not T._TLS.pending

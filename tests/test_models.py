@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import stancegen.models as M
-from stancegen.data import Example, EmbeddingMatrix
+from stancegen.data import Example, EmbeddingMatrix, Vocabulary
 from stancegen.errors import CheckpointError, ConfigError, DataError
 from stancegen.models import (
     ModelSpec,
@@ -26,6 +26,9 @@ EMBED_DIM = 3
 HIDDEN = 2
 ATTN = 3
 DOMAINS = 4
+
+
+VOCAB = Vocabulary.from_tokens(["<pad>", "<unk>"] + [f"w{i}" for i in range(VOCAB_SIZE - 2)])
 
 
 def embeddings(dim=EMBED_DIM, size=VOCAB_SIZE):
@@ -359,7 +362,7 @@ def trained_like_model(variant="BCAInvar", dtype=np.float32):
 def test_checkpoint_round_trip_value_exact(tmp_path, monkeypatch, variant):
     m = trained_like_model(variant)
     path = tmp_path / "model.npz"
-    save_checkpoint(m, path, vocab_hash="abc123")
+    save_checkpoint(m, path, VOCAB)
 
     def no_draws(*args, **kwargs):
         raise AssertionError("load_checkpoint created a random generator")
@@ -368,9 +371,9 @@ def test_checkpoint_round_trip_value_exact(tmp_path, monkeypatch, variant):
     # loading draws nothing and needs no embeddings
     with monkeypatch.context() as patched:
         patched.setattr(np.random, "default_rng", no_draws)
-        loaded, meta = load_checkpoint(path, expected_vocab_hash="abc123")
-    assert meta["spec"]["variant"] == variant
-    assert meta["embed_hash"] == m.embeddings.content_hash()
+        loaded, vocab = load_checkpoint(path, expected_vocab_hash=VOCAB.content_hash())
+    assert loaded.spec == m.spec
+    assert vocab == VOCAB
     assert np.array_equal(loaded.embeddings.values, m.embeddings.values)
     assert set(loaded.params) == set(m.params)
     for name in m.params:
@@ -383,13 +386,15 @@ def test_checkpoint_round_trip_value_exact(tmp_path, monkeypatch, variant):
 def test_checkpoint_stores_embeddings_next_to_the_parameters(tmp_path):
     m = trained_like_model()
     path = tmp_path / "model.npz"
-    save_checkpoint(m, path, vocab_hash="abc123")
+    save_checkpoint(m, path, VOCAB)
     with np.load(path, allow_pickle=False) as archive:
         names = archive.files
         meta = json.loads(str(archive[M.META_ARRAY]))
         flat = archive[M.PARAMS_ARRAY]
         stored = archive[M.EMBEDDINGS_ARRAY]
     assert names == [M.META_ARRAY, M.PARAMS_ARRAY, M.EMBEDDINGS_ARRAY]
+    assert sorted(meta) == ["index", "precision", "spec", "version", "vocab"]
+    assert meta["vocab"] == VOCAB.tokens()
     assert meta["index"] == [[name, list(t.value.shape)] for name, t in m.params.items()]
     assert flat.dtype == np.float32 and flat.ndim == 1
     assert flat.tobytes() == b"".join(t.value.tobytes() for t in m.params.values())
@@ -400,7 +405,7 @@ def test_checkpoint_stores_embeddings_next_to_the_parameters(tmp_path):
 def test_loaded_parameters_are_slices_of_one_flat_array(tmp_path):
     m = trained_like_model()
     path = tmp_path / "model.npz"
-    save_checkpoint(m, path, vocab_hash="abc123")
+    save_checkpoint(m, path, VOCAB)
     loaded, _ = load_checkpoint(path)
     bases = {id(t.value.base) for t in loaded.params.values()}
     assert len(bases) == 1
@@ -414,7 +419,7 @@ def test_save_checkpoint_streams_the_flat_array(tmp_path):
     total = sum(t.value.nbytes for t in m.params.values())
     tracemalloc.start()
     try:
-        save_checkpoint(m, tmp_path / "model.npz", vocab_hash="abc123")
+        save_checkpoint(m, tmp_path / "model.npz", VOCAB)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -435,7 +440,7 @@ def test_build_model_without_a_seed_allocates_nothing_the_spec_sizes():
 def test_checkpoint_vocab_hash_mismatch(tmp_path):
     m = trained_like_model()
     path = tmp_path / "model.npz"
-    save_checkpoint(m, path, vocab_hash="abc123")
+    save_checkpoint(m, path, VOCAB)
     with pytest.raises(CheckpointError, match="hash"):
         load_checkpoint(path, expected_vocab_hash="zzz")
 
@@ -444,19 +449,19 @@ def test_checkpoint_accepts_the_stored_embeddings_positionally(tmp_path):
     # the second positional parameter stays the optional embedding matrix
     m = trained_like_model()
     path = tmp_path / "model.npz"
-    save_checkpoint(m, path, vocab_hash="abc123")
-    loaded, _ = load_checkpoint(path, embeddings(), "abc123")
+    save_checkpoint(m, path, VOCAB)
+    loaded, _ = load_checkpoint(path, embeddings(), VOCAB.content_hash())
     assert np.array_equal(loaded.embeddings.values, m.embeddings.values)
 
 
 def test_checkpoint_embedding_mismatch(tmp_path):
     m = trained_like_model()
     path = tmp_path / "model.npz"
-    save_checkpoint(m, path, vocab_hash="abc123")
+    save_checkpoint(m, path, VOCAB)
     other = embeddings()
     other.values = other.values + 1.0
     with pytest.raises(CheckpointError, match="embedding"):
-        load_checkpoint(path, embeddings=other, expected_vocab_hash="abc123")
+        load_checkpoint(path, embeddings=other, expected_vocab_hash=VOCAB.content_hash())
 
 
 def test_checkpoint_corrupted_file(tmp_path):
@@ -469,7 +474,7 @@ def test_checkpoint_corrupted_file(tmp_path):
 def _saved_arrays(tmp_path):
     m = trained_like_model()
     path = tmp_path / "model.npz"
-    save_checkpoint(m, path, vocab_hash="x")
+    save_checkpoint(m, path, VOCAB)
     with np.load(path, allow_pickle=False) as archive:
         return path, {name: archive[name] for name in archive.files}
 

@@ -255,8 +255,8 @@ def test_hyperparam_defaults():
     assert hp.patience == 10
     assert hp.lam == 0.1
     assert hp.max_epochs == 200
-    assert hp.clip_norm == 5.0
     assert hp.attention_dim == 400
+    assert TR.CLIP_NORM == 5.0
 
 
 @pytest.mark.parametrize(
@@ -270,8 +270,6 @@ def test_hyperparam_defaults():
         {"max_epochs": 0},
         {"l2": -1.0},
         {"learning_rate": float("nan")},
-        {"clip_norm": float("inf")},
-        {"clip_norm": float("nan")},
     ],
 )
 def test_hyperparam_validation(kwargs):
@@ -533,8 +531,10 @@ def test_checkpoint_written_holds_best_params(tmp_path):
     train_c, dev_c, emb = toy_split()
     model = toy_model("BCA", emb)
     path = tmp_path / "best.npz"
-    train(model, train_c, dev_c, toy_hp(max_epochs=3), checkpoint_path=path, vocab_hash="vh")
-    loaded, meta = M.load_checkpoint(path, emb, expected_vocab_hash="vh")
+    vocab = build_vocab([train_c])
+    train(model, train_c, dev_c, toy_hp(max_epochs=3), checkpoint_path=path, vocab=vocab)
+    loaded, stored_vocab = M.load_checkpoint(path, emb, expected_vocab_hash=vocab.content_hash())
+    assert stored_vocab == vocab
     for name, p in model.params.items():
         assert np.array_equal(p.value, loaded.params[name].value)
 

@@ -26,10 +26,10 @@ this file sits in) on seeded synthetic data from perfbench/corpus.py:
   on the helper thread (from 17 rows at paper size).
 
 It writes DIR/manifest.json: the SHA-256 of every output file, of every
-checkpoint array with its dtype and shape (a format-3 checkpoint's
-`__params__` whole, and each parameter cut out of it by the `__meta__`
-index, under the same key as one stored on its own), and of each
-checkpoint's `__meta__`, plus each command's stdout, stderr and exit code.
+checkpoint array with its dtype and shape (a format-3 or format-4
+checkpoint's `__params__` whole, and each parameter cut out of it by the
+`__meta__` index, which both formats store alike, under the same key as one
+stored on its own), and of each checkpoint's `__meta__`, plus each command's stdout, stderr and exit code.
 Two strings that differ between identical runs are normalised: the output
 directory that commands print (dump-attention names its output path) and
 gradcheck's elapsed seconds.
@@ -191,9 +191,10 @@ def array_entry(arr: np.ndarray) -> str:
 
 
 def split_params(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """A format-3 checkpoint's parameters, cut out of `__params__` by the
-    `__meta__` index, so that each compares with the same parameter of an
-    older checkpoint that stored one array per parameter."""
+    """A format-3 or format-4 checkpoint's parameters, cut out of
+    `__params__` by the `__meta__` index, so that each compares with the
+    same parameter of another format's checkpoint, one that stored one
+    array per parameter included."""
     if "__params__" not in arrays:
         return {}
     flat, offset, params = arrays["__params__"], 0, {}
@@ -206,8 +207,8 @@ def split_params(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
 
 def file_entries(root: Path) -> dict[str, str]:
     """One entry per file under root, one per array of each .npz and one per
-    parameter of a format-3 checkpoint, so a differing checkpoint names the
-    parameters that differ."""
+    parameter of a format-3 or format-4 checkpoint, so a differing
+    checkpoint names the parameters that differ."""
     entries: dict[str, str] = {}
     for path in sorted(p for p in root.rglob("*") if p.is_file()):
         rel = path.relative_to(root).as_posix()
