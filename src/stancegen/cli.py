@@ -1,9 +1,9 @@
 """Command-line entry point: train, eval, predict, dump-attention, gradcheck.
 
-Configuration is a flat key=value text file; a handful of flags override
-file values. Exit codes partition failures: 2 config, 3 data, 4 checkpoint,
-5 capability, 1 diagnostic (a failed gradcheck or a non-finite training
-loss).
+Configuration is a flat key=value text file; a handful of flags set config
+keys over the file's values, and each value is parsed once, by its key.
+Exit codes partition failures: 2 config, 3 data, 4 checkpoint, 5
+capability, 1 diagnostic (a failed gradcheck or a non-finite training loss).
 """
 
 from __future__ import annotations
@@ -107,36 +107,19 @@ class RunConfig:
     hp: Hyperparams = field(default_factory=Hyperparams)
 
 
-_HP_KEYS = {
-    "embed_dim": int,
-    "hidden_dim": int,
-    "attn_dim": int,
-    "dropout": float,
-    "batch_size": int,
-    "learning_rate": float,
-    "l2": float,
-    "patience": int,
-    "lambda": float,
-    "max_epochs": int,
-    "min_count": int,
-}
-_PATH_KEYS = ("train_path", "dev_path", "test_path", "embeddings_path", "vocab_path", "out_dir")
-_BOOL_KEYS = ("count_check", "parallel_seeds")
-
-
-def _parse_bool(key: str, raw: str) -> bool:
+def boolean(raw: str) -> bool:
     lowered = raw.strip().lower()
     if lowered in ("true", "yes", "1"):
         return True
     if lowered in ("false", "no", "0"):
         return False
-    raise ConfigError(f"{key} must be a boolean, got {raw!r}")
+    raise ValueError(raw)
 
 
 def parse_config_file(path) -> dict[str, str]:
     """Read flat key=value lines; # starts a comment, blank lines skipped, and
     a leading UTF-8 byte-order mark is dropped."""
-    if not Path(path).exists():
+    if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     values: dict[str, str] = {}
     text = read_text(path, encoding="utf-8-sig", error=ConfigError)
@@ -158,7 +141,7 @@ def _parse_seeds(raw: str) -> list[int]:
     try:
         seeds = [int(part) for part in raw.split(",") if part.strip() != ""]
     except ValueError:
-        raise ConfigError(f"seeds must be comma-separated integers, got {raw!r}")
+        raise ConfigError(f"seeds must be comma-separated integers, got {raw!r}") from None
     if not seeds:
         raise ConfigError("at least one seed is required")
     negative = [s for s in seeds if s < 0]
@@ -170,70 +153,70 @@ def _parse_seeds(raw: str) -> list[int]:
     return seeds
 
 
+# Every config key and the parser of its text, for the file and the flags
+# alike: a flag that sets a key stores its raw text under the key's name. A
+# parser refuses text with a ValueError; _parse_seeds words its own.
+CONFIG_KEYS = {
+    **dict.fromkeys(
+        ("train_path", "dev_path", "test_path", "embeddings_path", "vocab_path", "out_dir", "variant"), str
+    ),
+    **dict.fromkeys(("seeds", "seed"), _parse_seeds),
+    **dict.fromkeys(("count_check", "parallel_seeds"), boolean),
+    **dict.fromkeys(
+        ("embed_dim", "hidden_dim", "attn_dim", "batch_size", "patience", "max_epochs", "min_count"), int
+    ),
+    **dict.fromkeys(("dropout", "learning_rate", "l2", "lambda"), float),
+}
+_RUN_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
+_FIELD_OF = {"seed": "seeds", "lambda": "lam"}
+
+
 def build_run_config(args) -> RunConfig:
-    """Merge defaults, then the config file, then flag overrides."""
-    values: dict[str, str] = {}
-    if getattr(args, "config", None):
-        values = parse_config_file(args.config)
+    """Defaults, then the config file's values, then the flags' raw text over
+    them; each value is then parsed once, by its key's CONFIG_KEYS parser. A
+    seed flag replaces both seed and seeds from the file."""
+    values = parse_config_file(args.config) if args.config else {}
     if "seed" in values and "seeds" in values:
         raise ConfigError("the config file sets both seed and seeds; keep one")
-    if getattr(args, "seeds", None) and getattr(args, "seed", None) is not None:
+    flags = {key: raw for key, raw in vars(args).items() if key in CONFIG_KEYS and raw is not None}
+    if "seed" in flags and "seeds" in flags:
         raise ConfigError("both --seed and --seeds were given; keep one")
-    cfg = RunConfig()
-    hp_kwargs: dict = {}
+    if "seed" in flags or "seeds" in flags:
+        values.pop("seed", None)
+        values.pop("seeds", None)
+    values.update(flags)
+    run, hp = {}, {}
     for key, raw in values.items():
-        if key in _HP_KEYS:
-            try:
-                parsed = _HP_KEYS[key](raw)
-            except ValueError:
-                raise ConfigError(f"{key} must be {_HP_KEYS[key].__name__}, got {raw!r}")
-            hp_kwargs["lam" if key == "lambda" else key] = parsed
-        elif key in _PATH_KEYS:
-            setattr(cfg, key, raw)
-        elif key in _BOOL_KEYS:
-            setattr(cfg, key, _parse_bool(key, raw))
-        elif key == "variant":
-            cfg.variant = raw
-        elif key == "seeds" or key == "seed":
-            cfg.seeds = _parse_seeds(raw)
-        else:
+        parse = CONFIG_KEYS.get(key)
+        if parse is None:
             raise ConfigError(f"unknown config key {key!r}")
-    if getattr(args, "variant", None):
-        cfg.variant = args.variant
-    if getattr(args, "lam", None) is not None:
-        hp_kwargs["lam"] = args.lam
-    if getattr(args, "seeds", None):
-        cfg.seeds = _parse_seeds(args.seeds)
-    elif getattr(args, "seed", None) is not None:
-        cfg.seeds = _parse_seeds(str(args.seed))
-    if getattr(args, "no_count_check", False):
-        cfg.count_check = False
-    if getattr(args, "out_dir", None):
-        cfg.out_dir = args.out_dir
-    if getattr(args, "parallel_seeds", False):
-        cfg.parallel_seeds = True
-    try:
-        cfg.hp = Hyperparams(**hp_kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc))
-    return cfg
+        try:
+            value = parse(raw)
+        except ConfigError:
+            raise
+        except ValueError:
+            raise ConfigError(f"{key} must be {parse.__name__}, got {raw!r}") from None
+        name = _FIELD_OF.get(key, key)
+        (run if name in _RUN_FIELDS else hp)[name] = value
+    return RunConfig(**run, hp=Hyperparams(**hp))
 
 
 def _resolve_data_path(configured: str | None, default_name: str, label: str) -> Path:
-    """Resolve against the filesystem, then $STANCEGEN_DATA_DIR."""
+    """Resolve against the filesystem, then $STANCEGEN_DATA_DIR. os.path.exists
+    is False, not an error, for a name the OS refuses (one too long, say)."""
     env_dir = os.environ.get(DATA_DIR_ENV)
     if configured:
         direct = Path(configured)
-        if direct.exists():
+        if os.path.exists(direct):
             return direct
         if env_dir and not direct.is_absolute():
             fallback = Path(env_dir) / configured
-            if fallback.exists():
+            if os.path.exists(fallback):
                 return fallback
         raise ConfigError(f"{label} path not found: {configured}")
     if env_dir:
         candidate = Path(env_dir) / default_name
-        if candidate.exists():
+        if os.path.exists(candidate):
             return candidate
     raise ConfigError(f"no {label} path configured and ${DATA_DIR_ENV} has no {default_name}")
 
@@ -320,7 +303,6 @@ def cmd_train(args) -> int:
     for corpus in (split.train, split.dev, split.test):
         encode_corpus(corpus, vocab)
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     vocab.save(out_dir / "vocab.tsv")
     if not cfg.embeddings_path:
         print("no embeddings path configured; using hash-seeded random vectors")
@@ -368,7 +350,7 @@ def _load_checkpoint_for(cfg: RunConfig, checkpoint_path):
 
 
 def _evaluation_corpus(cfg: RunConfig, args) -> Corpus:
-    if getattr(args, "dataset", None):
+    if args.dataset:
         corpus = parse_semeval_tsv(_resolve_data_path(args.dataset, "", "dataset"))
     else:
         corpus = getattr(load_datasets(cfg), args.split)
@@ -383,7 +365,7 @@ def cmd_eval(args) -> int:
     model, vocab = _load_checkpoint_for(cfg, args.checkpoint)
     encode_corpus(corpus, vocab)
     preds = predict_corpus(model, corpus, cfg.hp.batch_size)
-    name = args.dataset if getattr(args, "dataset", None) else args.split
+    name = args.dataset or args.split
     print(format_metrics(compute_metrics(preds, [ex.stance for ex in corpus]), title=str(name)), end="")
     return EXIT_OK
 
@@ -633,7 +615,8 @@ def cmd_gradcheck(args) -> int:
 def _add_common_flags(sub, reads_split: bool):
     sub.add_argument("--config", help="flat key=value config file")
     if reads_split:
-        sub.add_argument("--no-count-check", action="store_true", help="skip split count validation")
+        sub.add_argument("--no-count-check", dest="count_check", action="store_const", const="false",
+                         help="skip split count validation")
     sub.add_argument("--out-dir", help="output directory")
 
 
@@ -644,12 +627,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="train one model per seed")
     _add_common_flags(p_train, reads_split=True)
     p_train.add_argument("--variant", help="model variant name")
-    p_train.add_argument("--lambda", dest="lam", type=float, help="adversarial loss weight")
-    p_train.add_argument("--seed", type=int, help="single training seed")
+    p_train.add_argument("--lambda", help="adversarial loss weight")
+    p_train.add_argument("--seed", help="single training seed")
     p_train.add_argument("--seeds", help="comma-separated seed list")
-    p_train.add_argument(
-        "--parallel-seeds", action="store_true", help="one process per seed, at most one per CPU"
-    )
+    p_train.add_argument("--parallel-seeds", action="store_const", const="true",
+                         help="one process per seed, at most one per CPU")
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint")

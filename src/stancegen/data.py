@@ -92,12 +92,9 @@ class Vocabulary:
         tokens is a list of unique strings that starts with PAD and UNK."""
         if not isinstance(tokens, list) or not all(isinstance(tok, str) for tok in tokens):
             raise ValueError("the vocabulary is not a list of strings")
-        mapping = {tok: i for i, tok in enumerate(tokens)}
-        if len(mapping) != len(tokens):
-            raise ValueError("the vocabulary lists a token twice")
-        if tokens[:2] != [PAD_TOKEN, UNK_TOKEN]:
-            raise ValueError(f"the vocabulary must start with {PAD_TOKEN} and {UNK_TOKEN}, got {tokens[:2]!r}")
-        return cls(mapping)
+        if problem := _vocabulary_problem(tokens):
+            raise ValueError(problem[1])
+        return cls({tok: i for i, tok in enumerate(tokens)})
 
     def id_of(self, token: str) -> int:
         return self.token_to_id.get(token, UNK_ID)
@@ -118,9 +115,9 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        """Read 'token<TAB>id' lines: unique tokens, ids exactly 0..n-1, PAD at
-        id 0 and UNK at id 1. Any violation raises ParseError with its line."""
-        mapping: dict[str, int] = {}
+        """Read 'token<TAB>id' lines with ids exactly 0..n-1, then apply the
+        vocabulary rules. Any violation raises ParseError with its line."""
+        token_of: dict[int, str] = {}
         line_of: dict[int, int] = {}
         for lineno, line in enumerate(read_text(path).splitlines(), start=1):
             if not line:
@@ -132,21 +129,33 @@ class Vocabulary:
                 idx = int(parts[1])
             except ValueError:
                 raise ParseError(f"id {parts[1]!r} is not an integer", line=lineno) from None
-            if parts[0] in mapping:
-                raise ParseError(f"token {parts[0]!r} is listed twice", line=lineno)
             if idx in line_of:
                 raise ParseError(f"id {idx} is already used on line {line_of[idx]}", line=lineno)
-            mapping[parts[0]] = idx
+            token_of[idx] = parts[0]
             line_of[idx] = lineno
         for idx, lineno in line_of.items():
-            if not 0 <= idx < len(mapping):
-                raise ParseError(f"id {idx} is outside 0..{len(mapping) - 1}", line=lineno)
-        token_of = {i: tok for tok, i in mapping.items()}
-        for idx, special in ((PAD_ID, PAD_TOKEN), (UNK_ID, UNK_TOKEN)):
-            found = token_of.get(idx)
-            if found != special:
-                raise ParseError(f"id {idx} must be {special}, got {found!r}", line=line_of.get(idx))
-        return cls(mapping)
+            if not 0 <= idx < len(line_of):
+                raise ParseError(f"id {idx} is outside 0..{len(line_of) - 1}", line=lineno)
+        tokens = [token_of[i] for i in range(len(token_of))]
+        if problem := _vocabulary_problem(tokens):
+            raise ParseError(problem[1], line=line_of.get(problem[0]))
+        return cls({tok: i for i, tok in enumerate(tokens)})
+
+
+def _vocabulary_problem(tokens: list[str]) -> tuple[int, str] | None:
+    """The first id of a token list, in id order, that breaks a vocabulary rule
+    (unique tokens, then PAD at 0 and UNK at 1), with its message; else None."""
+    if len(set(tokens)) != len(tokens):
+        seen: set[str] = set()
+        for i, tok in enumerate(tokens):
+            if tok in seen:
+                return i, f"token {tok!r} is listed twice"
+            seen.add(tok)
+    for idx, special in ((PAD_ID, PAD_TOKEN), (UNK_ID, UNK_TOKEN)):
+        found = tokens[idx] if idx < len(tokens) else None
+        if found != special:
+            return idx, f"id {idx} must be {special}, got {found!r}"
+    return None
 
 
 @dataclass

@@ -6,7 +6,6 @@ from __future__ import annotations
 import html
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -182,7 +181,6 @@ def dump_attention(model: Model, corpus: Corpus, out, html_out=None, batch_size:
     if html_out is not None:
         outputs.append((html_out, _heatmap_html(records)))
     for path, text in outputs:
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
         with atomic_write(path) as fh:
             fh.write(text)
     return len(records)

@@ -47,7 +47,7 @@ class Hyperparams:
             if isinstance(value, float) and not math.isfinite(value):
                 key = "lambda" if f.name == "lam" else f.name
                 raise ConfigError(f"{key} must be finite, got {value!r}")
-        for name in ("embed_dim", "hidden_dim", "batch_size", "patience", "max_epochs"):
+        for name in ("batch_size", "patience", "max_epochs"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         if self.learning_rate <= 0:

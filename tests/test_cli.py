@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import tracemalloc
 import zipfile
@@ -13,6 +14,7 @@ import stancegen.cli as cli
 import stancegen.files as files
 import stancegen.tensor as T
 from stancegen.cli import (
+    CONFIG_KEYS,
     EXIT_CAPABILITY,
     EXIT_CHECKPOINT,
     EXIT_CONFIG,
@@ -26,6 +28,7 @@ from stancegen.cli import (
 )
 from stancegen.data import DEV_TARGET, TEST_TARGET, TRAIN_TARGETS, Vocabulary
 from stancegen.errors import ConfigError
+from stancegen.training import Hyperparams
 from stancegen.models import EMBEDDINGS_ARRAY, PARAMS_ARRAY, VARIANTS, load_checkpoint
 
 HEADER = "ID\tTarget\tTweet\tStance"
@@ -154,9 +157,9 @@ def test_checkpoint_commands_refuse_flags_they_do_not_read(capsys, command, flag
 def test_commands_that_read_a_split_keep_the_count_check_flag():
     # train's flags are covered by test_flag_overrides_win and the seed tests
     for command in ("eval", "dump-attention"):
-        args = _args([command, *CHECKPOINT_ARGS[command], "--no-count-check", "--out-dir", "o"])
-        assert args.no_count_check and args.out_dir == "o"
-    assert _args(["predict", *CHECKPOINT_ARGS["predict"], "--out-dir", "o"]).out_dir == "o"
+        run = build_run_config(_args([command, *CHECKPOINT_ARGS[command], "--no-count-check", "--out-dir", "o"]))
+        assert run.count_check is False and run.out_dir == "o"
+    assert build_run_config(_args(["predict", *CHECKPOINT_ARGS["predict"], "--out-dir", "o"])).out_dir == "o"
 
 
 def test_unknown_config_key(tmp_path):
@@ -221,6 +224,63 @@ def test_defaults_without_config():
     assert run.count_check is True
 
 
+def _subparsers():
+    return next(a for a in build_parser()._actions if a.dest == "command").choices
+
+
+def test_flags_store_raw_text_under_their_config_key():
+    # build_run_config parses a flag's text with the file's parser for that
+    # key, so argparse converts nothing
+    keyed = {}
+    for command, sub in _subparsers().items():
+        for action in sub._actions:
+            if action.dest in CONFIG_KEYS:
+                assert action.type is None, (command, action.option_strings)
+                assert action.const in (None, "true", "false")
+                keyed[action.option_strings[0]] = action.dest
+    assert keyed == {
+        "--no-count-check": "count_check",
+        "--out-dir": "out_dir",
+        "--variant": "variant",
+        "--lambda": "lambda",
+        "--seed": "seed",
+        "--seeds": "seeds",
+        "--parallel-seeds": "parallel_seeds",
+    }
+    fields = {f.name for f in dataclasses.fields(cli.RunConfig)} | {f.name for f in dataclasses.fields(Hyperparams)}
+    # every field but the per-seed Hyperparams.seed has its key
+    assert {cli._FIELD_OF.get(key, key) for key in CONFIG_KEYS} == fields - {"hp", "seed"}
+
+
+@pytest.mark.parametrize(
+    "key,flag,raw",
+    [("lambda", "--lambda", "abc"), ("seed", "--seed", "x")],
+)
+def test_a_flag_value_is_refused_as_the_file_value_is(tmp_path, key, flag, raw):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"{key}={raw}\n")
+    with pytest.raises(ConfigError) as from_file:
+        build_run_config(_args(["train", "--config", str(cfg)]))
+    with pytest.raises(ConfigError) as from_flag:
+        build_run_config(_args(["train", flag, raw]))
+    assert str(from_flag.value) == str(from_file.value)
+
+
+def test_a_seed_flag_takes_a_list_as_the_seed_key_does(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("seed=1,2\n")
+    assert build_run_config(_args(["train", "--config", str(cfg)])).seeds == [1, 2]
+    assert build_run_config(_args(["train", "--seed", "1,2"])).seeds == [1, 2]
+
+
+def test_a_flag_replaces_the_files_value_unparsed(tmp_path):
+    # the file's text for a key a flag sets is never parsed
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("lambda=abc\nseeds=x\ncount_check=maybe\n")
+    run = build_run_config(_args(["train", "--config", str(cfg), "--lambda", "0.5", "--seed", "2", "--no-count-check"]))
+    assert (run.hp.lam, run.seeds, run.count_check) == (0.5, [2], False)
+
+
 # ------------------------------------------------------------------- train
 
 
@@ -260,8 +320,13 @@ def test_train_unknown_variant_exits_2(workspace):
 
 @pytest.mark.parametrize(
     "overrides, message",
-    [({"variant": "Bogus"}, "unknown variant"), ({"attn_dim": 0}, "attn_dim must be positive")],
-    ids=["variant", "attn_dim"],
+    [
+        ({"variant": "Bogus"}, "unknown variant"),
+        ({"attn_dim": 0}, "attn_dim must be positive"),
+        ({"embed_dim": 0}, "embed_dim must be positive"),
+        ({"hidden_dim": 0}, "hidden_dim must be positive"),
+    ],
+    ids=["variant", "attn_dim", "embed_dim", "hidden_dim"],
 )
 def test_train_invalid_spec_exits_2_before_reading_data(workspace, capsys, overrides, message):
     tmp_path, data_dir, out_dir, _ = workspace
@@ -562,8 +627,8 @@ def _eval_exits_4(workspace, capsys, rewrite, edit, message):
         (lambda m: m.update(vocab="<pad>"), "lacks a list 'vocab'"),
         (lambda m: m["vocab"].__setitem__(2, 3),
          "invalid vocabulary in checkpoint metadata (the vocabulary is not a list of strings)"),
-        (lambda m: m["vocab"].__setitem__(3, m["vocab"][2]), "(the vocabulary lists a token twice)"),
-        (lambda m: m["vocab"].reverse(), "(the vocabulary must start with <pad> and <unk>"),
+        (lambda m: m["vocab"].__setitem__(3, m["vocab"][2]), "invalid vocabulary in checkpoint metadata (token 'it' is listed twice)"),
+        (lambda m: m["vocab"].reverse(), "invalid vocabulary in checkpoint metadata (id 0 must be <pad>, got 'real')"),
         (lambda m: m["vocab"].append("zzzz"),
          "__embeddings__ has shape (21, 5), but the vocabulary and embed_dim need (22, 5)"),
         (lambda m: m.pop("spec"), "lacks a dict 'spec'"),
@@ -980,6 +1045,24 @@ def test_unreadable_input_exits_with_its_code(workspace, capsys, make, code):
     assert str(path) in err
 
 
+@pytest.mark.parametrize("where", ["--config", "train_path", "--dataset"])
+def test_a_path_name_too_long_for_the_os_is_not_found(workspace, capsys, where):
+    # os.stat refuses the name (ENAMETOOLONG) rather than finding no file
+    tmp_path, data_dir, out_dir, config = workspace
+    long_name = "9" * 4301
+    if where == "--config":
+        argv, message = ["train", "--config", long_name], f"config file not found: {long_name}"
+    elif where == "train_path":
+        config = write_config(tmp_path / "long.cfg", data_dir, out_dir, train_path=long_name)
+        argv, message = ["train", "--config", str(config)], f"train path not found: {long_name}"
+    else:
+        assert main(["train", "--config", str(config)]) == EXIT_OK
+        argv, message = _eval(config, out_dir, "--dataset", long_name), f"dataset path not found: {long_name}"
+    capsys.readouterr()
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 @pytest.mark.parametrize(
     "config_seeds,flags",
     [(-1, []), (0, ["--seed", "-1"]), (0, ["--seeds", "0,-3"])],
@@ -1047,6 +1130,37 @@ def test_seed_and_seeds_together_exit_2(workspace, capsys, overrides, flags, nam
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "key,flag,code,message",
+    [
+        ("seeds", "--seeds", EXIT_CONFIG, "config error: at least one seed is required\n"),
+        ("variant", "--variant", EXIT_CONFIG, "config error: unknown variant ''; choose from"),
+        # an empty out_dir is the working directory
+        ("out_dir", "--out-dir", EXIT_OK, ""),
+    ],
+    ids=["seeds", "variant", "out-dir"],
+)
+def test_an_empty_flag_value_is_parsed_as_the_empty_file_value(workspace, capsys, monkeypatch, key, flag, code, message):
+    tmp_path, data_dir, out_dir, config = workspace
+    empty_in_file = tmp_path / "empty.cfg"
+    values = {**parse_config_file(config), key: ""}
+    empty_in_file.write_text("".join(f"{k}={v}\n" for k, v in values.items()))
+    results = []
+    for where, argv in (("file", ["--config", str(empty_in_file)]), ("flag", ["--config", str(config), flag, ""])):
+        cwd = tmp_path / where
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        capsys.readouterr()
+        assert main(["train", *argv]) == code
+        out, err = capsys.readouterr()
+        assert err.startswith(message) and "Traceback" not in err
+        results.append((out, err, sorted(p.name for p in cwd.iterdir())))
+    assert results[0] == results[1]
+    assert not out_dir.exists()
+    if code == EXIT_OK:
+        assert "summary.txt" in results[0][2]
 
 
 def test_seed_flag_overrides_the_files_seeds(tmp_path):
@@ -1237,7 +1351,7 @@ class _HalfWriter:
     ["vocab.tsv", "train_seed0.log", "model_seed0.npz", "metrics_seed0.txt", "summary.txt",
      "att.jsonl", "att.html"],
 )
-def test_failed_write_keeps_the_previous_artifact(workspace, monkeypatch, artifact):
+def test_failed_write_keeps_the_previous_artifact(workspace, capsys, monkeypatch, artifact):
     out_dir, config = _trained(workspace)
     dump = ["dump-attention", "--config", str(config),
             "--checkpoint", str(out_dir / "model_seed0.npz"),
@@ -1254,10 +1368,67 @@ def test_failed_write_keeps_the_previous_artifact(workspace, monkeypatch, artifa
 
     monkeypatch.setattr(files, "open", open_failing_on_artifact, raising=False)
     command = dump if artifact.startswith("att.") else ["train", "--config", str(config)]
-    with pytest.raises(OSError, match="simulated full disk"):
-        main(command)
+    capsys.readouterr()
+    assert main(command) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{out_dir / artifact}: cannot write (simulated full disk)" in err and "Traceback" not in err
     after = {p.name: p.read_bytes() for p in out_dir.iterdir()}
     assert after == before
+
+
+def _blocker(tmp_path):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file\n")
+    return blocker
+
+
+def _unwritable_exits_2(capsys, argv, artifact, reason, blocker):
+    capsys.readouterr()
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"config error: {artifact}: cannot write ({reason})\n"
+    assert blocker.read_text() == "a regular file\n"
+    assert sorted(p.name for p in blocker.parent.iterdir() if p.name.startswith(".")) == []
+
+
+def test_train_out_dir_that_is_a_file_exits_2(workspace, capsys):
+    tmp_path, _, _, config = workspace
+    blocker = _blocker(tmp_path)
+    argv = ["train", "--config", str(config), "--out-dir", str(blocker)]
+    _unwritable_exits_2(capsys, argv, blocker / "vocab.tsv", "File exists", blocker)
+
+
+def test_train_out_dir_under_a_file_exits_2(workspace, capsys):
+    tmp_path, _, _, config = workspace
+    blocker = _blocker(tmp_path)
+    argv = ["train", "--config", str(config), "--out-dir", str(blocker / "sub")]
+    _unwritable_exits_2(capsys, argv, blocker / "sub" / "vocab.tsv", "Not a directory", blocker)
+
+
+def test_dump_attention_out_under_a_file_exits_2(workspace, capsys):
+    out_dir, config = _trained(workspace)
+    blocker = _blocker(out_dir.parent)
+    argv = ["dump-attention", "--config", str(config), "--checkpoint", str(out_dir / "model_seed0.npz"),
+            "--out", str(blocker / "a.jsonl")]
+    _unwritable_exits_2(capsys, argv, blocker / "a.jsonl", "File exists", blocker)
+
+
+@pytest.mark.parametrize("out", [".", "/"], ids=["dot", "root"])
+def test_dump_attention_out_that_names_no_file_exits_2(workspace, capsys, out):
+    out_dir, config = _trained(workspace)
+    capsys.readouterr()
+    code = main(["dump-attention", "--config", str(config), "--checkpoint", str(out_dir / "model_seed0.npz"),
+                 "--out", out])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: cannot write {out!r}: not a file path\n"
+
+
+def test_train_out_dir_with_a_nul_byte_exits_2(workspace, capsys):
+    # a config file can hold a NUL byte, which no path may
+    tmp_path, data_dir, _, _ = workspace
+    config = write_config(tmp_path / "nul.cfg", data_dir, "run\0x")
+    assert main(["train", "--config", str(config)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: cannot write 'run\\x00x/vocab.tsv': not a file path\n"
 
 
 # --------------------------------------------------------------- gradcheck
@@ -1329,3 +1500,171 @@ def test_gradcheck_catches_unnegated_reversal(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "bcainvar_objective" in [line.split()[0] for line in out.splitlines() if "FAIL" in line]
     assert "gradcheck FAILED: bcainvar_objective" in out
+
+
+# ------------------------------------------------ config text and argv fuzz
+
+# Values for any config key or flag. Junk holds no decimal digit, so every
+# number comes from the small ones listed: dimensions, epochs and seeds stay
+# small, no case lists two seeds (so --parallel-seeds starts no process), and
+# an over-long number is longer than int's digit limit. Junk holds no path
+# separator either, and the listed paths go at most one level up, so every
+# output stays in pytest's temporary directory.
+FUZZ_JUNK = st.text(
+    st.characters(blacklist_categories=("Nd", "Cs"), blacklist_characters="/\\"), max_size=8
+)
+FUZZ_VALUES = st.one_of(
+    FUZZ_JUNK,
+    st.just(""),
+    st.sampled_from(["nan", "-inf", "inf", "Infinity", "1e999", "-1e400"]),
+    st.integers(4301, 4400).map(lambda digits: "9" * digits),
+    st.sampled_from(["３", "٢", "é", "∞", "１e3", "Ⅷ", "²"]),
+    st.integers(-1, 3).map(str),
+    st.sampled_from(["0.5", "-0.1", "1e-3", " 2 ", "+1", "1_0", "0x1", "1e30"]),
+    st.sampled_from(["blocker", "blocker/sub", "blocker/a.jsonl", "data", ".", ".."]),
+)
+# Values that each key or flag accepts, so that cases also get past parsing.
+FUZZ_VALID = {
+    **dict.fromkeys(("train_path", "dev_path", "test_path", "--dataset"), ["data/train.tsv", "data/test.tsv"]),
+    "embeddings_path": ["emb.txt"],
+    "vocab_path": ["ckpt/vocab.tsv"],
+    **dict.fromkeys(("out_dir", "--out-dir"), ["run", "run2"]),
+    **dict.fromkeys(("--out", "--html"), ["att/a.jsonl", "att.html"]),
+    **dict.fromkeys(("variant", "--variant"), list(VARIANTS)),
+    **dict.fromkeys(("seeds", "seed", "--seeds", "--seed"), ["0", "1", " 2 "]),
+    **dict.fromkeys(("count_check", "parallel_seeds"), ["true", "false", "Yes", "0"]),
+    **dict.fromkeys(("embed_dim", "hidden_dim", "attn_dim"), ["1", "2", "3"]),
+    "dropout": ["0", "0.5"],
+    "batch_size": ["1", "3", "64"],
+    **dict.fromkeys(("learning_rate", "l2"), ["0.1", "1e30"]),
+    "patience": ["1", "2"],
+    **dict.fromkeys(("lambda", "--lambda"), ["0", "5"]),
+    "max_epochs": ["1", "2"],
+    "min_count": ["0", "2", "100"],
+    "--config": ["run.cfg"],
+    "--checkpoint": ["ckpt/model_seed0.npz"],
+    "--split": ["train", "dev", "test"],
+    **dict.fromkeys(("--text", "--target"), ["love it", TEST_TARGET]),
+}
+
+
+def _fuzz_value(key):
+    return st.one_of(FUZZ_VALUES, st.sampled_from(FUZZ_VALID.get(key, [""])))
+
+
+FUZZ_CONFIG = {
+    "train_path": "data/train.tsv",
+    "dev_path": "data/dev.tsv",
+    "test_path": "data/test.tsv",
+    "out_dir": "run",
+    "variant": "BCAInvar",
+    "embed_dim": "3",
+    "hidden_dim": "2",
+    "attn_dim": "2",
+    "dropout": "0.1",
+    "batch_size": "4",
+    "max_epochs": "1",
+    "patience": "1",
+    "count_check": "false",
+    "seeds": "0",
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_root(tmp_path_factory):
+    """A working directory with a tiny corpus, embeddings for a few of its
+    tokens, a config that trains on it in one short epoch, that run's
+    checkpoint, and a regular file to write under."""
+    root = tmp_path_factory.mktemp("cli_fuzz")
+    (root / "data").mkdir()
+    write_dataset(root / "data", per_class=1)
+    (root / "emb.txt").write_text("love 0.1 0.2 0.3\nhate 0.3 -0.2 0.1\n", encoding="utf-8")
+    (root / "run.cfg").write_text("".join(f"{k}={v}\n" for k, v in FUZZ_CONFIG.items()), encoding="utf-8")
+    (root / "blocker").write_text("a regular file\n")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(root)
+        assert main(["train", "--config", "run.cfg", "--out-dir", "ckpt"]) == EXIT_OK
+    return root
+
+
+@pytest.fixture
+def in_fuzz_root(fuzz_root, monkeypatch):
+    monkeypatch.chdir(fuzz_root)
+    monkeypatch.delenv(cli.DATA_DIR_ENV, raising=False)
+    return fuzz_root
+
+
+def _exit_code(argv, capsys):
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse: 2 for a usage error, 0 after --help
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+def _assert_documented_exit(code, err):
+    assert code in range(6), err
+    assert "Traceback" not in err
+    assert code == EXIT_OK or err.strip(), "a failure without a message"
+
+
+# a key from the table or an unknown one, and its text: None drops the key,
+# and bytes are not UTF-8
+fuzz_edit = st.sampled_from([*sorted(CONFIG_KEYS), "mystery", "Seeds", "embed-dim", None]).flatmap(
+    lambda key: st.tuples(
+        FUZZ_JUNK if key is None else st.just(key),
+        st.one_of(st.none(), _fuzz_value(key), st.sampled_from([b"\xff", b"\xc3(", b"\x80", b"\xed\xa0\x80"])),
+    )
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=st.lists(fuzz_edit, max_size=4), bom=st.booleans())
+def test_any_config_text_ends_in_a_documented_exit_code(in_fuzz_root, capsys, edits, bom):
+    values = dict(FUZZ_CONFIG)
+    for key, value in edits:
+        if value is None:
+            values.pop(key, None)
+        else:
+            values[key] = value
+    data = b"".join(
+        k.encode("utf-8") + b"=" + (v if isinstance(v, bytes) else v.encode("utf-8")) + b"\n" for k, v in values.items()
+    )
+    (in_fuzz_root / "fuzz.cfg").write_bytes(b"\xef\xbb\xbf" + data if bom else data)
+    _assert_documented_exit(*_exit_code(["train", "--config", "fuzz.cfg"], capsys))
+
+
+FUZZ_BASE_ARGV = {
+    "train": ["--config", "run.cfg"],
+    "eval": ["--config", "run.cfg", "--checkpoint", "ckpt/model_seed0.npz"],
+    "predict": ["--config", "run.cfg", "--checkpoint", "ckpt/model_seed0.npz", "--text", "love it", "--target", TEST_TARGET],
+    "dump-attention": ["--config", "run.cfg", "--checkpoint", "ckpt/model_seed0.npz"],
+    "gradcheck": [],
+}
+
+
+def _flag_strategy(command):
+    """One flag of the command's own parser, with a value if it takes one,
+    or a flag it does not know."""
+    choices = [st.just(["--bogus"])]
+    for action in _subparsers()[command]._actions:
+        if action.nargs == 0:
+            choices.append(st.sampled_from(action.option_strings).map(lambda flag: [flag]))
+        else:
+            name = action.option_strings[-1]
+            # argv cannot hold a NUL byte
+            value = _fuzz_value(name).filter(lambda v: "\0" not in v)
+            choices.append(st.tuples(st.just(name), value).map(list))
+    return st.one_of(choices)
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_BASE_ARGV))
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_argv_ends_in_a_documented_exit_code(in_fuzz_root, capsys, command, data):
+    # gradcheck takes no flag: with one, it stops in argparse instead of
+    # running its checks
+    flags = data.draw(st.lists(_flag_strategy(command), min_size=command == "gradcheck", max_size=4))
+    argv = [command, *FUZZ_BASE_ARGV[command], *[part for flag in flags for part in flag]]
+    _assert_documented_exit(*_exit_code(argv, capsys))

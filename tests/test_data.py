@@ -176,17 +176,31 @@ def test_vocab_tokens_round_trip_through_from_tokens(tmp_path):
     [
         ("<pad> <unk>", "not a list of strings"),
         (["<pad>", "<unk>", 3], "not a list of strings"),
-        (["<pad>", "<unk>", "a", "a"], "lists a token twice"),
-        (["<pad>", "<unk>", "<pad>"], "lists a token twice"),
-        (["<unk>", "<pad>", "a"], "must start with <pad> and <unk>"),
-        (["<pad>", "a", "<unk>"], "must start with <pad> and <unk>"),
-        (["<pad>"], "must start with <pad> and <unk>"),
-        ([], "must start with <pad> and <unk>"),
+        (["<pad>", "<unk>", "a", "a"], "token 'a' is listed twice"),
+        (["<pad>", "<unk>", "<pad>"], "token '<pad>' is listed twice"),
+        (["<unk>", "<pad>", "a"], "id 0 must be <pad>, got '<unk>'"),
+        (["<pad>", "a", "<unk>"], "id 1 must be <unk>, got 'a'"),
+        (["<pad>"], "id 1 must be <unk>, got None"),
+        ([], "id 0 must be <pad>, got None"),
     ],
 )
 def test_vocab_from_tokens_refuses(tokens, message):
     with pytest.raises(ValueError, match=message):
         Vocabulary.from_tokens(tokens)
+
+
+@pytest.mark.parametrize(
+    "tokens, bad_id",
+    [(["<pad>", "<unk>", "a", "a"], 3), (["<unk>", "<pad>", "a"], 0), (["<pad>", "a", "<unk>"], 1)],
+)
+def test_vocab_load_refuses_what_from_tokens_refuses(tmp_path, tokens, bad_id):
+    # one set of rules: the file reader adds the offending id's line
+    with pytest.raises(ValueError) as from_tokens:
+        Vocabulary.from_tokens(tokens)
+    path = _vocab_file(tmp_path, "".join(f"{tok}\t{i}\n" for i, tok in enumerate(tokens)))
+    with pytest.raises(ParseError) as loaded:
+        Vocabulary.load(path)
+    assert str(loaded.value) == f"line {bad_id + 1}: {from_tokens.value}"
 
 
 def _vocab_file(tmp_path, text):
