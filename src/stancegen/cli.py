@@ -56,6 +56,7 @@ from .layers import (
     additive_attention_batch,
     bilstm_encode_batch,
     max_pool_encode_batch,
+    placeholder,
     run_lstm_batch,
     zero_state_batch,
 )
@@ -287,6 +288,21 @@ def _seed_worker_init() -> None:
     tensor.HELPER = False
 
 
+def _check_describable(spec: ModelSpec) -> None:
+    """Refuse embed_dim, hidden_dim or attn_dim, each alone (the others at 1)
+    and then together, if they size an array numpy cannot describe;
+    placeholders describe the parameters and an embedding row."""
+    keys = ("embed_dim", "hidden_dim", "attn_dim")
+    for named in [(key,) for key in keys] + [keys]:
+        dims = {key: getattr(spec, key) if key in named else 1 for key in keys}
+        try:
+            row = EmbeddingMatrix(placeholder((1, dims["embed_dim"]), np.float64))
+            build_model(dataclasses.replace(spec, **dims), None, row)
+        except ValueError as exc:
+            given = ", ".join(f"{key} {dims[key]}" for key in named)
+            raise ConfigError(f"too large for numpy to describe: {given} ({exc})") from None
+
+
 def cmd_train(args) -> int:
     cfg = build_run_config(args)
     # the spec is checked before any data is read; make_split always gives
@@ -298,6 +314,7 @@ def cmd_train(args) -> int:
         attn_dim=cfg.hp.attention_dim,
         num_domains=len(TRAIN_TARGETS),
     )
+    _check_describable(spec)
     split = load_datasets(cfg)
     vocab, emb = load_vocab_and_embeddings(cfg, split.train)
     for corpus in (split.train, split.dev, split.test):

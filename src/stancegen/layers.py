@@ -6,16 +6,19 @@ zero states, then the sentence pair from the target's final states. An LSTM
 run (padding and recurrent dropout included), an attention pool and a max
 pool are one tape node each, with a hand-written backward.
 
-Eval products. Whether a tape is active is the only switch, whatever the
-row count. With no tape (eval, and predict's batch of one), LSTM gate
-products read a contiguous copy of each weight's transpose, attention
-splits its weight at the summary's width and stacks the positions
-(_eval_scores), and a BiLSTM without dropout whose gate products
-tensor.helper_takes runs its forward direction on the helper thread. On a
-tape (training, gradcheck) every product is the per-op one that the oracles
-in tests/test_lstm_cell.py and tests/test_attention.py hold, bit for bit.
-The two can round differently: tests/test_eval_products.py holds them to a
-few ulp of each other.
+Products. LSTM gate products read a C-contiguous copy of each weight's
+transpose, made on every run, taped or not. Whether a tape is active
+switches attention and the helper thread, whatever the row count. On a
+tape (training, gradcheck) attention scores every position's [summary;
+h_j] rows in one product against a contiguous copy of w.T. The per-op
+oracles in tests/test_lstm_cell.py and tests/test_attention.py make the
+same products as the taped layers, which they hold bit for bit. With no
+tape (eval, and predict's batch of one), attention splits its weight at the
+summary's width and stacks the positions (_eval_scores), and a BiLSTM
+without dropout whose gate products tensor.helper_takes runs its forward
+direction on the helper thread. The two attention rules can round
+differently: tests/test_eval_products.py holds them to a few ulp of each
+other.
 
 Every layer is row-batched: a sequence is one C-contiguous (positions,
 batch, dim) tensor with trailing padding marked by a (batch, positions) mask
@@ -247,8 +250,9 @@ def run_lstm_batch(
     The run is one tape node with outputs hs, final.h and final.c. It keeps
     every expression, sum and accumulation of the per-op steps that
     tests/test_lstm_cell.py holds as its oracle, in order, so the two agree
-    bit for bit: four per-gate products z @ w.T plus bias (one stacked
-    product changes bits on some BLAS builds), sigmoid as 0.5*(1 + tanh(a/2)),
+    bit for bit: four per-gate products z @ w.T plus bias, each against a
+    C-contiguous copy of w.T made once per run (one stacked product changes
+    bits on some BLAS builds), sigmoid as 0.5*(1 + tanh(a/2)),
     c = f*c_prev + i*g, h = o*tanh(c). Backward walks the steps in reverse,
     each through the blends, h, c, the gates in g, o, f, i order, then the
     recurrent dropout into h_prev; a state's gradient is a local sum in the
@@ -256,12 +260,10 @@ def run_lstm_batch(
     or the recurrent input's. Each gate's ga.T @ z goes through
     tensor.accum_product, which runs a large one on the helper thread.
 
-    With no tape active the gate products read a C-contiguous copy of each
-    w.T, made once per run, instead of the view (the eval rule in the module
-    docstring). In float32 on one OpenBLAS 0.3.31 thread (x86_64, Haswell
-    kernels), a (32x300)(300x200) gate product takes 51 us against the
-    view's 78, and a copy costs 23 us. The copy is never cached: Adam
-    updates each w in place and load_checkpoint reassigns it.
+    In float32 on one OpenBLAS 0.3.31 thread (x86_64, Haswell kernels), a
+    (32x300)(300x200) gate product takes 49 us against the copy and 74
+    against the view of w.T, and a copy costs 22 us. The copy is never
+    cached: Adam updates each w in place and load_checkpoint reassigns it.
     """
     x = steps.value
     if x.ndim != 3 or not x.shape[0]:
@@ -274,9 +276,7 @@ def run_lstm_batch(
     if cols != width - hidden or state != {(rows, hidden)}:
         raise ShapeError(f"run_lstm_batch: steps {x.shape}, states {sorted(state)} for gates {(hidden, width)}")
     tape, rate = active_tape(), 0.0 if drop is None else drop.rate
-    wt = tuple(w.value.T for w in (params.w_i, params.w_f, params.w_o, params.w_g))
-    if tape is None:
-        wt = tuple(np.ascontiguousarray(w) for w in wt)
+    wt = tuple(np.ascontiguousarray(w.value.T) for w in (params.w_i, params.w_f, params.w_o, params.w_g))
     hs = np.empty((n, rows, hidden), dtype=np.result_type(x, init.h.value))
     h, c = init.h.value, init.c.value
     taped = []  # (position, backward, dropout factor) per step, only on a tape
@@ -390,26 +390,27 @@ def additive_attention_batch(
     decreasing j, into one hiddens gradient; each position's w gradient goes
     through tensor.accum_product, as in run_lstm_batch.
 
-    With no tape active the scores come from _eval_scores (the eval rule in
-    the module docstring); on a tape the pool makes one product per
-    position.
+    On a tape every position's [summary; h_j] rows are built once, as one
+    (positions, batch, 4h) array, and multiplied in one product against a
+    C-contiguous copy of w.T, made per call; each position's tanh rows then
+    meet v in their own product. In float32 on one OpenBLAS 0.3.31 thread
+    (x86_64, Haswell kernels), a paper-size BCAInvar taped forward over 32
+    rows took 38 ms this way against 49-52 ms with one product per position
+    against the view, whose gate products also read the view. With no tape active the scores come from _eval_scores (the
+    eval rule in the module docstring).
     """
     summary, hid, w, v = target_summary.value, hiddens.value, params.w.value, params.v.value
     rows, k = summary.shape if summary.ndim == 2 else (None, 0)
     if hid.ndim != 3 or not hid.shape[0] or hid.shape[1:] != (rows, w.shape[1] - k) or v.shape != (w.shape[0],):
         raise ShapeError(f"additive_attention_batch: summary {summary.shape}, hiddens {hid.shape}, w {w.shape}")
     n, tape = hid.shape[0], active_tape()
-    kept = []  # each position's z and tanh, only on a tape
     if tape is None:
         scores = _eval_scores(summary, hid, w, v)
     else:
-        columns = []
-        for j in range(n):
-            z = np.concatenate([summary, hid[j]], axis=1)
-            t = np.tanh(z @ w.T)
-            columns.append(t @ v)
-            kept.append((z, t))
-        scores = np.stack(columns, axis=1)
+        z = np.concatenate([np.broadcast_to(summary, (n, rows, k)), hid], axis=2)  # position-major
+        t = (z.reshape(n * rows, -1) @ np.ascontiguousarray(w.T)).reshape(n, rows, -1)
+        np.tanh(t, out=t)
+        scores = np.stack([t[j] @ v for j in range(n)], axis=1)
     p = softmax_values(scores, mask)
     total = hid[0] * p[:, 0, None]
     for j in range(1, n):
@@ -424,12 +425,12 @@ def additive_attention_batch(
                 gh[j] = gs * p[:, j, None]
                 galpha[:, j] += (gs * hid[j]).sum(axis=1)
         gscore = softmax_input_grad(p, galpha)
-        for j, (z, t) in reversed(list(enumerate(kept))):
+        for j in range(n - 1, -1, -1):
             g = np.array(gscore[:, j])  # a copy, as the per-op column's accum made
-            params.v.accum(t.T @ g)
-            ga = np.outer(g, v) * (1.0 - t * t)
+            params.v.accum(t[j].T @ g)
+            ga = np.outer(g, v) * (1.0 - t[j] * t[j])
             gz = ga @ w
-            accum_product(params.w, ga, z)
+            accum_product(params.w, ga, z[j])
             target_summary.accum(gz[:, :k])
             gh[j] = gz[:, k:] if gs is None else gh[j] + gz[:, k:]
         hiddens.accum(gh)

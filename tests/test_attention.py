@@ -2,11 +2,16 @@
 
 `reference_additive_attention_batch`, `reference_stack_cols` and
 `reference_weighted_sum` are the attention layer and the two tensor ops it
-called before the pool became one tape node, copied verbatim. They read
-per-position (batch, dim) tensors; the fused node reads one (positions,
-batch, dim) sequence, which the reference reaches only through the
-`unstack` adapter of tests/sequences.py. Every value and every gradient the fused node
-produces must have the same bytes.
+called before the pool became one tape node, copied verbatim but for the
+score product. The old layer made one [summary; h_j] @ w.T product per
+position against the view of w.T; the fused node makes one for all
+positions against a C-contiguous copy, so the reference stacks the
+positions' [summary; h_j] rows with the `stack` adapter of
+tests/sequences.py, scores them with `positions_matmul_ct` and splits the
+tanh rows again with `unstack`. The rest reads per-position (batch, dim)
+tensors; the fused node reads one (positions, batch, dim) sequence, which
+the reference reaches only through `unstack`. Every value and every
+gradient the fused node produces must have the same bytes.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from sequences import unstack
+from sequences import stack, unstack
 from stancegen.errors import ShapeError
 from stancegen.layers import AttentionOutput, AttentionParams, additive_attention_batch
 from stancegen.tensor import (
@@ -26,7 +31,6 @@ from stancegen.tensor import (
     _record,
     add,
     concat_cols,
-    matmul_t,
     matvec,
     mul,
     softmax_rows,
@@ -78,6 +82,24 @@ def reference_weighted_sum(weights: Tensor, parts: Sequence[Tensor]) -> Tensor:
     return _record(out, backward)
 
 
+def positions_matmul_ct(seq: Tensor, w: Tensor) -> Tensor:
+    """tensor.matmul_t of every position of a (positions, batch, k) sequence
+    in one product against a C-contiguous copy of w.T. Backward runs each
+    position's matmul_t backward, in decreasing position order, as the old
+    layer's per-position nodes ran on the tape."""
+    x = seq.value
+    out = Tensor((x.reshape(-1, x.shape[-1]) @ np.ascontiguousarray(w.value.T)).reshape(*x.shape[:-1], -1))
+
+    def backward(g):
+        gx = np.empty_like(x)
+        for j in range(x.shape[0] - 1, -1, -1):
+            gx[j] = g[j] @ w.value
+            w.accum(g[j].T @ x[j])
+        seq.accum(gx)
+
+    return _record(out, backward)
+
+
 def reference_additive_attention_batch(
     target_summary: Tensor,
     hiddens: Sequence[Tensor],
@@ -89,9 +111,8 @@ def reference_additive_attention_batch(
     mask is (batch, positions) with trailing padding; masked positions get
     weight exactly 0.
     """
-    scores = [
-        matvec(tanh(matmul_t(concat_cols([target_summary, h]), params.w)), params.v) for h in hiddens
-    ]
+    z = stack([concat_cols([target_summary, h]) for h in hiddens])
+    scores = [matvec(t, params.v) for t in unstack(tanh(positions_matmul_ct(z, params.w)))]
     alpha = softmax_rows(reference_stack_cols(scores), mask=mask)
     return AttentionOutput(s=reference_weighted_sum(alpha, hiddens), alpha=alpha)
 

@@ -325,8 +325,15 @@ def test_train_unknown_variant_exits_2(workspace):
         ({"attn_dim": 0}, "attn_dim must be positive"),
         ({"embed_dim": 0}, "embed_dim must be positive"),
         ({"hidden_dim": 0}, "hidden_dim must be positive"),
+        # too large for numpy to describe: refused without allocating
+        ({"embed_dim": 10**20}, "too large for numpy to describe: embed_dim 100000000000000000000 ("),
+        ({"hidden_dim": 10**20}, "too large for numpy to describe: hidden_dim 100000000000000000000 ("),
+        ({"attn_dim": 10**20}, "too large for numpy to describe: attn_dim 100000000000000000000 ("),
+        # each describable alone; the gate weights of hidden_dim 3 are not
+        ({"embed_dim": 10**18}, "too large for numpy to describe: embed_dim 1000000000000000000, hidden_dim 3, attn_dim 4 ("),
     ],
-    ids=["variant", "attn_dim", "embed_dim", "hidden_dim"],
+    ids=["variant", "attn_dim", "embed_dim", "hidden_dim", "huge-embed_dim", "huge-hidden_dim", "huge-attn_dim",
+         "huge-dims-together"],
 )
 def test_train_invalid_spec_exits_2_before_reading_data(workspace, capsys, overrides, message):
     tmp_path, data_dir, out_dir, _ = workspace

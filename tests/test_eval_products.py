@@ -1,12 +1,15 @@
-"""Eval-mode LSTM runs and attention pools against the taped ones.
+"""Eval-mode LSTM runs and attention pools against the taped ones, and
+forwards that read weights updated in place.
 
-With no tape active, at any row count, run_lstm_batch multiplies against
-contiguous copies of its weights' transposes, and additive_attention_batch
-adds the summary's share of its product, taken once, to the positions'
-shares, taken a stack of positions at a time; on a tape both make the
-per-step [x; h] @ w.T products against the view. The two can round
-differently, and where they do depends on the BLAS build, so the untaped
-outputs are held to a few ulp of the taped ones, a batch of one included.
+run_lstm_batch multiplies against contiguous copies of its weights'
+transposes, taped or not, so an untaped run has the taped run's bytes at
+every row count. With no tape active, additive_attention_batch adds the
+summary's share of its product, taken once, to the positions' shares, taken
+a stack of positions at a time; on a tape it multiplies every position's
+[summary; h_j] rows by a contiguous w.T in one product. The two pools can
+round differently, and where they do depends on the BLAS build, so the
+untaped pool is held to a few ulp of the taped one, a batch of one
+included.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from stancegen.layers import (
     run_lstm_batch,
 )
 from stancegen.models import ModelSpec, build_model, model_forward_batch
-from stancegen.tensor import PRECISIONS, Tape, Tensor
+from stancegen.tensor import PRECISIONS, Tape, Tensor, zero_grads
+from stancegen.training import objective_batch
 
 DIMS = [(6, 4, 5), (8, 6, 10), (100, 200, 400)]  # (input, hidden, attention)
 ROWS = [1, 2, 5, 16, 17, 32]
@@ -45,6 +49,11 @@ def padded_mask(rows, positions=POSITIONS):
 
 def uniform(rng, shape, dtype):
     return rng.uniform(-1.0, 1.0, shape).astype(dtype)
+
+
+def assert_same_bytes(name, a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape, name
+    assert a.tobytes() == b.tobytes(), f"{name} differs at {np.argwhere(a != b)[:5].tolist()}"
 
 
 def assert_agree(name, eval_value, taped_value):
@@ -69,10 +78,9 @@ def test_untaped_lstm_run_agrees_with_the_taped_run(precision, input_dim, hidden
     with Tape(precision):
         taped_hs, taped = run_lstm_batch(steps, mask, init, params, reverse=reverse)
     untaped_hs, untaped = run_lstm_batch(steps, mask, init, params, reverse=reverse)
-    for t in range(POSITIONS):
-        assert_agree(f"h[{t}]", untaped_hs.value[t], taped_hs.value[t])
-    assert_agree("final h", untaped.h.value, taped.h.value)
-    assert_agree("final c", untaped.c.value, taped.c.value)
+    assert_same_bytes("hs", untaped_hs.value, taped_hs.value)
+    assert_same_bytes("final h", untaped.h.value, taped.h.value)
+    assert_same_bytes("final c", untaped.c.value, taped.c.value)
 
 
 def check_attention(precision, hidden, attn, rows, positions, seed):
@@ -152,4 +160,37 @@ def test_eval_forward_reads_the_weights_as_they_are_now():
         expected = model_forward_batch(fresh, batch)
         assert after.stance_probs.value.tobytes() == expected.stance_probs.value.tobytes()
         assert after.attention.alpha.value.tobytes() == expected.attention.alpha.value.tobytes()
+        before = after
+
+
+def _taped_step(model, batch):
+    """A taped forward and backward: the stance probabilities, alpha and
+    every parameter's gradient, as bytes."""
+    zero_grads(model.params.values())
+    with Tape("float32") as tape:
+        out = model_forward_batch(model, batch)
+        tape.backward(objective_batch(out, batch, 0.1)[0])
+    values = [out.stance_probs.value, out.attention.alpha.value]
+    return [a.tobytes() for a in values + [p.grad for p in model.params.values()]]
+
+
+def test_taped_forward_reads_the_weights_as_they_are_now():
+    # the taped counterpart of the test above: a gate weight and attention's
+    # w, updated in place between two taped forwards as adam_step updates
+    # them, must each reach the second forward's outputs and gradients, which
+    # then equal those of a model built with the updated weights
+    model, batch = _bca_model_and_batch(3)
+    nudge = np.random.default_rng(12)
+    before = _taped_step(model, batch)
+    for name in ("encoder.sent_fwd.w_i", "attention.w"):
+        w = model.params[name].value
+        w -= np.float32(0.05) * nudge.uniform(-1.0, 1.0, w.shape).astype(np.float32)
+        after = _taped_step(model, batch)
+        assert after[0] != before[0] and after[1] != before[1], name
+        assert all(a != b for a, b in zip(after[2:], before[2:])), name
+
+        fresh, _ = _bca_model_and_batch(3)
+        for key, p in fresh.params.items():
+            p.value = model.params[key].value.copy()
+        assert after == _taped_step(fresh, batch), name
         before = after

@@ -3,12 +3,15 @@
 `reference_lstm_step_batch`, `reference_step` and `reference_run` are the
 per-op LSTM step, the body of `run_lstm_batch`'s loop and the loop itself as
 they were before each step became one tape node, copied verbatim (with
-`reference_sigmoid` and `blend_rows`, the tensor ops the old step called).
-The run is now one tape node for all of its steps, over a (positions, batch,
-input) sequence, so a single step is a one-step run. The per-op code reads
-and writes per-position (batch, dim) tensors; it reaches the sequence layout
-only through the `stack` and `unstack` adapters of tests/sequences.py. Every value and every
-gradient the run produces must have the same bytes.
+`reference_sigmoid` and `blend_rows`, the tensor ops the old step called),
+but for one operand: each gate product goes through `matmul_ct`, which
+multiplies against the C-contiguous copy of w.T that the run reads, where
+`tensor.matmul_t` reads the view. The run is now one tape node for all of
+its steps, over a (positions, batch, input) sequence, so a single step is a
+one-step run. The per-op code reads and writes per-position (batch, dim)
+tensors; it reaches the sequence layout only through the `stack` and
+`unstack` adapters of tests/sequences.py. Every value and every gradient
+the run produces must have the same bytes.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from stancegen.tensor import (
     add,
     add_rowvec,
     concat_cols,
-    matmul_t,
     mul,
     sum_all,
     tanh,
@@ -55,6 +57,18 @@ def blend_rows(new: Tensor, old: Tensor, keep_new: np.ndarray) -> Tensor:
     return _record(out, backward)
 
 
+def matmul_ct(a: Tensor, w: Tensor) -> Tensor:
+    """tensor.matmul_t with the forward product against a C-contiguous copy
+    of w.T instead of the view; the same backward."""
+    out = Tensor(a.value @ np.ascontiguousarray(w.value.T))
+
+    def backward(g):
+        a.accum(g @ w.value)
+        w.accum(g.T @ a.value)
+
+    return _record(out, backward)
+
+
 def reference_sigmoid(x: Tensor) -> Tensor:
     # tanh formulation avoids exp overflow for large |x|
     out = Tensor(0.5 * (1.0 + np.tanh(0.5 * x.value)))
@@ -68,10 +82,10 @@ def reference_sigmoid(x: Tensor) -> Tensor:
 def reference_lstm_step_batch(x: Tensor, prev: LSTMState, params: LSTMParams) -> LSTMState:
     """Batched LSTM step over (batch, dim) rows."""
     z = concat_cols([x, prev.h])
-    i = reference_sigmoid(add_rowvec(matmul_t(z, params.w_i), params.b_i))
-    f = reference_sigmoid(add_rowvec(matmul_t(z, params.w_f), params.b_f))
-    o = reference_sigmoid(add_rowvec(matmul_t(z, params.w_o), params.b_o))
-    g = tanh(add_rowvec(matmul_t(z, params.w_g), params.b_g))
+    i = reference_sigmoid(add_rowvec(matmul_ct(z, params.w_i), params.b_i))
+    f = reference_sigmoid(add_rowvec(matmul_ct(z, params.w_f), params.b_f))
+    o = reference_sigmoid(add_rowvec(matmul_ct(z, params.w_o), params.b_o))
+    g = tanh(add_rowvec(matmul_ct(z, params.w_g), params.b_g))
     c = add(mul(f, prev.c), mul(i, g))
     h = mul(o, tanh(c))
     return LSTMState(h, c)

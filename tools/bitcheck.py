@@ -23,7 +23,13 @@ this file sits in) on seeded synthetic data from perfbench/corpus.py:
   forward on batches of 16 and 17 rows, hashing the stance probabilities
   and `alpha` (`paper_size_eval`). At 1 BLAS thread these two batches sit
   on either side of the rule that runs an eval BiLSTM's forward direction
-  on the helper thread (from 17 rows at paper size).
+  on the helper thread (from 17 rows at paper size);
+- then, on a third such model, one training step on a batch of 17 rows and
+  another on a batch of 32, each from the model's initial parameters and a
+  fresh Adam state, hashing the stance probabilities, `alpha`, every
+  parameter gradient and every updated parameter (`paper_size_train`).
+  `paper_size` chains its steps, so a change to its 1-row step changes
+  every later line; this case pins full-batch training bits on their own.
 
 It writes DIR/manifest.json: the SHA-256 of every output file, of every
 checkpoint array with its dtype and shape (a format-3 or format-4
@@ -181,6 +187,29 @@ PAPER_SIZE_EVAL = paper_size_setup(16, (16, 17)) + """for batch in batches:
     print(tag, "eval alpha", sha(out.attention.alpha.value))
 """
 
+# one training step per batch of 17 and 32 rows, each from the same initial
+# parameters, Adam state and dropout generator
+PAPER_SIZE_TRAIN = paper_size_setup(17, (17, 32)) + """initial = {name: p.value.copy() for name, p in model.params.items()}
+for batch in batches:
+    tag = f"rows {len(batch)}"
+    for name, p in model.params.items():
+        np.copyto(p.value, initial[name])
+    adam = AdamState.init(model.params)
+    with Tape("float32") as tape:
+        out = model_forward_batch(model, batch, train_mode=True, rng=np.random.default_rng([0, 1]), dropout=0.1)
+        objective, _, _ = objective_batch(out, batch, 0.1)
+        tape.backward(objective)
+    print(tag, "train stance_probs", sha(out.stance_probs.value))
+    print(tag, "train alpha", sha(out.attention.alpha.value))
+    for name, p in model.params.items():
+        print(tag, "grad", name, sha(p.grad) if p.grad is not None else None)
+    clip_gradients(model.params, 5.0)
+    adam_step(model.params, adam, 0.003, 0.01)
+    zero_grads(model.params.values())
+    for name, p in model.params.items():
+        print(tag, "updated", name, sha(p.value))
+"""
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -304,6 +333,7 @@ def run_all(tree: Path, out: Path, blas_threads: int = 1) -> dict[str, str]:
     runner.entries["criterion7"] = runner.run("criterion7", ["-c", CRITERION_7]).strip()
     runner.run("paper_size", ["-c", PAPER_SIZE])
     runner.run("paper_size_eval", ["-c", PAPER_SIZE_EVAL])
+    runner.run("paper_size_train", ["-c", PAPER_SIZE_TRAIN])
     entries = {**file_entries(runs), **runner.entries}
     (out / "manifest.json").write_text(json.dumps(entries, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     return entries
